@@ -22,6 +22,11 @@ evaluation counters.  The engine expands the trial step geometrically until a
 bracket forms, then shrinks it by safeguarded quadratic interpolation with
 bisection fallback.  Every trial evaluates f and g together (one nf plus one
 ng).
+
+A trial keeps only what its acceptance test and the secant bundle need: the
+point, its gradient, s, mu and t.  The vectors y = g_t - g and z = y + t s
+are built once, for the accepted trial, from those same values, so the
+bundle equals one built at every trial bit for bit.
 """
 
 from __future__ import annotations
@@ -195,13 +200,14 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, modified):
         else:
             curv_lhs = dphi
         curv_ok = _curvature_holds(curv_lhs, gd0, params.sigma)
-        bundle = SecantData(s=s, y=g_t - g, mu=mu_t, t=t_t, z=z_vector(g_t - g, s, t_t))
-        return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, bundle))
+        return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, s, mu_t, t_t))
 
     best, trials, status = bracket_zoom(evaluate, f, gd0, params, alpha0)
     if status != ACCEPTED:
         return LineSearchOutcome(0.0, None, f, None, None, status, trials, trials)
-    x_t, g_t, bundle = best.payload
+    x_t, g_t, s, mu_t, t_t = best.payload
+    y = g_t - g
+    bundle = SecantData(s=s, y=y, mu=mu_t, t=t_t, z=z_vector(y, s, t_t))
     return LineSearchOutcome(best.alpha, x_t, best.f, g_t, bundle, ACCEPTED, trials, trials)
 
 

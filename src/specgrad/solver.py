@@ -67,9 +67,12 @@ def default_config(
     audit: bool = True,
 ) -> SolverConfig:
     """Paper-default configuration: (rho, sigma) = (0.18, 0.2) for scgmmwls,
-    (0.1, 0.9) for the dk/jian/m2 baselines."""
-    if rho is None or sigma is None:
-        rho, sigma = (0.18, 0.2) if method == "scgmmwls" else (0.1, 0.9)
+    (0.1, 0.9) for the dk/jian/m2 baselines.  A ``rho`` or ``sigma`` left
+    unset takes the method's default on its own, so a lone override is kept
+    and an invalid pair still fails in :class:`WolfeParams`."""
+    default_rho, default_sigma = (0.18, 0.2) if method == "scgmmwls" else (0.1, 0.9)
+    rho = default_rho if rho is None else rho
+    sigma = default_sigma if sigma is None else sigma
     secant = SecantParams(m=m, rho=rho, sigma=sigma)
     return SolverConfig(
         wolfe=WolfeParams(rho=rho, sigma=sigma),

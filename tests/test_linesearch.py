@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import specgrad.linesearch
 from specgrad.linesearch import (
     ACCEPTED,
     DEGENERATE_DIRECTION,
@@ -14,7 +15,7 @@ from specgrad.linesearch import (
 )
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import Problem, instrumented, problem
-from specgrad.secant import SecantParams
+from specgrad.secant import SecantParams, mu, t_coefficient, z_vector
 
 
 def vec(*vals):
@@ -144,6 +145,66 @@ class TestAccounting:
         assert out.status == ACCEPTED
         assert out.nf_used == oracle.nf - before[0]
         assert out.ng_used == oracle.ng - before[1]
+
+
+class TestAcceptedBundleOnly:
+    """The secant bundle is built once, for the accepted trial only."""
+
+    @pytest.fixture
+    def z_calls(self, monkeypatch):
+        calls = []
+
+        def counted(y, s, t):
+            calls.append(t)
+            return z_vector(y, s, t)
+
+        monkeypatch.setattr(specgrad.linesearch, "z_vector", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["ext_rosenbrock", "ext_beale"])
+    @pytest.mark.parametrize("modified", [True, False])
+    def test_accepted_search_builds_one_bundle_equal_to_raw_rebuild(self, z_calls, name, modified):
+        p = problem(name, 10)
+        f, g = p.objective(p.start), p.gradient(p.start)
+        d = -g
+        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        if modified:
+            out = modified_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 1.0)
+        else:
+            out = standard_wolfe(instrumented(p), p.start, f, g, d, PARAMS, 1.0, sp)
+        assert out.status == ACCEPTED
+        assert out.nf_used >= 2
+        assert len(z_calls) == 1
+
+        s = out.alpha * d
+        y = out.g_new - g
+        mu_raw = mu(f, out.f_new, g, out.g_new, s)
+        t_raw = t_coefficient(mu_raw, dot(s, s), sp)
+        sec = out.secant
+        np.testing.assert_array_equal(out.x_new, p.start + s)
+        np.testing.assert_array_equal(sec.s, s)
+        np.testing.assert_array_equal(sec.y, y)
+        assert sec.mu == mu_raw
+        assert sec.t == t_raw
+        np.testing.assert_array_equal(sec.z, z_vector(y, s, t_raw))
+
+        checks = verify_accepted_step(
+            f, g, d, out, PARAMS, modified=modified, order_coefficient=sp.coefficient, C=sp.C
+        )
+        assert checks and all(checks.values()), checks
+
+    @pytest.mark.parametrize("modified", [True, False])
+    def test_failed_search_builds_no_bundle(self, z_calls, modified):
+        oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
+        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        if modified:
+            out = modified_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, sp, 1.0)
+        else:
+            out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, 1.0, sp)
+        assert out.status == MAX_TRIALS_EXCEEDED
+        assert out.nf_used > 1
+        assert out.secant is None
+        assert z_calls == []
 
 
 class TestVerifier:

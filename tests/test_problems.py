@@ -1,7 +1,11 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
-from specgrad.numkit import dot
+import specgrad.problems
+from specgrad.numkit import dot, norm_inf
 from specgrad.problems import (
     EvaluationError,
     check_points,
@@ -146,3 +150,109 @@ class TestGradientCheck:
         p = problem("qf1", 5)
         with pytest.raises(ValueError):
             gradient_check(p, [p.start], tol=0.0)
+
+
+# Reference kernels: the ``**`` forms the multiplication chains in
+# specgrad.problems replace.  They go through libm ``pow`` and are slow, so
+# they live here only as the accuracy oracle.
+
+
+def _ref_ext_white_holst(x):
+    u, v = x[0::2], x[1::2]
+    f = float(np.sum(100.0 * (v - u**3) ** 2 + (1.0 - u) ** 2))
+    r = v - u**3
+    g = np.empty_like(x)
+    g[0::2] = -600.0 * u * u * r - 2.0 * (1.0 - u)
+    g[1::2] = 200.0 * r
+    return f, g
+
+
+def _ref_ext_beale(x):
+    u, v = x[0::2], x[1::2]
+    a = 1.5 - u * (1.0 - v)
+    b = 2.25 - u * (1.0 - v * v)
+    c = 2.625 - u * (1.0 - v**3)
+    f = float(np.sum(a * a + b * b + c * c))
+    g = np.empty_like(x)
+    g[0::2] = -2.0 * a * (1.0 - v) - 2.0 * b * (1.0 - v * v) - 2.0 * c * (1.0 - v**3)
+    g[1::2] = 2.0 * a * u + 4.0 * b * u * v + 6.0 * c * u * v * v
+    return f, g
+
+
+def _nondquar_q(x):
+    n = x.size
+    return x[: n - 2] + x[1 : n - 1] + x[-1]
+
+
+def _ref_nondquar(x):
+    n = x.size
+    f = float((x[0] - x[1]) ** 2 + (x[-2] + x[-1]) ** 2 + np.sum(_nondquar_q(x) ** 4))
+    q3 = 4.0 * _nondquar_q(x) ** 3
+    g = np.zeros_like(x)
+    g[: n - 2] += q3
+    g[1 : n - 1] += q3
+    g[-1] += np.sum(q3)
+    g[0] += 2.0 * (x[0] - x[1])
+    g[1] -= 2.0 * (x[0] - x[1])
+    g[-2] += 2.0 * (x[-2] + x[-1])
+    g[-1] += 2.0 * (x[-2] + x[-1])
+    return f, g
+
+
+REFERENCE_KERNELS = {
+    "ext_white_holst": _ref_ext_white_holst,
+    "ext_beale": _ref_ext_beale,
+    "nondquar": _ref_nondquar,
+}
+KERNEL_RTOL = 1e-13
+
+
+def _assert_matches_reference(p, x):
+    f_ref, g_ref = REFERENCE_KERNELS[p.name](x)
+    f, g = p.objective(x), p.gradient(x)
+    assert np.isfinite(f) and np.isfinite(f_ref)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(g_ref))
+    assert abs(f - f_ref) <= KERNEL_RTOL * abs(f_ref)
+    np.testing.assert_allclose(g, g_ref, rtol=KERNEL_RTOL, atol=KERNEL_RTOL * norm_inf(g_ref))
+
+
+class TestPowFreeKernels:
+    @pytest.mark.parametrize("dim", [10, 1000])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_KERNELS))
+    def test_match_pow_reference_at_check_points(self, name, dim):
+        p = problem(name, dim)
+        for x in check_points(p):
+            _assert_matches_reference(p, x)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_KERNELS))
+    def test_match_pow_reference_where_fourth_powers_underflow(self, name):
+        p = problem(name, 1000)
+        x = 1e-80 * check_points(p)[1]
+        if name == "nondquar":
+            assert np.any(_nondquar_q(x) ** 4 < np.finfo(float).tiny)  # subnormal or zero
+        _assert_matches_reference(p, x)
+
+
+def _non_square_powers(source: str) -> list[int]:
+    """Line numbers of every ``**`` (or ``**=``) whose exponent is not the literal 2."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            exponent = node.value
+        else:
+            continue
+        if not (isinstance(exponent, ast.Constant) and type(exponent.value) is int and exponent.value == 2):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestNoPowKernels:
+    def test_problems_module_squares_only(self):
+        source = inspect.getsource(specgrad.problems)
+        assert _non_square_powers(source) == []
+
+    def test_guard_flags_other_exponents(self):
+        source = "a = x**2\nb = x**4\nc = x**2.0\nd = x**n\nx **= 3\n"
+        assert _non_square_powers(source) == [2, 3, 4, 5]

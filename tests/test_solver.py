@@ -39,6 +39,20 @@ class TestConfig:
             cfg = default_config(method)
             assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.1, 0.9)
 
+    def test_lone_rho_or_sigma_keeps_the_other_default(self):
+        cfg = default_config("dk", rho=0.05)
+        assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.05, 0.9)
+        assert (cfg.direction.secant.rho, cfg.direction.secant.sigma) == (0.05, 0.9)
+        cfg = default_config("scgmmwls", sigma=0.5)
+        assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.18, 0.5)
+        assert (cfg.direction.secant.rho, cfg.direction.secant.sigma) == (0.18, 0.5)
+
+    def test_lone_override_forming_an_invalid_pair_is_rejected(self):
+        with pytest.raises(ValueError):
+            default_config("scgmmwls", rho=0.5)  # sigma stays 0.2
+        with pytest.raises(ValueError):
+            default_config("dk", sigma=0.05)  # rho stays 0.1
+
     def test_validation(self):
         cfg = default_config("scgmmwls")
         with pytest.raises(ValueError):
