@@ -9,17 +9,14 @@ shared tau grid.
 
 Results and profile tables are emitted as CSV (floats at 17 significant
 digits) and as a JSON mirror under the keys ``results`` and ``profiles``.
-Independent cells may be dispatched to a thread pool bounded by the
-``SPECGRAD_WORKERS`` environment variable (default: serial); row order is
-deterministic either way.
+Cells run one after another in sorted (solver, problem, dim) order; a thread
+pool only made suites slower, since the solver holds the GIL.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,14 +92,6 @@ class RatioSet:
     r_fail: float
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPECGRAD_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(solvers, problems=None, dims=(100,), **config_overrides) -> ResultTable:
     """One run per (solver, problem, dim); failures are recorded, never dropped."""
     specs = [SolverSpec.parse(s) if isinstance(s, str) else s for s in solvers]
@@ -114,17 +103,10 @@ def run_suite(solvers, problems=None, dims=(100,), **config_overrides) -> Result
         raise ValueError("duplicate (solver, problem, dim) cells requested")
     by_label = {s.label: s for s in specs}
 
-    def run_cell(cell) -> ResultRow:
-        label, name, dim = cell
+    rows = []
+    for label, name, dim in cells:
         cfg = by_label[label].config(**config_overrides)
-        return ResultRow(label, name, dim, minimize(problem(name, dim), cfg))
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
+        rows.append(ResultRow(label, name, dim, minimize(problem(name, dim), cfg)))
     return ResultTable(rows)
 
 

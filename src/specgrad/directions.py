@@ -11,6 +11,23 @@ All strategies produce d_new = -theta * g_new + beta * d_prev:
 
 Degenerate denominators and numerically non-descent results never escape:
 they restart the direction at -g_new and are flagged in the diagnostics.
+
+Each formula is written once, over scalars.  Let w be the secant vector the
+method uses: z = y + t s (scgmmwls), v = y + c s with c = m2_coefficient
+(m2), or y (dk, jian; c = 0).  The vector-level functions (``beta_m``,
+``theta_tilde``, ``next_direction_<method>``) take every scalar with ``dot``
+from their vectors, for any s.  The solver's :func:`next_direction` uses
+s = alpha d and takes the line search's dot products (:class:`StepSlopes`):
+
+    g_old^T d, g_new^T d, d^T d      from the search
+    s^T g_new = alpha g_new^T d
+    d^T w     = (g_new^T d - g_old^T d) + c alpha d^T d
+
+so only g_new^T g_new, g_new^T w, w^T w and the final descent test
+g_new^T d_new remain dot products, and the norms in the degeneracy tests are
+square roots of them.  d^T w does not cancel: the curvature condition of
+each search bounds it below by (1 - sigma)|g_old^T d| (up to the 1e-12
+acceptance tolerance), as the d^T z audit checks from the raw vectors.
 """
 
 from __future__ import annotations
@@ -18,8 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numkit import Vector, dot, norm2
-from .secant import SecantData, SecantParams, v_vector_m2
+from .numkit import Vector, dot
+from .secant import SecantData, SecantParams, StepSlopes, m2_coefficient, v_vector_m2
 
 METHODS = ("scgmmwls", "dk", "jian", "m2")
 
@@ -61,23 +78,31 @@ class DirectionDiag:
     restart: bool = False
 
 
-def beta_m(g_new: Vector, g_old: Vector, d: Vector, z: Vector) -> tuple[float, bool]:
-    """max(beta_L, beta_R); the flag reports whether the beta_R branch won."""
-    dz = dot(d, z)
-    if abs(dz) <= _DEGENERATE_REL * norm2(d) * norm2(z):
-        raise DegenerateCurvatureError(f"d^T z = {dz}")
-    beta_l = dot(g_new, z) / dz - (dot(z, z) / dz) * (dot(g_new, d) / dz)
-    beta_r = dot(g_old, d) / dot(d, d)
+def _beta_m(gd_old, gd_new, dd, dw, gw, ww) -> tuple[float, bool]:
+    if abs(dw) <= _DEGENERATE_REL * math.sqrt(dd) * math.sqrt(ww):
+        raise DegenerateCurvatureError(f"d^T z = {dw}")
+    beta_l = gw / dw - (ww / dw) * (gd_new / dw)
+    beta_r = gd_old / dd
     if beta_l >= beta_r:
         return beta_l, False
     return beta_r, True
 
 
+def beta_m(g_new: Vector, g_old: Vector, d: Vector, z: Vector) -> tuple[float, bool]:
+    """max(beta_L, beta_R); the flag reports whether the beta_R branch won."""
+    return _beta_m(dot(g_old, d), dot(g_new, d), dot(d, d), dot(d, z), dot(g_new, z), dot(z, z))
+
+
+def _theta_tilde(sg, dw, gg, gw, ww, beta) -> float:
+    if abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww):
+        raise DegenerateSpectralError(f"g_new^T z = {gw}")
+    return (sg + beta * dw) / gw
+
+
 def theta_tilde(g_new: Vector, s: Vector, d: Vector, z: Vector, beta: float) -> float:
-    gz = dot(g_new, z)
-    if abs(gz) <= _DEGENERATE_REL * norm2(g_new) * norm2(z):
-        raise DegenerateSpectralError(f"g_new^T z = {gz}")
-    return (dot(s, g_new) + beta * dot(d, z)) / gz
+    return _theta_tilde(
+        dot(s, g_new), dot(d, z), dot(g_new, g_new), dot(g_new, z), dot(z, z), beta
+    )
 
 
 def theta_bar(theta_t: float, params: DirectionParams) -> float:
@@ -94,22 +119,64 @@ def _restart(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]
     return -g_new.copy(), diag
 
 
-def _spectral_direction(g_new, prev_d, prev_g, s, w, params) -> tuple[Vector, DirectionDiag]:
+def _raw_scalars(g_new, prev_d, prev_g, s, w):
+    """(g_old^T d, g_new^T d, d^T d, s^T g_new, d^T w) from vectors; s is arbitrary."""
+    gd_old, gd_new, dd = dot(prev_g, prev_d), dot(g_new, prev_d), dot(prev_d, prev_d)
+    return gd_old, gd_new, dd, dot(s, g_new), dot(prev_d, w)
+
+
+def _step_scalars(slopes: StepSlopes, c: float):
+    """The same five scalars for s = alpha d and w = y + c s, from the line search."""
+    gd_old, gd_new = slopes.gd_old, slopes.gd_new
+    return gd_old, gd_new, slopes.dd, slopes.alpha * gd_new, (gd_new - gd_old) + c * slopes.sd
+
+
+def _spectral_direction(g_new, prev_d, w, gd_old, gd_new, dd, sg, dw, params):
     diag = DirectionDiag()
+    gg, gw, ww = dot(g_new, g_new), dot(g_new, w), dot(w, w)
     try:
-        beta, diag.truncated_beta = beta_m(g_new, prev_g, prev_d, w)
+        beta, diag.truncated_beta = _beta_m(gd_old, gd_new, dd, dw, gw, ww)
     except DegenerateCurvatureError:
         return _restart(g_new, diag)
     diag.beta = beta
     try:
-        theta_t = theta_tilde(g_new, s, prev_d, w, beta)
+        theta_t = _theta_tilde(sg, dw, gg, gw, ww, beta)
     except DegenerateSpectralError:
         theta_t = math.nan
     theta = theta_bar(theta_t, params)
     diag.theta = theta
     diag.truncated_theta = theta != theta_t
     d = -theta * g_new + beta * prev_d
-    if dot(g_new, d) <= -params.eta * dot(g_new, g_new):
+    if dot(g_new, d) <= -params.eta * gg:
+        return d, diag
+    return _restart(g_new, diag)
+
+
+def _dk_direction(g_new, prev_d, y, gd_new, dd, sg, dy, params, spectral):
+    """beta_DK from y; theta = 1 for dk, jian's truncated spectral theta otherwise."""
+    diag = DirectionDiag()
+    yy = dot(y, y)
+    if abs(dy) <= _DEGENERATE_REL * math.sqrt(dd) * math.sqrt(yy):
+        return _restart(g_new, diag)
+    yg = dot(y, g_new)
+    beta = yg / dy - yy * gd_new / (dy * dy)
+    diag.beta = beta
+    if not spectral:
+        d = -g_new + beta * prev_d
+        # Plain descent only; dk carries no eta-margin guarantee.
+        if dot(g_new, d) >= 0.0 and dot(g_new, g_new) > 0.0:
+            return _restart(g_new, diag)
+        return d, diag
+    gg = dot(g_new, g_new)
+    if abs(yg) <= _DEGENERATE_REL * math.sqrt(yy) * math.sqrt(gg):
+        theta_plus = math.nan
+    else:
+        theta_plus = 1.0 - (yy * gd_new / dy - sg) / yg
+    theta = theta_bar(theta_plus, params)
+    diag.theta = theta
+    diag.truncated_theta = theta != theta_plus
+    d = -theta * g_new + beta * prev_d
+    if dot(g_new, d) <= -params.eta * gg:
         return d, diag
     return _restart(g_new, diag)
 
@@ -117,65 +184,55 @@ def _spectral_direction(g_new, prev_d, prev_g, s, w, params) -> tuple[Vector, Di
 def next_direction_scgmmwls(
     g_new: Vector, prev_d: Vector, prev_g: Vector, secant: SecantData, params: DirectionParams
 ) -> tuple[Vector, DirectionDiag]:
-    return _spectral_direction(g_new, prev_d, prev_g, secant.s, secant.z, params)
+    scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, secant.z)
+    return _spectral_direction(g_new, prev_d, secant.z, *scalars, params)
 
 
 def next_direction_m2(
     g_new: Vector, prev_d: Vector, prev_g: Vector, secant: SecantData, params: DirectionParams
 ) -> tuple[Vector, DirectionDiag]:
     v = v_vector_m2(secant.y, secant.s, secant.mu, params.secant.m)
-    return _spectral_direction(g_new, prev_d, prev_g, secant.s, v, params)
+    scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, v)
+    return _spectral_direction(g_new, prev_d, v, *scalars, params)
 
 
 def next_direction_dk(
     g_new: Vector, prev_d: Vector, prev_g: Vector, y: Vector
 ) -> tuple[Vector, DirectionDiag]:
-    diag = DirectionDiag()
-    dy = dot(prev_d, y)
-    if abs(dy) <= _DEGENERATE_REL * norm2(prev_d) * norm2(y):
-        return _restart(g_new, diag)
-    beta = dot(y, g_new) / dy - dot(y, y) * dot(prev_d, g_new) / (dy * dy)
-    diag.beta = beta
-    d = -g_new + beta * prev_d
-    # Plain descent only; dk carries no eta-margin guarantee.
-    if dot(g_new, d) >= 0.0 and dot(g_new, g_new) > 0.0:
-        return _restart(g_new, diag)
-    return d, diag
+    gd_new, dd, dy = dot(g_new, prev_d), dot(prev_d, prev_d), dot(prev_d, y)
+    return _dk_direction(g_new, prev_d, y, gd_new, dd, 0.0, dy, None, spectral=False)
 
 
 def next_direction_jian(
     g_new: Vector, prev_d: Vector, prev_g: Vector, y: Vector, s: Vector, params: DirectionParams
 ) -> tuple[Vector, DirectionDiag]:
-    diag = DirectionDiag()
-    dy = dot(prev_d, y)
-    if abs(dy) <= _DEGENERATE_REL * norm2(prev_d) * norm2(y):
-        return _restart(g_new, diag)
-    beta = dot(y, g_new) / dy - dot(y, y) * dot(prev_d, g_new) / (dy * dy)
-    diag.beta = beta
-    yg = dot(y, g_new)
-    if abs(yg) <= _DEGENERATE_REL * norm2(y) * norm2(g_new):
-        theta_plus = math.nan
-    else:
-        theta_plus = 1.0 - (dot(y, y) * dot(prev_d, g_new) / dy - dot(s, g_new)) / yg
-    theta = theta_bar(theta_plus, params)
-    diag.theta = theta
-    diag.truncated_theta = theta != theta_plus
-    d = -theta * g_new + beta * prev_d
-    if dot(g_new, d) <= -params.eta * dot(g_new, g_new):
-        return d, diag
-    return _restart(g_new, diag)
+    gd_new, dd, dy = dot(g_new, prev_d), dot(prev_d, prev_d), dot(prev_d, y)
+    return _dk_direction(g_new, prev_d, y, gd_new, dd, dot(s, g_new), dy, params, spectral=True)
 
 
 def next_direction(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, secant: SecantData, params: DirectionParams
+    g_new: Vector,
+    prev_d: Vector,
+    prev_g: Vector,
+    secant: SecantData,
+    params: DirectionParams,
+    slopes: StepSlopes,
 ) -> tuple[Vector, DirectionDiag]:
-    """Dispatch to the configured strategy given the last accepted step's bundle."""
-    if params.method == "scgmmwls":
-        return next_direction_scgmmwls(g_new, prev_d, prev_g, secant, params)
-    if params.method == "m2":
-        return next_direction_m2(g_new, prev_d, prev_g, secant, params)
-    if params.method == "dk":
-        return next_direction_dk(g_new, prev_d, prev_g, secant.y)
-    if params.method == "jian":
-        return next_direction_jian(g_new, prev_d, prev_g, secant.y, secant.s, params)
-    raise ValueError(f"unknown method '{params.method}'")
+    """The configured strategy for the accepted step s = alpha d, from the line search's scalars.
+
+    Gives the same direction as the matching ``next_direction_<method>``
+    up to rounding, with at most four dot products.
+    """
+    method = params.method
+    if method == "scgmmwls":
+        w, c = secant.z, secant.t
+    elif method == "m2":
+        s_norm_sq = slopes.s_norm_sq
+        c = m2_coefficient(secant.mu, s_norm_sq, params.secant.m)
+        w = v_vector_m2(secant.y, secant.s, secant.mu, params.secant.m, s_norm_sq)
+    else:
+        w, c = secant.y, 0.0
+    gd_old, gd_new, dd, sg, dw = _step_scalars(slopes, c)
+    if method in ("scgmmwls", "m2"):
+        return _spectral_direction(g_new, prev_d, w, gd_old, gd_new, dd, sg, dw, params)
+    return _dk_direction(g_new, prev_d, w, gd_new, dd, sg, dw, params, spectral=method == "jian")

@@ -23,10 +23,18 @@ bracket forms, then shrinks it by safeguarded quadratic interpolation with
 bisection fallback.  Every trial evaluates f and g together (one nf plus one
 ng).
 
-A trial keeps only what its acceptance test and the secant bundle need: the
-point, its gradient, s, mu and t.  The vectors y = g_t - g and z = y + t s
-are built once, for the accepted trial, from those same values, so the
-bundle equals one built at every trial bit for bit.
+Trials are scalar-only.  The step is s = alpha d, so with g^T d (taken once
+by the caller) and d^T d (taken once per search), one trial costs the point
+x + alpha d, one f+g evaluation and one dot product, g_t^T d:
+
+    mu    = 2 (f - f_t) + alpha (g^T d + g_t^T d)
+    s^T d = alpha d^T d,        |s|^2 = alpha (alpha d^T d)
+    t     = t_coefficient(mu, |s|^2),  modified curvature term min(t, 0) s^T d
+
+A trial builds no s, no g + g_t and no y.  The vectors s, y = g_t - g and
+z = y + t s are built once, for the accepted trial, from the trial's mu and
+t.  The outcome also carries the search's dot products (:class:`StepSlopes`)
+so the direction update need not take them again.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from dataclasses import dataclass
 
 from .numkit import Vector, dot
 from .problems import EvaluationError, InstrumentedOracle
-from .secant import SecantData, SecantParams, mu, t_coefficient, z_vector
+from .secant import SecantData, SecantParams, StepSlopes, t_coefficient, z_vector
+from .secant import mu  # noqa: F401  (no caller here; perfbench's tracer patches this name)
 
 ACCEPTED = "accepted"
 MAX_TRIALS_EXCEEDED = "max_trials_exceeded"
@@ -80,6 +89,7 @@ class LineSearchOutcome:
     status: str
     nf_used: int
     ng_used: int
+    slopes: StepSlopes | None = None
 
 
 @dataclass
@@ -176,39 +186,43 @@ def bracket_zoom(evaluate, f0: float, slope0: float, params: WolfeParams, alpha0
     return None, trials, MAX_TRIALS_EXCEEDED
 
 
-def _search(oracle, x, f, g, d, params, secant_params, alpha0, modified):
-    gd0 = dot(g, d)
+def _search(oracle, x, f, g, d, params, secant_params, alpha0, modified, gd0):
+    if gd0 is None:
+        gd0 = dot(g, d)
     if not gd0 < 0.0:
         return LineSearchOutcome(0.0, None, f, None, None, DEGENERATE_DIRECTION, 0, 0)
+    dd = dot(d, d)
 
     def evaluate(alpha: float) -> TrialPoint:
-        s = alpha * d
-        x_t = x + s
+        x_t = x + alpha * d
         try:
             f_t, g_t = oracle.eval_fg(x_t)
         except EvaluationError:
             return TrialPoint(alpha, math.inf, math.nan, False, False)
-        s_norm_sq = dot(s, s)
+        sd = alpha * dd  # s^T d and |s|^2, as StepSlopes.sd and .s_norm_sq
+        s_norm_sq = alpha * sd
         if not s_norm_sq > 0.0:
             return TrialPoint(alpha, f_t, math.nan, False, False, underflow=True)
-        mu_t = mu(f, f_t, g, g_t, s)
-        t_t = t_coefficient(mu_t, s_norm_sq, secant_params)
         dphi = dot(g_t, d)
+        mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
+        t_t = t_coefficient(mu_t, s_norm_sq, secant_params)
         armijo_ok = _armijo_holds(f, gd0, alpha, f_t, params.rho)
         if modified:
-            curv_lhs = dphi + min(t_t, 0.0) * dot(s, d)
+            curv_lhs = dphi + min(t_t, 0.0) * sd
         else:
             curv_lhs = dphi
         curv_ok = _curvature_holds(curv_lhs, gd0, params.sigma)
-        return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, s, mu_t, t_t))
+        return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, mu_t, t_t))
 
     best, trials, status = bracket_zoom(evaluate, f, gd0, params, alpha0)
     if status != ACCEPTED:
         return LineSearchOutcome(0.0, None, f, None, None, status, trials, trials)
-    x_t, g_t, s, mu_t, t_t = best.payload
+    x_t, g_t, mu_t, t_t = best.payload
+    s = best.alpha * d
     y = g_t - g
     bundle = SecantData(s=s, y=y, mu=mu_t, t=t_t, z=z_vector(y, s, t_t))
-    return LineSearchOutcome(best.alpha, x_t, best.f, g_t, bundle, ACCEPTED, trials, trials)
+    slopes = StepSlopes(best.alpha, gd0, best.dphi, dd)
+    return LineSearchOutcome(best.alpha, x_t, best.f, g_t, bundle, ACCEPTED, trials, trials, slopes)
 
 
 def standard_wolfe(
@@ -220,11 +234,15 @@ def standard_wolfe(
     params: WolfeParams,
     alpha0: float,
     secant_params: SecantParams | None = None,
+    gd: float | None = None,
 ) -> LineSearchOutcome:
-    """Weak-Wolfe search; the secant bundle is still computed for direction updates."""
+    """Weak-Wolfe search; the secant bundle is still computed for direction updates.
+
+    ``gd`` is g^T d when the caller already has it; it is taken here otherwise.
+    """
     if secant_params is None:
         secant_params = SecantParams(m=3, rho=params.rho, sigma=params.sigma)
-    return _search(oracle, x, f, g, d, params, secant_params, alpha0, modified=False)
+    return _search(oracle, x, f, g, d, params, secant_params, alpha0, False, gd)
 
 
 def modified_wolfe(
@@ -236,9 +254,13 @@ def modified_wolfe(
     params: WolfeParams,
     secant_params: SecantParams,
     alpha0: float,
+    gd: float | None = None,
 ) -> LineSearchOutcome:
-    """Wolfe search with the min(t, 0) s correction inside the curvature test."""
-    return _search(oracle, x, f, g, d, params, secant_params, alpha0, modified=True)
+    """Wolfe search with the min(t, 0) s correction inside the curvature test.
+
+    ``gd`` is g^T d when the caller already has it; it is taken here otherwise.
+    """
+    return _search(oracle, x, f, g, d, params, secant_params, alpha0, True, gd)
 
 
 def verify_accepted_step(
@@ -265,7 +287,7 @@ def verify_accepted_step(
     checks: dict[str, bool] = {}
     checks["armijo"] = _armijo_holds(f0, gd0, outcome.alpha, outcome.f_new, params.rho)
     if modified:
-        curv_lhs = dot(outcome.g_new, d) + min(sec.t, 0.0) * dot(sec.s, d)
+        curv_lhs = dot(outcome.g_new, d) + min(sec.t, 0.0) * (outcome.alpha * dot(d, d))
     else:
         curv_lhs = dot(outcome.g_new, d)
     checks["curvature"] = _curvature_holds(curv_lhs, gd0, params.sigma)

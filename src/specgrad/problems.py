@@ -29,6 +29,7 @@ Families (standard starts in parentheses):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -356,9 +357,9 @@ class InstrumentedOracle:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             val = self.problem.objective(x)
             grad = self.problem.gradient(x)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise EvaluationError(self.problem.name, x, "objective")
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise EvaluationError(self.problem.name, x, "gradient")
         return val, grad
 

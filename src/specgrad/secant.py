@@ -7,12 +7,19 @@ identically on quadratics.  The scaling t is safeguarded: a positive mu is
 amplified by m/(m-2) for the chosen expansion order m (order "infinity" uses
 coefficient 1), a non-positive mu is damped by the line-search constant
 C = (sigma - rho) / (1 - 2 rho + sigma) so the curvature condition survives.
+
+A step of the solvers is s = alpha d, so the line search's dot products
+(:class:`StepSlopes`) determine every scalar of the bundle that involves s:
+|s|^2 = alpha (alpha d^T d), s^T d = alpha d^T d, s^T g_new = alpha g_new^T d.
+:func:`mu` keeps the vector form for arbitrary s; it is the reference the
+line search's slope form is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numkit import FiniteDifferenceSpec, Vector, dot, fd_hessian_action
 
@@ -64,6 +71,24 @@ class SecantData:
     z: Vector
 
 
+class StepSlopes(NamedTuple):
+    """The dot products of an accepted step s = alpha d, taken by the line search."""
+
+    alpha: float
+    gd_old: float  # g_old^T d
+    gd_new: float  # g_new^T d
+    dd: float  # d^T d
+
+    @property
+    def sd(self) -> float:
+        """s^T d, the expression the modified curvature test multiplies by min(t, 0)."""
+        return self.alpha * self.dd
+
+    @property
+    def s_norm_sq(self) -> float:
+        return self.alpha * (self.alpha * self.dd)
+
+
 def mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> float:
     """2 (f_old - f_new) + (g_old + g_new)^T s; exactly zero on quadratics."""
     return 2.0 * (f_old - f_new) + dot(g_old + g_new, s)
@@ -82,14 +107,26 @@ def z_vector(y: Vector, s: Vector, t: float) -> Vector:
     return y + t * s
 
 
-def v_vector_m2(y: Vector, s: Vector, mu_value: float, m: float) -> Vector:
-    """Truncated variant y + (m/(m-2)) max(mu, 0)/|s|^2 s used by the M2 baseline."""
-    s_norm_sq = dot(s, s)
+def m2_coefficient(mu_value: float, s_norm_sq: float, m: float) -> float:
+    """(m/(m-2)) max(mu, 0)/|s|^2, the scaling of s in the M2 vector v = y + c s."""
     if not s_norm_sq > 0.0:
-        raise DegenerateStepError("zero step in v_vector_m2")
+        raise DegenerateStepError("zero step in the M2 secant vector")
     if mu_value <= 0.0:
-        return y.copy()
-    return y + (order_coefficient(m) * mu_value / s_norm_sq) * s
+        return 0.0
+    return order_coefficient(m) * mu_value / s_norm_sq
+
+
+def v_vector_m2(
+    y: Vector, s: Vector, mu_value: float, m: float, s_norm_sq: float | None = None
+) -> Vector:
+    """Truncated variant y + m2_coefficient * s used by the M2 baseline.
+
+    ``s_norm_sq`` defaults to s^T s; the solver passes the line search's value.
+    """
+    if s_norm_sq is None:
+        s_norm_sq = dot(s, s)
+    c = m2_coefficient(mu_value, s_norm_sq, m)
+    return y + c * s if mu_value > 0.0 else y.copy()
 
 
 def make_secant(s: Vector, y: Vector, mu_value: float, params: SecantParams) -> SecantData:

@@ -216,11 +216,11 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         alpha0 = _initial_alpha(k, gnorm, alpha_prev, gd_prev, gd, config.wolfe.alpha_max)
         if modified:
             outcome = modified_wolfe(
-                oracle, x, f, g, d, config.wolfe, config.direction.secant, alpha0
+                oracle, x, f, g, d, config.wolfe, config.direction.secant, alpha0, gd=gd
             )
         else:
             outcome = standard_wolfe(
-                oracle, x, f, g, d, config.wolfe, alpha0, config.direction.secant
+                oracle, x, f, g, d, config.wolfe, alpha0, config.direction.secant, gd=gd
             )
         if outcome.status != ACCEPTED:
             status = LINESEARCH_FAILURE
@@ -229,10 +229,12 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         if audit is not None:
             audit.check_wolfe(f, g, d, outcome, config, problem.lipschitz_hint, modified)
             if config.trace_level == "full":
-                audit.zoutendijk.append(gd * gd / dot(d, d))
+                audit.zoutendijk.append(gd * gd / outcome.slopes.dd)
 
         g_new = outcome.g_new
-        d_new, diag = next_direction(g_new, d, g, outcome.secant, config.direction)
+        d_new, diag = next_direction(
+            g_new, d, g, outcome.secant, config.direction, outcome.slopes
+        )
         if audit is not None and spectral:
             audit.check_direction(g_new, d_new, diag, config.direction)
 

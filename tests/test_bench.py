@@ -81,18 +81,6 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(["dk", "dk"], ["qf1"], dims=[10])
 
-    def test_worker_pool_matches_serial(self, monkeypatch):
-        serial = run_suite(["scgmmwls:m=3", "dk"], ["qf1", "arwhead"], dims=[10])
-        monkeypatch.setenv("SPECGRAD_WORKERS", "4")
-        pooled = run_suite(["scgmmwls:m=3", "dk"], ["qf1", "arwhead"], dims=[10])
-        for a, b in zip(serial.rows, pooled.rows):
-            assert (a.solver, a.problem, a.dim) == (b.solver, b.problem, b.dim)
-            assert (a.result.ni, a.result.nf, a.result.f_final) == (
-                b.result.ni,
-                b.result.nf,
-                b.result.f_final,
-            )
-
 
 class TestRatios:
     def test_hand_example(self):

@@ -176,17 +176,25 @@ class TestAcceptedBundleOnly:
         assert out.nf_used >= 2
         assert len(z_calls) == 1
 
-        s = out.alpha * d
+        alpha = out.alpha
+        s = alpha * d
         y = out.g_new - g
-        mu_raw = mu(f, out.f_new, g, out.g_new, s)
-        t_raw = t_coefficient(mu_raw, dot(s, s), sp)
+        gd, gd_new, dd = dot(g, d), dot(out.g_new, d), dot(d, d)
+        # The search takes mu in slope form, from raw scalars only.
+        mu_raw = 2.0 * (f - out.f_new) + alpha * (gd + gd_new)
+        t_raw = t_coefficient(mu_raw, alpha * (alpha * dd), sp)
         sec = out.secant
         np.testing.assert_array_equal(out.x_new, p.start + s)
         np.testing.assert_array_equal(sec.s, s)
         np.testing.assert_array_equal(sec.y, y)
         assert sec.mu == mu_raw
+        # The vector form differs only by rounding: mu is a difference of
+        # O(|f|) terms, so compare on the scale of f and of the slope terms.
+        scale = abs(f) + abs(out.f_new) + alpha * (abs(gd) + abs(gd_new))
+        assert abs(sec.mu - mu(f, out.f_new, g, out.g_new, s)) <= 1e-14 * scale
         assert sec.t == t_raw
         np.testing.assert_array_equal(sec.z, z_vector(y, s, t_raw))
+        assert out.slopes == (alpha, gd, gd_new, dd)
 
         checks = verify_accepted_step(
             f, g, d, out, PARAMS, modified=modified, order_coefficient=sp.coefficient, C=sp.C

@@ -8,6 +8,7 @@ import specgrad.problems
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import (
     EvaluationError,
+    Problem,
     check_points,
     family_names,
     gradient_check,
@@ -116,6 +117,23 @@ class TestInstrumented:
         assert err.value.problem_name == "diagonal1"
         np.testing.assert_array_equal(err.value.x, x)
         assert oracle.nf == 1  # failed trials still count
+
+    @pytest.mark.parametrize(
+        "objective,gradient,what",
+        [
+            (lambda x: 1.0, lambda x: np.array([0.0, np.nan, 0.0]), "gradient"),
+            (lambda x: 1.0, lambda x: np.array([0.0, 0.0, -np.inf]), "gradient"),
+            (lambda x: float("inf"), lambda x: np.zeros(3), "objective"),
+            (lambda x: np.float64("-inf"), lambda x: np.zeros(3), "objective"),
+            (lambda x: np.float64("nan"), lambda x: np.zeros(3), "objective"),
+        ],
+    )
+    def test_eval_fg_rejects_non_finite_values_after_charging(self, objective, gradient, what):
+        oracle = instrumented(Problem("bad", 3, objective, gradient, np.zeros(3)))
+        with pytest.raises(EvaluationError, match=what) as err:
+            oracle.eval_fg(np.zeros(3))
+        assert err.value.problem_name == "bad"
+        assert (oracle.nf, oracle.ng) == (1, 1)
 
 
 class TestGradientCheck:
