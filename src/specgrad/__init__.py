@@ -24,7 +24,7 @@ from .problems import (
     registry,
 )
 from .secant import SecantData, SecantParams
-from .solver import RunResult, SolverConfig, default_config, minimize, mu_sign_trace
+from .solver import RunResult, SolverConfig, default_config, minimize
 
 __all__ = [
     "DirectionDiag",
@@ -52,7 +52,6 @@ __all__ = [
     "load_results",
     "minimize",
     "modified_wolfe",
-    "mu_sign_trace",
     "performance_profile",
     "performance_ratios",
     "problem",

@@ -71,9 +71,6 @@ class ResultRow:
 class ResultTable:
     rows: list[ResultRow]
 
-    def metric(self, row: ResultRow, name: str) -> int:
-        return getattr(row.result, name)
-
 
 @dataclass
 class ProfileCurve:
@@ -131,7 +128,7 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
         for s in solvers:
             row = cells.get((s, name, dim))
             if row is not None and row.result.status == CONVERGED:
-                value = table.metric(row, metric)
+                value = getattr(row.result, metric)
                 best = value if best is None else min(best, value)
         if best is None:
             excluded.append(key)
@@ -142,7 +139,7 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
             if row is None or row.result.status != CONVERGED:
                 raw[(s, key)] = None
             else:
-                value = table.metric(row, metric)
+                value = getattr(row.result, metric)
                 ratio = 1.0 if value == best else value / best
                 raw[(s, key)] = ratio if math.isfinite(ratio) else None
 
@@ -195,25 +192,19 @@ def _result_record(row: ResultRow) -> dict:
     }
 
 
-def _group_curves(curves) -> dict[str, list[ProfileCurve]]:
-    if curves is None:
-        return {}
-    if isinstance(curves, dict):
-        return {m.upper(): list(cs) for m, cs in curves.items()}
+def _group_curves(curves: list[ProfileCurve] | None) -> dict[str, list[ProfileCurve]]:
     grouped: dict[str, list[ProfileCurve]] = {}
-    for c in curves:
+    for c in curves or ():
         grouped.setdefault(c.metric.upper(), []).append(c)
-    if not grouped:
-        grouped = {m.upper(): [] for m in METRICS}
     return grouped
 
 
-def emit(table: ResultTable, curves, fmt: str, prefix) -> list[Path]:
+def emit(table: ResultTable, curves: list[ProfileCurve] | None, fmt: str, prefix) -> list[Path]:
     """Write ``results`` and ``profile_<METRIC>`` files under ``prefix``.
 
-    ``curves`` may be a flat list of :class:`ProfileCurve`, a mapping from
-    metric name to curves, or ``None`` to emit results only.  An empty list
-    emits header-only profile files for all three metrics.
+    ``curves`` is ``None`` to emit results only, or the list of
+    :class:`ProfileCurve` of every profiled metric; each metric present gets
+    one profile table.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got '{fmt}'")
@@ -237,10 +228,9 @@ def emit(table: ResultTable, curves, fmt: str, prefix) -> list[Path]:
                 path = prefix / f"profile_{metric}.csv"
                 solvers = [c.solver for c in metric_curves]
                 lines = [",".join(["tau"] + solvers)]
-                if metric_curves:
-                    for i, (tau, _) in enumerate(metric_curves[0].points):
-                        vals = [_fmt(tau)] + [_fmt(c.points[i][1]) for c in metric_curves]
-                        lines.append(",".join(vals))
+                for i, (tau, _) in enumerate(metric_curves[0].points):
+                    vals = [_fmt(tau)] + [_fmt(c.points[i][1]) for c in metric_curves]
+                    lines.append(",".join(vals))
                 path.write_text("\n".join(lines) + "\n")
                 written.append(path)
         else:
@@ -248,7 +238,7 @@ def emit(table: ResultTable, curves, fmt: str, prefix) -> list[Path]:
                 "results": [_result_record(row) for row in table.rows],
                 "profiles": {
                     metric: {
-                        "tau": [p[0] for p in (mc[0].points if mc else [])],
+                        "tau": [p[0] for p in mc[0].points],
                         "solvers": {c.solver: [p[1] for p in c.points] for c in mc},
                     }
                     for metric, mc in sorted(grouped.items())
@@ -263,44 +253,26 @@ def emit(table: ResultTable, curves, fmt: str, prefix) -> list[Path]:
 
 
 def load_results(prefix) -> ResultTable:
-    """Rebuild a result table from an emitted directory (JSON preferred)."""
-    prefix = Path(prefix)
-    json_path = prefix / "results.json"
-    rows: list[ResultRow] = []
-    if json_path.exists():
-        doc = json.loads(json_path.read_text())
-        records = doc["results"]
-        for rec in records:
-            rows.append(
-                ResultRow(
-                    rec["solver"],
-                    rec["problem"],
-                    int(rec["dim"]),
-                    RunResult(
-                        status=rec["status"],
-                        ni=int(rec["ni"]),
-                        nf=int(rec["nf"]),
-                        ng=int(rec["ng"]),
-                        f_final=float(rec["f_final"]),
-                        gnorm_inf_final=float(rec["gnorm_inf"]),
-                    ),
-                )
-            )
-        return ResultTable(rows)
-    csv_path = prefix / "results.csv"
-    if not csv_path.exists():
-        raise FileNotFoundError(f"no results.json or results.csv under '{prefix}'")
-    lines = csv_path.read_text().strip().splitlines()
-    for line in lines[1:]:
-        solver, name, dim, status, ni, nf, ng, f_final, gnorm = line.split(",")
-        rows.append(
-            ResultRow(
-                solver,
-                name,
-                int(dim),
-                RunResult(status, int(ni), int(nf), int(ng), float(f_final), float(gnorm)),
-            )
+    """Rebuild a result table from the ``results.json`` of an emitted directory."""
+    json_path = Path(prefix) / "results.json"
+    if not json_path.exists():
+        raise FileNotFoundError(f"no results.json under '{prefix}'")
+    rows = [
+        ResultRow(
+            rec["solver"],
+            rec["problem"],
+            int(rec["dim"]),
+            RunResult(
+                status=rec["status"],
+                ni=int(rec["ni"]),
+                nf=int(rec["nf"]),
+                ng=int(rec["ng"]),
+                f_final=float(rec["f_final"]),
+                gnorm_inf_final=float(rec["gnorm_inf"]),
+            ),
         )
+        for rec in json.loads(json_path.read_text())["results"]
+    ]
     return ResultTable(rows)
 
 

@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``bench run``      run solvers x problems x dims, emit results.csv/.json
-* ``bench profile``  compute performance profiles from an emitted run
+* ``bench profile``  compute performance profiles from an emitted run, plus
+  ``excluded.csv`` (the problems no solver solved; header-only if none)
 * ``bench trace``    print the per-iteration mu table for one run
 
 Exit code is 0 iff no evaluation error occurred.
@@ -72,18 +73,21 @@ def _cmd_profile(args) -> int:
     excluded_lines = []
     for metric in metrics:
         ratio_set = performance_ratios(table, metric)
-        curves.extend(performance_profile(ratio_set))
+        metric_curves = performance_profile(ratio_set)
+        curves.extend(metric_curves)
         if ratio_set.excluded:
             print(f"[{metric}] excluded (no solver succeeded): {', '.join(ratio_set.excluded)}")
-            excluded_lines.extend(f"{metric.upper()},{p}" for p in ratio_set.excluded)
-        for c in performance_profile(ratio_set, grid=[1.0]):
+            excluded_lines.extend(f"{metric.upper()},{p}\n" for p in ratio_set.excluded)
+        # Every profile grid starts at tau = 1, so point 0 is rho(1).
+        for c in metric_curves:
             print(f"[{metric}] rho(1) {c.solver} = {c.points[0][1]:.3f}")
     emit(table, curves, "csv", args.out)
     emit(table, curves, "json", args.out)
-    if excluded_lines:
-        path = Path(args.out) / "excluded.csv"
-        path.write_text("metric,problem\n" + "\n".join(excluded_lines) + "\n")
-        print(f"wrote exclusion report to {path}")
+    # Written on every run, header-only when nothing is excluded, so a reused
+    # --out never keeps an earlier run's list.
+    path = Path(args.out) / "excluded.csv"
+    path.write_text("metric,problem\n" + "".join(excluded_lines))
+    print(f"wrote exclusion report ({len(excluded_lines)} entries) to {path}")
     print(f"wrote profiles for metrics {', '.join(m.upper() for m in metrics)} to {args.out}")
     return 1 if had_eval_error(table) else 0
 

@@ -56,6 +56,10 @@ DEGENERATE_DIRECTION = "degenerate_direction"
 ARMIJO_TOL_REL = 1e-12
 CURVATURE_TOL_REL = 1e-12
 
+# Trial budget of one search, and the cap on any trial step.
+MAX_TRIALS = 60
+ALPHA_MAX = 1e6
+
 
 def _armijo_holds(f0: float, gd0: float, alpha: float, f_new: float, rho: float) -> bool:
     return f_new <= f0 + rho * alpha * gd0 + ARMIJO_TOL_REL * (1.0 + abs(f0))
@@ -67,16 +71,19 @@ def _curvature_holds(curv_lhs: float, gd0: float, sigma: float) -> bool:
 
 @dataclass(frozen=True)
 class WolfeParams:
+    """The (rho, sigma) pair of the search; the only copy a configuration holds."""
+
     rho: float = 0.18
     sigma: float = 0.2
-    max_trials: int = 60
-    alpha_max: float = 1e6
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < self.sigma < 1.0:
             raise ValueError(f"need 0 < rho < sigma < 1, got rho={self.rho}, sigma={self.sigma}")
-        if self.max_trials < 1 or not self.alpha_max > 0:
-            raise ValueError("max_trials must be >= 1 and alpha_max positive")
+
+    @property
+    def C(self) -> float:
+        """Secant safeguard (sigma - rho) / (1 - 2 rho + sigma) scaling a non-positive mu."""
+        return (self.sigma - self.rho) / (1.0 - 2.0 * self.rho + self.sigma)
 
 
 @dataclass
@@ -87,8 +94,7 @@ class LineSearchOutcome:
     g_new: Vector | None
     secant: SecantData | None
     status: str
-    nf_used: int
-    ng_used: int
+    nf_used: int  # trials; each evaluates f and g once
     slopes: StepSlopes | None = None
 
 
@@ -124,7 +130,7 @@ def _interpolate(lo_alpha, lo_f, lo_dphi, hi_alpha, hi_f) -> float:
     return 0.5 * (left + right)
 
 
-def bracket_zoom(evaluate, f0: float, slope0: float, params: WolfeParams, alpha0: float):
+def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     """Find a trial point whose Armijo and curvature flags both hold.
 
     ``evaluate(alpha)`` must return a :class:`TrialPoint`; ``f0`` and
@@ -142,10 +148,10 @@ def bracket_zoom(evaluate, f0: float, slope0: float, params: WolfeParams, alpha0
     ftol = ARMIJO_TOL_REL * (1.0 + abs(f0))
     trials = 0
     prev_alpha, prev_f, prev_dphi = 0.0, f0, slope0
-    alpha = min(alpha0, params.alpha_max)
+    alpha = min(alpha0, ALPHA_MAX)
 
     lo = hi = None
-    while trials < params.max_trials:
+    while trials < MAX_TRIALS:
         t = evaluate(alpha)
         trials += 1
         if t.underflow:
@@ -159,13 +165,13 @@ def bracket_zoom(evaluate, f0: float, slope0: float, params: WolfeParams, alpha0
             lo, hi = (t.alpha, t.f, t.dphi), (prev_alpha, prev_f)
             break
         prev_alpha, prev_f, prev_dphi = t.alpha, t.f, t.dphi
-        if alpha >= params.alpha_max:
+        if alpha >= ALPHA_MAX:
             return None, trials, MAX_TRIALS_EXCEEDED
-        alpha = min(2.0 * alpha, params.alpha_max)
+        alpha = min(2.0 * alpha, ALPHA_MAX)
 
     # Zoom: lo satisfies Armijo with the lowest value seen and points downhill
     # toward hi; shrink until the full predicate holds or trials run out.
-    while trials < params.max_trials:
+    while trials < MAX_TRIALS:
         lo_alpha, lo_f, lo_dphi = lo
         hi_alpha, hi_f = hi
         alpha = _interpolate(lo_alpha, lo_f, lo_dphi, hi_alpha, hi_f)
@@ -186,12 +192,13 @@ def bracket_zoom(evaluate, f0: float, slope0: float, params: WolfeParams, alpha0
     return None, trials, MAX_TRIALS_EXCEEDED
 
 
-def _search(oracle, x, f, g, d, params, secant_params, alpha0, modified, gd0):
+def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
     if gd0 is None:
         gd0 = dot(g, d)
     if not gd0 < 0.0:
-        return LineSearchOutcome(0.0, None, f, None, None, DEGENERATE_DIRECTION, 0, 0)
+        return LineSearchOutcome(0.0, None, f, None, None, DEGENERATE_DIRECTION, 0)
     dd = dot(d, d)
+    coefficient, C = secant_params.coefficient, params.C
 
     def evaluate(alpha: float) -> TrialPoint:
         x_t = x + alpha * d
@@ -205,7 +212,7 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, modified, gd0):
             return TrialPoint(alpha, f_t, math.nan, False, False, underflow=True)
         dphi = dot(g_t, d)
         mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
-        t_t = t_coefficient(mu_t, s_norm_sq, secant_params)
+        t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
         armijo_ok = _armijo_holds(f, gd0, alpha, f_t, params.rho)
         if modified:
             curv_lhs = dphi + min(t_t, 0.0) * sd
@@ -214,15 +221,15 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, modified, gd0):
         curv_ok = _curvature_holds(curv_lhs, gd0, params.sigma)
         return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, mu_t, t_t))
 
-    best, trials, status = bracket_zoom(evaluate, f, gd0, params, alpha0)
+    best, trials, status = bracket_zoom(evaluate, f, gd0, alpha0)
     if status != ACCEPTED:
-        return LineSearchOutcome(0.0, None, f, None, None, status, trials, trials)
+        return LineSearchOutcome(0.0, None, f, None, None, status, trials)
     x_t, g_t, mu_t, t_t = best.payload
     s = best.alpha * d
     y = g_t - g
     bundle = SecantData(s=s, y=y, mu=mu_t, t=t_t, z=z_vector(y, s, t_t))
     slopes = StepSlopes(best.alpha, gd0, best.dphi, dd)
-    return LineSearchOutcome(best.alpha, x_t, best.f, g_t, bundle, ACCEPTED, trials, trials, slopes)
+    return LineSearchOutcome(best.alpha, x_t, best.f, g_t, bundle, ACCEPTED, trials, slopes)
 
 
 def standard_wolfe(
@@ -232,17 +239,15 @@ def standard_wolfe(
     g: Vector,
     d: Vector,
     params: WolfeParams,
+    secant_params: SecantParams,
     alpha0: float,
-    secant_params: SecantParams | None = None,
     gd: float | None = None,
 ) -> LineSearchOutcome:
     """Weak-Wolfe search; the secant bundle is still computed for direction updates.
 
     ``gd`` is g^T d when the caller already has it; it is taken here otherwise.
     """
-    if secant_params is None:
-        secant_params = SecantParams(m=3, rho=params.rho, sigma=params.sigma)
-    return _search(oracle, x, f, g, d, params, secant_params, alpha0, False, gd)
+    return _search(oracle, x, f, g, d, params, secant_params, alpha0, gd, False)
 
 
 def modified_wolfe(
@@ -258,9 +263,9 @@ def modified_wolfe(
 ) -> LineSearchOutcome:
     """Wolfe search with the min(t, 0) s correction inside the curvature test.
 
-    ``gd`` is g^T d when the caller already has it; it is taken here otherwise.
+    Same signature as :func:`standard_wolfe`.
     """
-    return _search(oracle, x, f, g, d, params, secant_params, alpha0, True, gd)
+    return _search(oracle, x, f, g, d, params, secant_params, alpha0, gd, True)
 
 
 def verify_accepted_step(
@@ -272,7 +277,6 @@ def verify_accepted_step(
     modified: bool,
     lipschitz: float | None = None,
     order_coefficient: float | None = None,
-    C: float | None = None,
 ) -> dict[str, bool]:
     """Re-check the acceptance conditions of an accepted step from raw vectors.
 
@@ -294,9 +298,9 @@ def verify_accepted_step(
     if modified:
         curv_tol = CURVATURE_TOL_REL * abs(gd0)
         checks["dz_curvature"] = dot(d, sec.z) >= (1.0 - params.sigma) * (-gd0) - curv_tol
-        if lipschitz is not None and order_coefficient is not None and C is not None:
+        if lipschitz is not None and order_coefficient is not None:
             eps = 2.220446049250313e-16
             checks["t_bounds"] = (
-                -C * lipschitz - eps <= sec.t <= order_coefficient * lipschitz + eps
+                -params.C * lipschitz - eps <= sec.t <= order_coefficient * lipschitz + eps
             )
     return checks

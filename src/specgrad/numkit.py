@@ -1,7 +1,7 @@
 """Dense float64 vector kernel and finite-difference oracles.
 
 Vectors are plain 1-D ``numpy.float64`` arrays throughout the package; the
-helpers here add the length/finiteness checks the solvers rely on, plus
+helpers here are the dot product and infinity norm the solvers use, plus
 central-difference oracles used to verify analytic gradients and curvature
 values in tests.
 """
@@ -17,42 +17,13 @@ Vector = np.ndarray
 ScalarField = Callable[[np.ndarray], float]
 
 
-def as_vector(data) -> Vector:
-    """Build a finite 1-D float64 vector (length >= 1) from array-like data."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector with at least one entry, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    return v
-
-
-def _check_lengths(u: Vector, v: Vector) -> None:
-    if u.shape != v.shape:
-        raise ValueError(f"vector length mismatch: {u.shape[0]} vs {v.shape[0]}")
-
-
 def dot(u: Vector, v: Vector) -> float:
-    _check_lengths(u, v)
+    """u^T v; ``np.dot`` itself rejects 1-D vectors of unequal length."""
     return float(np.dot(u, v))
-
-
-def norm2(u: Vector) -> float:
-    return float(np.linalg.norm(u))
 
 
 def norm_inf(u: Vector) -> float:
     return float(np.max(np.abs(u)))
-
-
-def axpy(a: float, u: Vector, v: Vector) -> Vector:
-    """Return ``a*u + v``."""
-    _check_lengths(u, v)
-    return a * u + v
-
-
-def scale(a: float, u: Vector) -> Vector:
-    return a * u
 
 
 @dataclass(frozen=True)
@@ -86,7 +57,8 @@ def fd_gradient(f: ScalarField, x: Vector, spec: FiniteDifferenceSpec) -> Vector
 
 def fd_hessian_action(f: ScalarField, x: Vector, s: Vector, spec: FiniteDifferenceSpec) -> float:
     """Estimate the curvature s^T H(x) s via (f(x+h s) - 2 f(x) + f(x-h s)) / h^2."""
-    _check_lengths(x, s)
+    if x.shape != s.shape:  # x + h*s would broadcast a length-1 s silently
+        raise ValueError(f"vector length mismatch: {x.shape[0]} vs {s.shape[0]}")
     h = spec.h
     val = (f(x + h * s) - 2.0 * f(x) + f(x - h * s)) / (h * h)
     if not np.isfinite(val):

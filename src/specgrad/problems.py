@@ -309,12 +309,6 @@ def registry(dims=STANDARD_DIMS, names=None) -> list[Problem]:
     return [problem(name, d) for name in names for d in dims]
 
 
-@dataclass
-class EvalCounter:
-    nf: int = 0
-    ng: int = 0
-
-
 class InstrumentedOracle:
     """Counts every objective/gradient evaluation issued for one run.
 
@@ -325,35 +319,12 @@ class InstrumentedOracle:
 
     def __init__(self, prob: Problem):
         self.problem = prob
-        self.counter = EvalCounter()
-
-    @property
-    def nf(self) -> int:
-        return self.counter.nf
-
-    @property
-    def ng(self) -> int:
-        return self.counter.ng
-
-    def eval_f(self, x: Vector) -> float:
-        self.counter.nf += 1
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            val = self.problem.objective(x)
-        if not np.isfinite(val):
-            raise EvaluationError(self.problem.name, x, "objective")
-        return val
-
-    def eval_g(self, x: Vector) -> Vector:
-        self.counter.ng += 1
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            grad = self.problem.gradient(x)
-        if not np.all(np.isfinite(grad)):
-            raise EvaluationError(self.problem.name, x, "gradient")
-        return grad
+        self.nf = 0
+        self.ng = 0
 
     def eval_fg(self, x: Vector) -> tuple[float, Vector]:
-        self.counter.nf += 1
-        self.counter.ng += 1
+        self.nf += 1
+        self.ng += 1
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             val = self.problem.objective(x)
             grad = self.problem.gradient(x)

@@ -7,6 +7,8 @@ identically on quadratics.  The scaling t is safeguarded: a positive mu is
 amplified by m/(m-2) for the chosen expansion order m (order "infinity" uses
 coefficient 1), a non-positive mu is damped by the line-search constant
 C = (sigma - rho) / (1 - 2 rho + sigma) so the curvature condition survives.
+(rho, sigma) is the Wolfe search's own pair, so C is a property of
+:class:`specgrad.linesearch.WolfeParams`; :class:`SecantParams` holds m only.
 
 A step of the solvers is s = alpha d, so the line search's dot products
 (:class:`StepSlopes`) determine every scalar of the bundle that involves s:
@@ -23,9 +25,6 @@ from typing import NamedTuple
 
 from .numkit import FiniteDifferenceSpec, Vector, dot, fd_hessian_action
 
-ORDER_INFINITY = math.inf
-
-
 class DegenerateStepError(ValueError):
     """Zero-length step; secant quantities are undefined."""
 
@@ -39,21 +38,14 @@ def order_coefficient(m: float) -> float:
 
 @dataclass(frozen=True)
 class SecantParams:
-    """Expansion order m (>= 3 or infinity) plus the line-search pair defining C."""
+    """Expansion order m (>= 3 or infinity).  C comes from the line search's
+    (rho, sigma), :attr:`specgrad.linesearch.WolfeParams.C`."""
 
     m: float = 3
-    rho: float = 0.18
-    sigma: float = 0.2
 
     def __post_init__(self) -> None:
         if not (math.isinf(self.m) or (self.m >= 3 and float(self.m).is_integer())):
             raise ValueError(f"order m must be an integer >= 3 or infinity, got {self.m}")
-        if not 0.0 < self.rho < self.sigma < 1.0:
-            raise ValueError(f"need 0 < rho < sigma < 1, got rho={self.rho}, sigma={self.sigma}")
-
-    @property
-    def C(self) -> float:
-        return (self.sigma - self.rho) / (1.0 - 2.0 * self.rho + self.sigma)
 
     @property
     def coefficient(self) -> float:
@@ -94,13 +86,17 @@ def mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> f
     return 2.0 * (f_old - f_new) + dot(g_old + g_new, s)
 
 
-def t_coefficient(mu_value: float, s_norm_sq: float, params: SecantParams) -> float:
-    """Safeguarded scaling of s in z = y + t*s, branching on the sign of mu."""
+def t_coefficient(mu_value: float, s_norm_sq: float, coefficient: float, C: float) -> float:
+    """Safeguarded scaling of s in z = y + t*s, branching on the sign of mu.
+
+    ``coefficient`` is m/(m-2) (:attr:`SecantParams.coefficient`), ``C`` the
+    line-search constant (:attr:`specgrad.linesearch.WolfeParams.C`).
+    """
     if not s_norm_sq > 0.0:
         raise DegenerateStepError(f"step norm squared must be positive, got {s_norm_sq}")
     if mu_value > 0.0:
-        return params.coefficient * mu_value / s_norm_sq
-    return params.C * mu_value / s_norm_sq
+        return coefficient * mu_value / s_norm_sq
+    return C * mu_value / s_norm_sq
 
 
 def z_vector(y: Vector, s: Vector, t: float) -> Vector:
@@ -129,8 +125,10 @@ def v_vector_m2(
     return y + c * s if mu_value > 0.0 else y.copy()
 
 
-def make_secant(s: Vector, y: Vector, mu_value: float, params: SecantParams) -> SecantData:
-    t = t_coefficient(mu_value, dot(s, s), params)
+def make_secant(
+    s: Vector, y: Vector, mu_value: float, params: SecantParams, C: float
+) -> SecantData:
+    t = t_coefficient(mu_value, dot(s, s), params.coefficient, C)
     return SecantData(s=s, y=y, mu=mu_value, t=t, z=z_vector(y, s, t))
 
 

@@ -3,7 +3,7 @@
 One :func:`minimize` call owns one instrumented oracle.  Iterations count
 accepted steps; the run stops when the gradient infinity-norm drops to the
 tolerance, the step budget is exhausted, or the line search fails.  Every
-accepted step can be re-audited in place (Armijo, curvature, the d^T z lower
+accepted step is re-audited in place (Armijo, curvature, the d^T z lower
 bound, t bounds on problems with an exact Lipschitz constant, sufficient
 descent of the next direction); the tallies ride along on the result so
 benchmark-wide audits need no second pass.
@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .directions import DirectionDiag, DirectionParams, next_direction
 from .linesearch import (
     ACCEPTED,
+    ALPHA_MAX,
     LineSearchOutcome,
     WolfeParams,
     modified_wolfe,
@@ -42,15 +43,14 @@ class SolverConfig:
     direction: DirectionParams
     epsilon: float = 1e-8
     max_iter: int = 10000
-    trace_level: str = "summary"  # none | summary | full
-    audit: bool = True
+    trace_level: str = "none"  # none | full
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.trace_level not in ("none", "summary", "full"):
+        if self.trace_level not in ("none", "full"):
             raise ValueError(f"unknown trace_level '{self.trace_level}'")
 
 
@@ -63,8 +63,7 @@ def default_config(
     tau: float = 10.0,
     rho: float | None = None,
     sigma: float | None = None,
-    trace_level: str = "summary",
-    audit: bool = True,
+    trace_level: str = "none",
 ) -> SolverConfig:
     """Paper-default configuration: (rho, sigma) = (0.18, 0.2) for scgmmwls,
     (0.1, 0.9) for the dk/jian/m2 baselines.  A ``rho`` or ``sigma`` left
@@ -73,14 +72,12 @@ def default_config(
     default_rho, default_sigma = (0.18, 0.2) if method == "scgmmwls" else (0.1, 0.9)
     rho = default_rho if rho is None else rho
     sigma = default_sigma if sigma is None else sigma
-    secant = SecantParams(m=m, rho=rho, sigma=sigma)
     return SolverConfig(
         wolfe=WolfeParams(rho=rho, sigma=sigma),
-        direction=DirectionParams(method=method, eta=eta, tau=tau, secant=secant),
+        direction=DirectionParams(method=method, eta=eta, tau=tau, secant=SecantParams(m=m)),
         epsilon=epsilon,
         max_iter=max_iter,
         trace_level=trace_level,
-        audit=audit,
     )
 
 
@@ -143,7 +140,6 @@ class AuditReport:
             modified,
             lipschitz=lipschitz,
             order_coefficient=config.direction.secant.coefficient,
-            C=config.direction.secant.C,
         )
         self.armijo_violations += not checks["armijo"]
         self.curvature_violations += not checks["curvature"]
@@ -174,24 +170,25 @@ class RunResult:
     f_final: float
     gnorm_inf_final: float
     trace: list[IterationRecord] | None = None
-    audit: AuditReport | None = None
+    audit: AuditReport | None = None  # None only for rows read back from emitted files
 
 
-def _initial_alpha(k, gnorm_inf, alpha_prev, gd_prev, gd, alpha_max) -> float:
+def _initial_alpha(k, gnorm_inf, alpha_prev, gd_prev, gd) -> float:
     if k == 0:
-        return min(1.0 / gnorm_inf, alpha_max)
+        return min(1.0 / gnorm_inf, ALPHA_MAX)
     val = alpha_prev * (gd_prev / gd)
     if not math.isfinite(val) or val <= 0.0:
         val = 1.0
-    return min(max(val, 1e-10), alpha_max)
+    return min(max(val, 1e-10), ALPHA_MAX)
 
 
 def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     oracle = instrumented(problem)
     trace: list[IterationRecord] | None = [] if config.trace_level == "full" else None
-    audit = AuditReport() if config.audit else None
+    audit = AuditReport()
     method = config.direction.method
     modified = method == "scgmmwls"
+    search = modified_wolfe if modified else standard_wolfe
     spectral = method in ("scgmmwls", "m2", "jian")
 
     x = problem.start.copy()
@@ -213,29 +210,21 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             break
 
         gd = dot(g, d)
-        alpha0 = _initial_alpha(k, gnorm, alpha_prev, gd_prev, gd, config.wolfe.alpha_max)
-        if modified:
-            outcome = modified_wolfe(
-                oracle, x, f, g, d, config.wolfe, config.direction.secant, alpha0, gd=gd
-            )
-        else:
-            outcome = standard_wolfe(
-                oracle, x, f, g, d, config.wolfe, alpha0, config.direction.secant, gd=gd
-            )
+        alpha0 = _initial_alpha(k, gnorm, alpha_prev, gd_prev, gd)
+        outcome = search(oracle, x, f, g, d, config.wolfe, config.direction.secant, alpha0, gd=gd)
         if outcome.status != ACCEPTED:
             status = LINESEARCH_FAILURE
             break
 
-        if audit is not None:
-            audit.check_wolfe(f, g, d, outcome, config, problem.lipschitz_hint, modified)
-            if config.trace_level == "full":
-                audit.zoutendijk.append(gd * gd / outcome.slopes.dd)
+        audit.check_wolfe(f, g, d, outcome, config, problem.lipschitz_hint, modified)
+        if trace is not None:
+            audit.zoutendijk.append(gd * gd / outcome.slopes.dd)
 
         g_new = outcome.g_new
         d_new, diag = next_direction(
             g_new, d, g, outcome.secant, config.direction, outcome.slopes
         )
-        if audit is not None and spectral:
+        if spectral:
             audit.check_direction(g_new, d_new, diag, config.direction)
 
         if trace is not None:
@@ -260,20 +249,3 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
 
     return RunResult(status, k, oracle.nf, oracle.ng, f, norm_inf(g), trace, audit)
 
-
-def mu_sign_trace(problem: Problem, config: SolverConfig, limit: int | None = None):
-    """(k, mu_k) pairs for the first iterations of a fully traced run."""
-    if config.trace_level != "full":
-        config = SolverConfig(
-            wolfe=config.wolfe,
-            direction=config.direction,
-            epsilon=config.epsilon,
-            max_iter=config.max_iter,
-            trace_level="full",
-            audit=config.audit,
-        )
-    result = minimize(problem, config)
-    records = result.trace or []
-    if limit is not None:
-        records = records[:limit]
-    return [(r.k, r.mu) for r in records]

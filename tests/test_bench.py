@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -201,11 +202,6 @@ class TestEmit:
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert parsed == [(1.0, 0.5, 0.5), (1.4, 1.0, 0.5), (2.0, 1.0, 1.0)]
 
-    def test_empty_curves_write_header_only_files(self, tmp_path):
-        emit(example_2x2(), [], "csv", tmp_path)
-        for metric in ("NI", "NF", "NG"):
-            assert (tmp_path / f"profile_{metric}.csv").read_text() == "tau\n"
-
     def test_json_round_trip_is_exact(self, tmp_path):
         table = ResultTable(
             [
@@ -227,9 +223,16 @@ class TestEmit:
     def test_csv_round_trip_is_exact(self, tmp_path):
         table = ResultTable([row("A", "p", 10, ni=3, f=2.0 / 7.0, gn=1e-9)])
         emit(table, None, "csv", tmp_path)
-        back = load_results(tmp_path)
-        assert back.rows[0].result.f_final == 2.0 / 7.0
-        assert back.rows[0].result.gnorm_inf_final == 1e-9
+        with open(tmp_path / "results.csv", newline="") as fh:
+            (rec,) = list(csv.DictReader(fh))
+        assert rec["f_final"] == "%.17g" % (2.0 / 7.0)
+        assert float(rec["f_final"]) == 2.0 / 7.0
+        assert float(rec["gnorm_inf"]) == 1e-9
+
+    def test_load_results_reads_json_only(self, tmp_path):
+        emit(example_2x2(), None, "csv", tmp_path)
+        with pytest.raises(FileNotFoundError):
+            load_results(tmp_path)
 
     def test_format_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import csv
+
 from specgrad.cli import main
 
 RUN_ARGS = [
@@ -56,6 +58,39 @@ class TestProfile:
             assert path.exists()
             assert path.read_text().splitlines()[0] == "tau,dk,scgmmwls:m=3"
         assert "rho(1)" in capsys.readouterr().out
+
+    def test_printed_rho1_is_point_0_of_each_profile(self, tmp_path, capsys):
+        main(RUN_ARGS + ["--out", str(tmp_path / "res")])
+        capsys.readouterr()
+        main(["profile", "--in", str(tmp_path / "res"), "--out", str(tmp_path / "prof")])
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            if " rho(1) " in line:
+                tag, _, solver, _, value = line.split()
+                printed[(tag.strip("[]").upper(), solver)] = value
+        assert len(printed) == 3 * 2
+        for metric in ("NI", "NF", "NG"):
+            path = tmp_path / "prof" / f"profile_{metric}.csv"
+            with open(path, newline="") as fh:
+                first = next(csv.DictReader(fh))
+            assert float(first["tau"]) == 1.0
+            for solver in ("dk", "scgmmwls:m=3"):
+                assert printed[(metric, solver)] == f"{float(first[solver]):.3f}"
+
+    def test_reused_out_dir_drops_the_previous_exclusions(self, tmp_path):
+        failing = ["run", "--solvers", "dk,jian", "--problems", "nondquar,qf1", "--dims", "10",
+                   "--max-iter", "3", "--out", str(tmp_path / "r1")]
+        clean = ["run", "--solvers", "dk,jian", "--problems", "qf1", "--dims", "10",
+                 "--out", str(tmp_path / "r2")]
+        excluded = tmp_path / "p" / "excluded.csv"
+        main(failing)
+        main(["profile", "--in", str(tmp_path / "r1"), "--out", str(tmp_path / "p")])
+        assert excluded.read_text().splitlines() == ["metric,problem"] + [
+            f"{m},{name}:10" for m in ("NI", "NF", "NG") for name in ("nondquar", "qf1")
+        ]
+        main(clean)
+        main(["profile", "--in", str(tmp_path / "r2"), "--out", str(tmp_path / "p")])
+        assert excluded.read_text() == "metric,problem\n"
 
     def test_single_metric(self, tmp_path):
         main(RUN_ARGS + ["--out", str(tmp_path / "res")])

@@ -15,9 +15,11 @@ from specgrad.directions import (
     theta_bar,
     theta_tilde,
 )
+from specgrad.linesearch import WolfeParams
 from specgrad.secant import SecantData, SecantParams, make_secant
 
 PARAMS = DirectionParams(method="scgmmwls", eta=1e-3, tau=10.0)
+C_DEFAULT = WolfeParams().C  # 1/42, from the default (rho, sigma) = (0.18, 0.2)
 
 
 def vec(*vals):
@@ -127,7 +129,7 @@ class TestScgmmwls:
             d_prev = -g_old + 0.1 * rng.standard_normal(n)
             s = 0.05 * rng.standard_normal(n)
             y = g_new - g_old
-            sec = make_secant(s, y, float(rng.standard_normal()), SecantParams(m=3))
+            sec = make_secant(s, y, float(rng.standard_normal()), SecantParams(m=3), C_DEFAULT)
             d, diag = next_direction_scgmmwls(g_new, d_prev, g_old, sec, PARAMS)
             gg = float(g_new @ g_new)
             assert float(g_new @ d) <= -PARAMS.eta * gg + 1e-12 * gg
@@ -225,7 +227,7 @@ class TestM2:
     def test_positive_mu_coincides_with_scgmmwls(self):
         s, y = vec(0.4, -0.2), vec(1.0, 0.5)
         g_new, d_prev, g_old = vec(0.2, -0.9), vec(-1.0, 0.3), vec(1.1, -0.4)
-        sec = make_secant(s, y, 0.7, SecantParams(m=3))
+        sec = make_secant(s, y, 0.7, SecantParams(m=3), C_DEFAULT)
         d_a, diag_a = next_direction_m2(g_new, d_prev, g_old, sec, PARAMS)
         d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec, PARAMS)
         np.testing.assert_array_equal(d_a, d_b)

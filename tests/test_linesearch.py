@@ -5,6 +5,7 @@ import specgrad.linesearch
 from specgrad.linesearch import (
     ACCEPTED,
     DEGENERATE_DIRECTION,
+    MAX_TRIALS,
     MAX_TRIALS_EXCEEDED,
     TrialPoint,
     WolfeParams,
@@ -27,14 +28,13 @@ def problem_1d(f, g, name="p1d"):
 
 
 PARAMS = WolfeParams(rho=0.18, sigma=0.2)
+SP = SecantParams(m=3)
 
 
 class TestWolfeParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             WolfeParams(rho=0.5, sigma=0.2)
-        with pytest.raises(ValueError):
-            WolfeParams(rho=0.1, sigma=0.9, max_trials=0)
 
 
 class TestStandardWolfe:
@@ -42,28 +42,28 @@ class TestStandardWolfe:
         # f = x^2 at x = 1 with d = -2: Armijo allows alpha <= 0.82, curvature
         # needs alpha >= 0.4.
         oracle = instrumented(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
-        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, alpha0=1.0)
+        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, SP, alpha0=1.0)
         assert out.status == ACCEPTED
         assert 0.4 - 1e-9 <= out.alpha <= 0.82 + 1e-9
         assert out.nf_used <= 10
 
     def test_exact_minimizer_accepted_first(self):
         oracle = instrumented(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
-        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, alpha0=0.5)
+        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, SP, alpha0=0.5)
         assert out.status == ACCEPTED
         assert out.alpha == 0.5
         assert out.nf_used == 1
 
     def test_zero_slope_is_degenerate(self):
         oracle = instrumented(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
-        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(0.0), vec(1.0), PARAMS, alpha0=1.0)
+        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(0.0), vec(1.0), PARAMS, SP, alpha0=1.0)
         assert out.status == DEGENERATE_DIRECTION
         assert out.nf_used == 0
 
     def test_linear_objective_exhausts_trials(self):
         # phi' is constant, the curvature condition never holds.
         oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
-        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, alpha0=1.0)
+        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, SP, alpha0=1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
 
 
@@ -72,7 +72,7 @@ class TestModifiedWolfe:
         # f = x^3 at x = 1, d = -1: the trial alpha = 0.5 has mu = -0.125 and
         # fails the corrected curvature test, so the engine must move on.
         oracle = instrumented(problem_1d(lambda x: x**3, lambda x: 3.0 * x * x))
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         out = modified_wolfe(oracle, vec(1.0), 1.0, vec(3.0), vec(-1.0), PARAMS, sp, alpha0=0.5)
         assert out.status == ACCEPTED
         assert out.alpha != 0.5
@@ -84,7 +84,7 @@ class TestModifiedWolfe:
         oracle = instrumented(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         out = modified_wolfe(
             oracle, p.start, f, g, d, PARAMS, sp, alpha0=1.0 / norm_inf(g)
         )
@@ -104,7 +104,7 @@ class TestModifiedWolfe:
 
     def test_alpha_underflow_reports_failure(self):
         oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         out = modified_wolfe(
             oracle, vec(0.0), 0.0, vec(-1.0), vec(1e-200), PARAMS, sp, alpha0=5e-124
         )
@@ -114,8 +114,8 @@ class TestModifiedWolfe:
         # mu evaluates to exactly 0 on a dyadic quadratic state, so both
         # searches walk identical trial sequences and accept the same alpha.
         make = lambda: instrumented(problem_1d(lambda x: 0.5 * x * x, lambda x: x))
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
-        a = standard_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, 0.25, sp)
+        sp = SecantParams(m=3)
+        a = standard_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, sp, 0.25)
         b = modified_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, sp, 0.25)
         assert a.status == b.status == ACCEPTED
         assert a.alpha == b.alpha
@@ -125,8 +125,8 @@ class TestModifiedWolfe:
         p = problem("qf1", 5)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
-        a = standard_wolfe(instrumented(p), p.start, f, g, d, PARAMS, 0.2, sp)
+        sp = SecantParams(m=3)
+        a = standard_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 0.2)
         b = modified_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 0.2)
         assert a.status == b.status == ACCEPTED
         assert a.alpha == b.alpha
@@ -139,12 +139,10 @@ class TestAccounting:
         oracle = instrumented(p)
         f, g = oracle.eval_fg(p.start)
         before = (oracle.nf, oracle.ng)
-        out = modified_wolfe(
-            oracle, p.start, f, g, -g, PARAMS, SecantParams(m=3), alpha0=1.0 / norm_inf(g)
-        )
+        out = modified_wolfe(oracle, p.start, f, g, -g, PARAMS, SP, alpha0=1.0 / norm_inf(g))
         assert out.status == ACCEPTED
         assert out.nf_used == oracle.nf - before[0]
-        assert out.ng_used == oracle.ng - before[1]
+        assert out.nf_used == oracle.ng - before[1]  # one f and one g per trial
 
 
 class TestAcceptedBundleOnly:
@@ -167,11 +165,11 @@ class TestAcceptedBundleOnly:
         p = problem(name, 10)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         if modified:
             out = modified_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 1.0)
         else:
-            out = standard_wolfe(instrumented(p), p.start, f, g, d, PARAMS, 1.0, sp)
+            out = standard_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 1.0)
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert len(z_calls) == 1
@@ -182,7 +180,7 @@ class TestAcceptedBundleOnly:
         gd, gd_new, dd = dot(g, d), dot(out.g_new, d), dot(d, d)
         # The search takes mu in slope form, from raw scalars only.
         mu_raw = 2.0 * (f - out.f_new) + alpha * (gd + gd_new)
-        t_raw = t_coefficient(mu_raw, alpha * (alpha * dd), sp)
+        t_raw = t_coefficient(mu_raw, alpha * (alpha * dd), sp.coefficient, PARAMS.C)
         sec = out.secant
         np.testing.assert_array_equal(out.x_new, p.start + s)
         np.testing.assert_array_equal(sec.s, s)
@@ -197,18 +195,18 @@ class TestAcceptedBundleOnly:
         assert out.slopes == (alpha, gd, gd_new, dd)
 
         checks = verify_accepted_step(
-            f, g, d, out, PARAMS, modified=modified, order_coefficient=sp.coefficient, C=sp.C
+            f, g, d, out, PARAMS, modified=modified, order_coefficient=sp.coefficient
         )
         assert checks and all(checks.values()), checks
 
     @pytest.mark.parametrize("modified", [True, False])
     def test_failed_search_builds_no_bundle(self, z_calls, modified):
         oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         if modified:
             out = modified_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, sp, 1.0)
         else:
-            out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, 1.0, sp)
+            out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, sp, 1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
         assert out.nf_used > 1
         assert out.secant is None
@@ -221,12 +219,12 @@ class TestVerifier:
         oracle = instrumented(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         out = modified_wolfe(oracle, p.start, f, g, d, PARAMS, sp, alpha0=1.0 / norm_inf(g))
         assert out.status == ACCEPTED
         checks = verify_accepted_step(
             f, g, d, out, PARAMS, modified=True,
-            lipschitz=p.lipschitz_hint, order_coefficient=sp.coefficient, C=sp.C,
+            lipschitz=p.lipschitz_hint, order_coefficient=sp.coefficient,
         )
         assert checks == {
             "armijo": True, "curvature": True, "dz_curvature": True, "t_bounds": True,
@@ -237,7 +235,7 @@ class TestVerifier:
         oracle = instrumented(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        out = standard_wolfe(oracle, p.start, f, g, d, PARAMS, alpha0=0.01)
+        out = standard_wolfe(oracle, p.start, f, g, d, PARAMS, SP, alpha0=0.01)
         assert out.status == ACCEPTED
         gd = dot(g, d)
         assert out.f_new <= f + PARAMS.rho * out.alpha * gd + 1e-12 * (1.0 + abs(f))
@@ -252,7 +250,7 @@ class TestBracketZoom:
             dphi = -4.0 * (1.0 - 2.0 * alpha)
             return TrialPoint(alpha, f, dphi, alpha <= 0.82, alpha >= 0.4)
 
-        best, trials, status = bracket_zoom(evaluate, 1.0, -4.0, PARAMS, alpha0=1.0)
+        best, trials, status = bracket_zoom(evaluate, 1.0, -4.0, alpha0=1.0)
         assert status == ACCEPTED
         assert 0.4 <= best.alpha <= 0.82
         assert trials <= 10
@@ -261,20 +259,20 @@ class TestBracketZoom:
         def evaluate(alpha):
             return TrialPoint(alpha, 1.0 + alpha, 1.0, False, False)
 
-        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, PARAMS, alpha0=1.0)
+        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=1.0)
         assert best is None
         assert status == MAX_TRIALS_EXCEEDED
-        assert trials <= PARAMS.max_trials
+        assert trials <= MAX_TRIALS
 
     def test_acceptable_alpha0_takes_one_trial(self):
         def evaluate(alpha):
             return TrialPoint(alpha, 0.5, -0.1, True, True)
 
-        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, PARAMS, alpha0=0.7)
+        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=0.7)
         assert status == ACCEPTED
         assert best.alpha == 0.7
         assert trials == 1
 
     def test_nonpositive_slope_rejected_without_trials(self):
-        best, trials, status = bracket_zoom(lambda a: None, 1.0, 0.0, PARAMS, alpha0=1.0)
+        best, trials, status = bracket_zoom(lambda a: None, 1.0, 0.0, alpha0=1.0)
         assert (best, trials, status) == (None, 0, DEGENERATE_DIRECTION)

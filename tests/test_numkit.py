@@ -3,14 +3,10 @@ import pytest
 
 from specgrad.numkit import (
     FiniteDifferenceSpec,
-    as_vector,
-    axpy,
     dot,
     fd_gradient,
     fd_hessian_action,
-    norm2,
     norm_inf,
-    scale,
 )
 
 
@@ -41,39 +37,9 @@ class TestDot:
             dot(vec(1, 2), vec(1, 2, 3))
 
 
-class TestNormsAxpy:
-    def test_norm2(self):
-        assert norm2(vec(3, 4)) == 5.0
-
+class TestNormInf:
     def test_norm_inf(self):
         assert norm_inf(vec(1, -3, 2)) == 3.0
-
-    def test_norm2_squared_matches_dot(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            u = rng.standard_normal(17)
-            assert norm2(u) ** 2 == pytest.approx(dot(u, u), rel=1e-14)
-
-    def test_axpy(self):
-        np.testing.assert_array_equal(axpy(2.0, vec(1, 1), vec(0, -1)), vec(2, 1))
-
-    def test_axpy_length_mismatch(self):
-        with pytest.raises(ValueError):
-            axpy(1.0, vec(1, 2, 3), vec(1))
-
-    def test_scale(self):
-        np.testing.assert_array_equal(scale(-2.0, vec(1, -1)), vec(-2, 2))
-
-
-class TestAsVector:
-    def test_accepts_lists(self):
-        v = as_vector([1, 2, 3])
-        assert v.dtype == np.float64 and v.shape == (3,)
-
-    @pytest.mark.parametrize("bad", [[], [[1.0, 2.0]], [1.0, np.nan], [1.0, np.inf]])
-    def test_rejects_invalid(self, bad):
-        with pytest.raises(ValueError):
-            as_vector(bad)
 
 
 class TestFiniteDifference:
@@ -113,6 +79,12 @@ class TestFiniteDifference:
         f = lambda v: float(3.0 * v[0] - v[1])
         val = fd_hessian_action(f, vec(1.0, 2.0), vec(0.4, -0.3), FiniteDifferenceSpec(h=1e-2))
         assert val == pytest.approx(0.0, abs=1e-8)
+
+    def test_hessian_action_length_mismatch(self):
+        # x + h*s would broadcast a length-1 s over x without the check.
+        f = lambda v: float(v @ v)
+        with pytest.raises(ValueError):
+            fd_hessian_action(f, vec(1.0, 2.0), vec(1.0), FiniteDifferenceSpec(h=1e-4))
 
     def test_hessian_action_h_independent_on_quadratics(self):
         rng = np.random.default_rng(3)

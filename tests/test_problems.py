@@ -70,18 +70,6 @@ class TestInstrumented:
         oracle = instrumented(problem("qf1", 5))
         assert (oracle.nf, oracle.ng) == (0, 0)
 
-    def test_eval_f_then_fg(self):
-        oracle = instrumented(problem("qf1", 5))
-        oracle.eval_f(oracle.problem.start)
-        oracle.eval_fg(oracle.problem.start)
-        assert (oracle.nf, oracle.ng) == (2, 1)
-
-    def test_three_gradients(self):
-        oracle = instrumented(problem("qf1", 5))
-        for _ in range(3):
-            oracle.eval_g(oracle.problem.start)
-        assert (oracle.nf, oracle.ng) == (0, 3)
-
     def test_counter_contract_against_independent_tally(self):
         p = problem("engval1", 8)
         calls = {"f": 0, "g": 0}
@@ -98,25 +86,18 @@ class TestInstrumented:
         oracle = instrumented(wrapped)
         rng = np.random.default_rng(2)
         for _ in range(25):
-            x = p.start + 0.1 * rng.standard_normal(p.dim)
-            op = rng.integers(3)
-            if op == 0:
-                oracle.eval_f(x)
-            elif op == 1:
-                oracle.eval_g(x)
-            else:
-                oracle.eval_fg(x)
-        assert (oracle.nf, oracle.ng) == (calls["f"], calls["g"])
+            oracle.eval_fg(p.start + 0.1 * rng.standard_normal(p.dim))
+        assert (oracle.nf, oracle.ng) == (calls["f"], calls["g"]) == (25, 25)
 
     def test_non_finite_objective_raises_with_context(self):
         p = problem("diagonal1", 4)
         oracle = instrumented(p)
         x = np.full(4, 1000.0)  # exp overflow
-        with pytest.raises(EvaluationError) as err:
-            oracle.eval_f(x)
+        with pytest.raises(EvaluationError, match="objective") as err:
+            oracle.eval_fg(x)
         assert err.value.problem_name == "diagonal1"
         np.testing.assert_array_equal(err.value.x, x)
-        assert oracle.nf == 1  # failed trials still count
+        assert (oracle.nf, oracle.ng) == (1, 1)  # failed trials still count
 
     @pytest.mark.parametrize(
         "objective,gradient,what",

@@ -32,12 +32,8 @@ FAMILIES = ("ext_rosenbrock", "ext_beale", "arwhead", "engval1", "diagonal1", "r
 
 
 def search(oracle, x, f, g, d, cfg, alpha0):
-    gd = dot(g, d)
-    if cfg.direction.method == "scgmmwls":
-        return modified_wolfe(
-            oracle, x, f, g, d, cfg.wolfe, cfg.direction.secant, alpha0, gd=gd
-        )
-    return standard_wolfe(oracle, x, f, g, d, cfg.wolfe, alpha0, cfg.direction.secant, gd=gd)
+    wolfe = modified_wolfe if cfg.direction.method == "scgmmwls" else standard_wolfe
+    return wolfe(oracle, x, f, g, d, cfg.wolfe, cfg.direction.secant, alpha0, gd=dot(g, d))
 
 
 def accepted_steps(name, n, method, steps=5):
@@ -135,12 +131,12 @@ class TestDotCounts:
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
         gd = dot(g, d)
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
             out = modified_wolfe(instrumented(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
         else:
-            out = standard_wolfe(instrumented(p), p.start, f, g, d, params, 1.0, sp, gd=gd)
+            out = standard_wolfe(instrumented(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert dot_calls["linesearch"] == out.nf_used + 1
@@ -157,12 +153,12 @@ class TestDotCounts:
             np.ones(1),
         )
         x, g, d = np.ones(1), np.array([2.0]), np.array([-2.0])
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
             out = modified_wolfe(instrumented(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
         else:
-            out = standard_wolfe(instrumented(prob), x, 1.0, g, d, params, 2.0, sp, gd=-4.0)
+            out = standard_wolfe(instrumented(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
         assert out.status == ACCEPTED
         assert out.alpha == 0.5
         assert out.nf_used == 3
@@ -171,7 +167,7 @@ class TestDotCounts:
     def test_search_without_gd_takes_it_once(self, dot_calls):
         p = problem("ext_rosenbrock", 10)
         f, g = p.objective(p.start), p.gradient(p.start)
-        sp = SecantParams(m=3, rho=0.18, sigma=0.2)
+        sp = SecantParams(m=3)
         out = modified_wolfe(instrumented(p), p.start, f, g, -g, WolfeParams(), sp, 1.0)
         assert out.status == ACCEPTED
         assert dot_calls["linesearch"] == out.nf_used + 2

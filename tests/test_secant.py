@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from specgrad.linesearch import WolfeParams
 from specgrad.problems import Problem
 from specgrad.secant import (
     DegenerateStepError,
@@ -31,9 +33,13 @@ def cubic_1d() -> Problem:
     )
 
 
+# C of the modified search's default pair (rho, sigma) = (0.18, 0.2): 1/42.
+C_DEFAULT = WolfeParams().C
+
+
 class TestParams:
     def test_c_formula(self):
-        p = SecantParams(m=3, rho=0.18, sigma=0.2)
+        p = WolfeParams(rho=0.18, sigma=0.2)
         assert p.C == pytest.approx((0.2 - 0.18) / (1 - 2 * 0.18 + 0.2))
         assert 0.0 < p.C < 1.0
 
@@ -52,7 +58,11 @@ class TestParams:
 
     def test_rejects_bad_rho_sigma(self):
         with pytest.raises(ValueError):
-            SecantParams(m=3, rho=0.5, sigma=0.2)
+            WolfeParams(rho=0.5, sigma=0.2)
+
+    def test_holds_the_order_only(self):
+        # rho and sigma live in WolfeParams alone, so no config holds two pairs.
+        assert [f.name for f in dataclasses.fields(SecantParams)] == ["m"]
 
 
 class TestMu:
@@ -86,18 +96,20 @@ class TestMu:
 
 class TestTCoefficient:
     def test_positive_mu_order_3(self):
-        assert t_coefficient(0.125, 0.25, SecantParams(m=3)) == pytest.approx(1.5)
+        assert t_coefficient(0.125, 0.25, SecantParams(m=3).coefficient, C_DEFAULT) == pytest.approx(
+            1.5
+        )
 
     def test_negative_mu_uses_c(self):
-        p = SecantParams(m=3, rho=0.18, sigma=0.2)  # C = 1/42
-        assert t_coefficient(-0.84, 1.0, p) == pytest.approx(-0.02, abs=1e-15)
+        coef = SecantParams(m=3).coefficient
+        assert t_coefficient(-0.84, 1.0, coef, C_DEFAULT) == pytest.approx(-0.02, abs=1e-15)
 
     def test_zero_mu_gives_zero(self):
-        assert t_coefficient(0.0, 0.7, SecantParams(m=5)) == 0.0
+        assert t_coefficient(0.0, 0.7, SecantParams(m=5).coefficient, C_DEFAULT) == 0.0
 
     def test_zero_step_rejected(self):
         with pytest.raises(DegenerateStepError):
-            t_coefficient(1.0, 0.0, SecantParams(m=3))
+            t_coefficient(1.0, 0.0, SecantParams(m=3).coefficient, C_DEFAULT)
 
 
 class TestZandV:
@@ -130,7 +142,7 @@ class TestZandV:
             v_vector_m2(vec(1.0), vec(0.0), 1.0, 3)
 
     def test_make_secant_bundle(self):
-        sec = make_secant(vec(0.5), vec(2.25), 0.125, SecantParams(m=3))
+        sec = make_secant(vec(0.5), vec(2.25), 0.125, SecantParams(m=3), C_DEFAULT)
         assert sec.t == pytest.approx(1.5)
         assert sec.z[0] == pytest.approx(3.0)
 

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from specgrad.problems import Problem, problem
+from specgrad.linesearch import ACCEPTED, modified_wolfe
+from specgrad.problems import Problem, instrumented, problem
 from specgrad.solver import (
     CONVERGED,
     EVAL_ERROR,
     ITER_LIMIT,
     LINESEARCH_FAILURE,
+    AuditReport,
     SolverConfig,
     default_config,
     minimize,
-    mu_sign_trace,
 )
 
 
@@ -42,10 +43,10 @@ class TestConfig:
     def test_lone_rho_or_sigma_keeps_the_other_default(self):
         cfg = default_config("dk", rho=0.05)
         assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.05, 0.9)
-        assert (cfg.direction.secant.rho, cfg.direction.secant.sigma) == (0.05, 0.9)
+        assert cfg.wolfe.C == (0.9 - 0.05) / (1.0 - 2.0 * 0.05 + 0.9)
         cfg = default_config("scgmmwls", sigma=0.5)
         assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.18, 0.5)
-        assert (cfg.direction.secant.rho, cfg.direction.secant.sigma) == (0.18, 0.5)
+        assert cfg.wolfe.C == (0.5 - 0.18) / (1.0 - 2.0 * 0.18 + 0.5)
 
     def test_lone_override_forming_an_invalid_pair_is_rejected(self):
         with pytest.raises(ValueError):
@@ -53,12 +54,35 @@ class TestConfig:
         with pytest.raises(ValueError):
             default_config("dk", sigma=0.05)  # rho stays 0.1
 
+    def test_one_rho_sigma_pair_sets_the_search_and_the_audit(self):
+        # f = x^3 from x = 1 along d = -1: alpha = 1 is accepted with mu = -1
+        # and |s|^2 = 1, so t = C mu.  The audit's bound -C L <= t holds for
+        # L = 2 with C of (0.1, 0.9), 8/17, and fails with C of (0.18, 0.2), 1/42.
+        cfg = default_config("scgmmwls", rho=0.1, sigma=0.9)
+        C = (0.9 - 0.1) / (1.0 - 2.0 * 0.1 + 0.9)
+        assert cfg.wolfe.C == C
+        cube = Problem("cube", 1, lambda x: float(x[0] ** 3), lambda x: 3.0 * x * x, np.ones(1))
+        x, g, d = np.ones(1), np.array([3.0]), np.array([-1.0])
+        sp = cfg.direction.secant
+        out = modified_wolfe(instrumented(cube), x, 1.0, g, d, cfg.wolfe, sp, 1.0)
+        assert (out.status, out.alpha, out.secant.mu) == (ACCEPTED, 1.0, -1.0)
+        assert out.secant.t == C * out.secant.mu / 1.0
+        audit = AuditReport()
+        audit.check_wolfe(1.0, g, d, out, cfg, 2.0, modified=True)
+        assert audit.clean and audit.t_bound_checks == 1
+        other = AuditReport()
+        other.check_wolfe(1.0, g, d, out, default_config("scgmmwls"), 2.0, modified=True)
+        assert other.t_bound_violations == 1
+
     def test_validation(self):
         cfg = default_config("scgmmwls")
         with pytest.raises(ValueError):
             SolverConfig(cfg.wolfe, cfg.direction, epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(cfg.wolfe, cfg.direction, trace_level="everything")
+        with pytest.raises(ValueError):
+            SolverConfig(cfg.wolfe, cfg.direction, trace_level="summary")
+        assert cfg.trace_level == "none"
 
 
 class TestMinimize:
@@ -187,10 +211,9 @@ class TestMuTrace:
             f_prev = rec.f
 
     def test_arwhead_first_mu_negative(self):
-        trace = mu_sign_trace(
-            problem("arwhead", 100), default_config("scgmmwls", m=3), limit=1
-        )
-        assert trace[0][1] < 0.0
+        cfg = default_config("scgmmwls", m=3, max_iter=1, trace_level="full")
+        res = minimize(problem("arwhead", 100), cfg)
+        assert res.trace[0].mu < 0.0
 
     def test_quartic_first_mu_matches_independent_evaluation(self):
         n = 6
@@ -212,8 +235,3 @@ class TestMuTrace:
             + [(g0[i] + p.gradient(x1)[i]) * s[i] for i in range(n)]
         )
         assert math.copysign(1.0, rec.mu) == math.copysign(1.0, mu_ind)
-
-    def test_limit_argument(self):
-        trace = mu_sign_trace(problem("qf1", 20), default_config("scgmmwls"), limit=5)
-        assert len(trace) == 5
-        assert [k for k, _ in trace] == [0, 1, 2, 3, 4]
