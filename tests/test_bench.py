@@ -202,6 +202,12 @@ class TestEmit:
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert parsed == [(1.0, 0.5, 0.5), (1.4, 1.0, 0.5), (2.0, 1.0, 1.0)]
 
+    def test_no_curves_write_results_only(self, tmp_path):
+        for fmt in ("csv", "json"):
+            written = emit(example_2x2(), None, fmt, tmp_path / fmt)
+            assert [p.name for p in written] == [f"results.{fmt}"]
+            assert sorted(p.name for p in (tmp_path / fmt).iterdir()) == [f"results.{fmt}"]
+
     def test_json_round_trip_is_exact(self, tmp_path):
         table = ResultTable(
             [

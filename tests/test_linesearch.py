@@ -4,6 +4,7 @@ import pytest
 import specgrad.linesearch
 from specgrad.linesearch import (
     ACCEPTED,
+    ALPHA_MAX,
     DEGENERATE_DIRECTION,
     MAX_TRIALS,
     MAX_TRIALS_EXCEEDED,
@@ -36,6 +37,13 @@ class TestWolfeParams:
         with pytest.raises(ValueError):
             WolfeParams(rho=0.5, sigma=0.2)
 
+    @pytest.mark.parametrize(
+        "rho,sigma", [(0.0, 0.2), (-0.1, 0.5), (0.2, 0.2), (0.1, 1.0)]
+    )
+    def test_rejects_pairs_outside_0_rho_sigma_1(self, rho, sigma):
+        with pytest.raises(ValueError):
+            WolfeParams(rho=rho, sigma=sigma)
+
 
 class TestStandardWolfe:
     def test_quadratic_acceptance_interval(self):
@@ -65,6 +73,14 @@ class TestStandardWolfe:
         oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
         out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, SP, alpha0=1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
+
+    def test_expansion_stops_at_alpha_max(self):
+        # Every trial on f = -x passes Armijo and points downhill, so the
+        # search doubles 1, 2, ..., 2**19 and then tries ALPHA_MAX once.
+        oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
+        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, SP, alpha0=1.0)
+        assert out.status == MAX_TRIALS_EXCEEDED
+        assert out.nf_used == oracle.nf == 21 < MAX_TRIALS
 
 
 class TestModifiedWolfe:
@@ -272,6 +288,20 @@ class TestBracketZoom:
         assert status == ACCEPTED
         assert best.alpha == 0.7
         assert trials == 1
+
+    def test_alpha0_capped_at_alpha_max(self):
+        seen = []
+
+        def evaluate(alpha):
+            seen.append(alpha)
+            return TrialPoint(alpha, 0.0, -0.1, True, True)
+
+        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=10.0 * ALPHA_MAX)
+        assert (status, trials, seen) == (ACCEPTED, 1, [ALPHA_MAX])
+
+    def test_nonpositive_alpha0_rejected(self):
+        with pytest.raises(ValueError):
+            bracket_zoom(lambda a: None, 1.0, -1.0, alpha0=0.0)
 
     def test_nonpositive_slope_rejected_without_trials(self):
         best, trials, status = bracket_zoom(lambda a: None, 1.0, 0.0, alpha0=1.0)

@@ -235,3 +235,20 @@ class TestMuTrace:
             + [(g0[i] + p.gradient(x1)[i]) * s[i] for i in range(n)]
         )
         assert math.copysign(1.0, rec.mu) == math.copysign(1.0, mu_ind)
+
+    def test_limit_argument(self):
+        cfg = default_config("scgmmwls", max_iter=5, trace_level="full")
+        res = minimize(problem("qf1", 20), cfg)
+        assert (res.status, res.ni) == (ITER_LIMIT, 5)
+        assert [rec.k for rec in res.trace] == [0, 1, 2, 3, 4]
+        assert len(res.audit.zoutendijk) == 5
+
+
+class TestAudit:
+    @pytest.mark.parametrize("method", ["scgmmwls", "dk"])
+    def test_runs_on_every_step_without_a_trace(self, method):
+        res = minimize(problem("qf1", 20), default_config(method))
+        assert res.status == CONVERGED and res.trace is None
+        assert res.audit.steps == res.ni > 0
+        assert res.audit.clean
+        assert res.audit.zoutendijk == []  # collected only with trace_level="full"
