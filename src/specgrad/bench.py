@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .problems import family_names, problem
+from .secant import SecantParams
 from .solver import CONVERGED, EVAL_ERROR, RunResult, default_config, minimize
 
 METRICS = ("ni", "nf", "ng")
@@ -51,8 +52,9 @@ class SolverSpec:
             if key.strip() != "m":
                 raise ValueError(f"unknown solver option '{opts}' in '{text}'")
             m = math.inf if value.strip() in ("inf", "infinity") else float(value)
-        if not m == math.inf and m == int(m):
+        if math.isfinite(m) and m == int(m):
             m = int(m)
+        SecantParams(m=m)  # the order check every config makes: ValueError here, before any run
         return cls(method=name.strip().lower(), m=m)
 
     def config(self, **overrides):
@@ -89,8 +91,10 @@ class RatioSet:
     r_fail: float
 
 
-def run_suite(solvers, problems=None, dims=(100,), **config_overrides) -> ResultTable:
-    """One run per (solver, problem, dim); failures are recorded, never dropped."""
+def suite_cells(solvers, problems=None, dims=(100,), **config_overrides) -> list[tuple]:
+    """The sorted (label, problem, dim, config) cells of a suite, checked before
+    any run: each config is built and each (problem, dim) instantiated once and
+    dropped, so bad input raises ``ValueError``/``KeyError`` here."""
     specs = [SolverSpec.parse(s) if isinstance(s, str) else s for s in solvers]
     names = family_names() if problems in (None, "all") else list(problems)
     if not specs or not names or not dims:
@@ -98,12 +102,19 @@ def run_suite(solvers, problems=None, dims=(100,), **config_overrides) -> Result
     cells = sorted((s.label, name, int(d)) for s in specs for name in names for d in dims)
     if len(set(cells)) != len(cells):
         raise ValueError("duplicate (solver, problem, dim) cells requested")
-    by_label = {s.label: s for s in specs}
+    configs = {s.label: s.config(**config_overrides) for s in specs}
+    for name in names:
+        for d in dims:
+            problem(name, int(d))
+    return [(label, name, dim, configs[label]) for label, name, dim in cells]
 
-    rows = []
-    for label, name, dim in cells:
-        cfg = by_label[label].config(**config_overrides)
-        rows.append(ResultRow(label, name, dim, minimize(problem(name, dim), cfg)))
+
+def run_suite(solvers, problems=None, dims=(100,), **config_overrides) -> ResultTable:
+    """One run per (solver, problem, dim); failures are recorded, never dropped."""
+    rows = [
+        ResultRow(label, name, dim, minimize(problem(name, dim), cfg))
+        for label, name, dim, cfg in suite_cells(solvers, problems, dims, **config_overrides)
+    ]
     return ResultTable(rows)
 
 

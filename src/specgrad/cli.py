@@ -7,7 +7,9 @@ Subcommands:
   ``excluded.csv`` (the problems no solver solved; header-only if none)
 * ``bench trace``    print the per-iteration mu table for one run
 
-Exit code is 0 iff no evaluation error occurred.
+Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
+solver id, option, problem name or dimension no run could use), found
+before any run starts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .bench import (
     performance_profile,
     performance_ratios,
     run_suite,
+    suite_cells,
 )
 from .problems import family_names, problem
 from .solver import EVAL_ERROR, minimize
@@ -41,19 +44,20 @@ def _add_solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=10.0, help="spectral upper bound")
 
 
-def _cmd_run(args) -> int:
-    solvers = [SolverSpec.parse(s) for s in _parse_list(args.solvers)]
-    names = family_names() if args.problems.strip() == "all" else _parse_list(args.problems)
-    dims = [int(d) for d in _parse_list(args.dims)]
-    table = run_suite(
-        solvers,
-        names,
-        dims,
-        epsilon=args.eps,
-        max_iter=args.max_iter,
-        eta=args.eta,
-        tau=args.tau,
-    )
+def _solver_options(args) -> dict:
+    return {"epsilon": args.eps, "max_iter": args.max_iter, "eta": args.eta, "tau": args.tau}
+
+
+def _cmd_run(args, parser) -> int:
+    options = _solver_options(args)
+    try:
+        solvers = [SolverSpec.parse(s) for s in _parse_list(args.solvers)]
+        names = family_names() if args.problems.strip() == "all" else _parse_list(args.problems)
+        dims = [int(d) for d in _parse_list(args.dims)]
+        suite_cells(solvers, names, dims, **options)
+    except (ValueError, KeyError) as exc:
+        parser.error(exc.args[0])  # a KeyError's str() would add quotes
+    table = run_suite(solvers, names, dims, **options)
     emit(table, None, "csv", args.out)
     emit(table, None, "json", args.out)
     for row in table.rows:
@@ -66,7 +70,7 @@ def _cmd_run(args) -> int:
     return 1 if had_eval_error(table) else 0
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args, parser) -> int:
     table = load_results(args.in_dir)
     metrics = list(METRICS) if args.metric == "all" else [args.metric]
     curves = []
@@ -92,16 +96,13 @@ def _cmd_profile(args) -> int:
     return 1 if had_eval_error(table) else 0
 
 
-def _cmd_trace(args) -> int:
-    spec = SolverSpec.parse(args.solver)
-    cfg = spec.config(
-        epsilon=args.eps,
-        max_iter=args.max_iter,
-        eta=args.eta,
-        tau=args.tau,
-        trace_level="full",
-    )
-    result = minimize(problem(args.problem, args.dim), cfg)
+def _cmd_trace(args, parser) -> int:
+    try:
+        cfg = SolverSpec.parse(args.solver).config(**_solver_options(args), trace_level="full")
+        prob = problem(args.problem, args.dim)
+    except (ValueError, KeyError) as exc:
+        parser.error(exc.args[0])
+    result = minimize(prob, cfg)
     records = (result.trace or [])[: args.iters]
     print(f"{'iteration':>10} {'mu':>14} {'t':>14} {'alpha':>12} {'f':>14}")
     for rec in records:
@@ -147,7 +148,7 @@ def main(argv=None) -> int:
     p_trace.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    return args.func(args, sub.choices[args.command])
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 
 Twelve classic families from the unconstrained-optimization test-function
 collections, each with its standard starting point and an exact gradient.
-All objectives/gradients are vectorized numpy expressions.  The only ``**``
-allowed is a square: numpy sends ``x**2`` to its square loop but any other
-exponent to libm ``pow``, about 73 ns per element against about 2 ns for a
-product (n = 10000, numpy 2.4.6 on a 2-core x86 machine: ``q**4`` 730 us,
+Each family is one vectorized kernel ``fg(x) -> (f, g)`` computing the terms
+f and g share once, since every solver evaluation needs both at one point;
+``Problem.objective``/``gradient`` derive from it for the off-path callers
+(gradient checker, finite differences).  The only ``**`` allowed is a
+square: numpy sends ``x**2`` to its square loop but any other exponent to
+libm ``pow``, about 73 ns per element against about 2 ns for a product
+(n = 10000, numpy 2.4.6 on a 2-core x86 machine: ``q**4`` 730 us,
 ``(q*q)*(q*q)`` 16 us).  With ``pow``, ``nondquar`` alone costs about 3 ms
 per evaluation there, against 0.2-0.4 ms for the other families.  Higher
 powers are therefore multiplication chains, built from the square where a
@@ -52,215 +55,178 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Problem:
+    """A test problem: ``fg(x)`` returns the objective and its gradient at x."""
+
     name: str
     dim: int
-    objective: Callable[[Vector], float]
-    gradient: Callable[[Vector], Vector]
+    fg: Callable[[Vector], tuple[float, Vector]]
     start: Vector
     lipschitz_hint: float | None = None
 
+    def objective(self, x: Vector) -> float:
+        return self.fg(x)[0]
+
+    def gradient(self, x: Vector) -> Vector:
+        return self.fg(x)[1]
+
 
 def _arwhead(n: int) -> Problem:
-    def f(x):
+    def fg(x):
         t = x[:-1] ** 2 + x[-1] ** 2
-        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0))
+        g = np.empty_like(x)
+        g[:-1] = 4.0 * x[:-1] * t - 4.0
+        g[-1] = 4.0 * x[-1] * np.sum(t)
+        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0)), g
 
-    def g(x):
-        t = x[:-1] ** 2 + x[-1] ** 2
-        out = np.empty_like(x)
-        out[:-1] = 4.0 * x[:-1] * t - 4.0
-        out[-1] = 4.0 * x[-1] * np.sum(t)
-        return out
-
-    return Problem("arwhead", n, f, g, np.ones(n))
+    return Problem("arwhead", n, fg, np.ones(n))
 
 
 def _ext_rosenbrock(n: int) -> Problem:
-    def f(x):
+    def fg(x):
         u, v = x[0::2], x[1::2]
-        return float(np.sum(100.0 * (v - u * u) ** 2 + (1.0 - u) ** 2))
-
-    def g(x):
-        u, v = x[0::2], x[1::2]
-        r = v - u * u
-        out = np.empty_like(x)
-        out[0::2] = -400.0 * u * r - 2.0 * (1.0 - u)
-        out[1::2] = 200.0 * r
-        return out
+        r, w = v - u * u, 1.0 - u
+        g = np.empty_like(x)
+        g[0::2] = -400.0 * u * r - 2.0 * w
+        g[1::2] = 200.0 * r
+        return float(np.sum(100.0 * r**2 + w**2)), g
 
     start = np.ones(n)
     start[0::2] = -1.2
-    return Problem("ext_rosenbrock", n, f, g, start)
+    return Problem("ext_rosenbrock", n, fg, start)
 
 
 def _ext_white_holst(n: int) -> Problem:
-    def f(x):
-        u, v = x[0::2], x[1::2]
-        return float(np.sum(100.0 * (v - u * u * u) ** 2 + (1.0 - u) ** 2))
-
-    def g(x):
+    def fg(x):
         u, v = x[0::2], x[1::2]
         uu = u * u
-        r = v - uu * u
-        out = np.empty_like(x)
-        out[0::2] = -600.0 * uu * r - 2.0 * (1.0 - u)
-        out[1::2] = 200.0 * r
-        return out
+        r, w = v - uu * u, 1.0 - u
+        g = np.empty_like(x)
+        g[0::2] = -600.0 * uu * r - 2.0 * w
+        g[1::2] = 200.0 * r
+        return float(np.sum(100.0 * r**2 + w**2)), g
 
     start = np.ones(n)
     start[0::2] = -1.2
-    return Problem("ext_white_holst", n, f, g, start)
+    return Problem("ext_white_holst", n, fg, start)
 
 
 def _ext_beale(n: int) -> Problem:
-    def f(x):
-        u, v = x[0::2], x[1::2]
-        vv = v * v
-        a = 1.5 - u * (1.0 - v)
-        b = 2.25 - u * (1.0 - vv)
-        c = 2.625 - u * (1.0 - vv * v)
-        return float(np.sum(a * a + b * b + c * c))
-
-    def g(x):
+    def fg(x):
         u, v = x[0::2], x[1::2]
         vv = v * v
         w1, w2, w3 = 1.0 - v, 1.0 - vv, 1.0 - vv * v
         a = 1.5 - u * w1
         b = 2.25 - u * w2
         c = 2.625 - u * w3
-        out = np.empty_like(x)
-        out[0::2] = -2.0 * a * w1 - 2.0 * b * w2 - 2.0 * c * w3
-        out[1::2] = 2.0 * a * u + 4.0 * b * u * v + 6.0 * c * u * vv
-        return out
+        g = np.empty_like(x)
+        g[0::2] = -2.0 * a * w1 - 2.0 * b * w2 - 2.0 * c * w3
+        g[1::2] = 2.0 * a * u + 4.0 * b * u * v + 6.0 * c * u * vv
+        return float(np.sum(a * a + b * b + c * c)), g
 
     start = np.ones(n)
     start[1::2] = 0.8
-    return Problem("ext_beale", n, f, g, start)
+    return Problem("ext_beale", n, fg, start)
 
 
 def _diagonal1(n: int) -> Problem:
     idx = np.arange(1.0, n + 1.0)
 
-    def f(x):
-        return float(np.sum(np.exp(x) - idx * x))
+    def fg(x):
+        e = np.exp(x)
+        return float(np.sum(e - idx * x)), e - idx
 
-    def g(x):
-        return np.exp(x) - idx
-
-    return Problem("diagonal1", n, f, g, np.full(n, 1.0 / n))
+    return Problem("diagonal1", n, fg, np.full(n, 1.0 / n))
 
 
 def _raydan1(n: int) -> Problem:
     w = np.arange(1.0, n + 1.0) / 10.0
 
-    def f(x):
-        return float(np.sum(w * (np.exp(x) - x)))
+    def fg(x):
+        e = np.exp(x)
+        return float(np.sum(w * (e - x))), w * (e - 1.0)
 
-    def g(x):
-        return w * (np.exp(x) - 1.0)
-
-    return Problem("raydan1", n, f, g, np.ones(n))
+    return Problem("raydan1", n, fg, np.ones(n))
 
 
 def _eg2(n: int) -> Problem:
-    def f(x):
-        return float(np.sum(np.sin(x[0] + x[:-1] ** 2 - 1.0)) + 0.5 * np.sin(x[-1] ** 2))
+    def fg(x):
+        arg = x[0] + x[:-1] ** 2 - 1.0
+        last = x[-1] ** 2
+        c = np.cos(arg)
+        g = np.zeros_like(x)
+        g[: n - 1] = 2.0 * x[: n - 1] * c
+        g[0] += np.sum(c)
+        g[-1] += x[-1] * np.cos(last)
+        return float(np.sum(np.sin(arg)) + 0.5 * np.sin(last)), g
 
-    def g(x):
-        c = np.cos(x[0] + x[:-1] ** 2 - 1.0)
-        out = np.zeros_like(x)
-        out[: n - 1] = 2.0 * x[: n - 1] * c
-        out[0] += np.sum(c)
-        out[-1] += x[-1] * np.cos(x[-1] ** 2)
-        return out
-
-    return Problem("eg2", n, f, g, np.ones(n))
+    return Problem("eg2", n, fg, np.ones(n))
 
 
 def _engval1(n: int) -> Problem:
-    def f(x):
+    def fg(x):
         t = x[:-1] ** 2 + x[1:] ** 2
-        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0))
+        g = np.zeros_like(x)
+        g[:-1] += 4.0 * x[:-1] * t - 4.0
+        g[1:] += 4.0 * x[1:] * t
+        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0)), g
 
-    def g(x):
-        t = x[:-1] ** 2 + x[1:] ** 2
-        out = np.zeros_like(x)
-        out[:-1] += 4.0 * x[:-1] * t - 4.0
-        out[1:] += 4.0 * x[1:] * t
-        return out
-
-    return Problem("engval1", n, f, g, np.full(n, 2.0))
+    return Problem("engval1", n, fg, np.full(n, 2.0))
 
 
 def _fletchcr(n: int) -> Problem:
-    def f(x):
+    def fg(x):
         r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-        return float(100.0 * np.sum(r * r))
+        g = np.zeros_like(x)
+        g[:-1] += 200.0 * r * (-1.0 - 2.0 * x[:-1])
+        g[1:] += 200.0 * r
+        return float(100.0 * np.sum(r * r)), g
 
-    def g(x):
-        r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-        out = np.zeros_like(x)
-        out[:-1] += 200.0 * r * (-1.0 - 2.0 * x[:-1])
-        out[1:] += 200.0 * r
-        return out
-
-    return Problem("fletchcr", n, f, g, np.zeros(n))
+    return Problem("fletchcr", n, fg, np.zeros(n))
 
 
 def _nondquar(n: int) -> Problem:
-    def f(x):
+    def fg(x):
         q = x[: n - 2] + x[1 : n - 1] + x[-1]
         qq = q * q
-        return float((x[0] - x[1]) ** 2 + (x[-2] + x[-1]) ** 2 + np.sum(qq * qq))
-
-    def g(x):
-        q = x[: n - 2] + x[1 : n - 1] + x[-1]
-        q3 = 4.0 * (q * q * q)
-        out = np.zeros_like(x)
-        out[: n - 2] += q3
-        out[1 : n - 1] += q3
-        out[-1] += np.sum(q3)
-        out[0] += 2.0 * (x[0] - x[1])
-        out[1] -= 2.0 * (x[0] - x[1])
-        out[-2] += 2.0 * (x[-2] + x[-1])
-        out[-1] += 2.0 * (x[-2] + x[-1])
-        return out
+        q3 = 4.0 * (qq * q)
+        head, tail = x[0] - x[1], x[-2] + x[-1]
+        g = np.zeros_like(x)
+        g[: n - 2] += q3
+        g[1 : n - 1] += q3
+        g[-1] += np.sum(q3)
+        g[0] += 2.0 * head
+        g[1] -= 2.0 * head
+        g[-2] += 2.0 * tail
+        g[-1] += 2.0 * tail
+        return float(head**2 + tail**2 + np.sum(qq * qq)), g
 
     start = np.ones(n)
     start[1::2] = -1.0
-    return Problem("nondquar", n, f, g, start)
+    return Problem("nondquar", n, fg, start)
 
 
 def _ext_himmelblau(n: int) -> Problem:
-    def f(x):
+    def fg(x):
         u, v = x[0::2], x[1::2]
         a = u * u + v - 11.0
         b = u + v * v - 7.0
-        return float(np.sum(a * a + b * b))
+        g = np.empty_like(x)
+        g[0::2] = 4.0 * u * a + 2.0 * b
+        g[1::2] = 2.0 * a + 4.0 * v * b
+        return float(np.sum(a * a + b * b)), g
 
-    def g(x):
-        u, v = x[0::2], x[1::2]
-        a = u * u + v - 11.0
-        b = u + v * v - 7.0
-        out = np.empty_like(x)
-        out[0::2] = 4.0 * u * a + 2.0 * b
-        out[1::2] = 2.0 * a + 4.0 * v * b
-        return out
-
-    return Problem("ext_himmelblau", n, f, g, np.ones(n))
+    return Problem("ext_himmelblau", n, fg, np.ones(n))
 
 
 def _qf1(n: int) -> Problem:
     idx = np.arange(1.0, n + 1.0)
 
-    def f(x):
-        return float(0.5 * np.sum(idx * x * x))
-
-    def g(x):
-        return idx * x
+    def fg(x):
+        g = idx * x
+        return float(0.5 * np.sum(g * x)), g
 
     # Hessian is diag(1..n), so the gradient Lipschitz constant is exactly n.
-    return Problem("qf1", n, f, g, np.ones(n), lipschitz_hint=float(n))
+    return Problem("qf1", n, fg, np.ones(n), lipschitz_hint=float(n))
 
 
 _BUILDERS: dict[str, Callable[[int], Problem]] = {
@@ -312,9 +278,10 @@ def registry(dims=STANDARD_DIMS, names=None) -> list[Problem]:
 class InstrumentedOracle:
     """Counts every objective/gradient evaluation issued for one run.
 
-    One oracle per (solver, problem) run; ``eval_fg`` charges one of each
-    counter. Non-finite results raise :class:`EvaluationError` after the
-    counters were charged, so failed trials still show up in NF/NG.
+    One oracle per (solver, problem) run; ``eval_fg`` makes one ``fg`` call and
+    charges one of each counter. Non-finite results raise
+    :class:`EvaluationError` after the counters were charged, so failed trials
+    still show up in NF/NG; :func:`specgrad.solver.minimize` mutes the warnings.
     """
 
     def __init__(self, prob: Problem):
@@ -325,9 +292,7 @@ class InstrumentedOracle:
     def eval_fg(self, x: Vector) -> tuple[float, Vector]:
         self.nf += 1
         self.ng += 1
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            val = self.problem.objective(x)
-            grad = self.problem.gradient(x)
+        val, grad = self.problem.fg(x)
         if not math.isfinite(val):
             raise EvaluationError(self.problem.name, x, "objective")
         if not np.isfinite(grad).all():

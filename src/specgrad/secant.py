@@ -44,7 +44,7 @@ class SecantParams:
     m: float = 3
 
     def __post_init__(self) -> None:
-        if not (math.isinf(self.m) or (self.m >= 3 and float(self.m).is_integer())):
+        if not (self.m == math.inf or (self.m >= 3 and float(self.m).is_integer())):
             raise ValueError(f"order m must be an integer >= 3 or infinity, got {self.m}")
 
     @property
@@ -125,13 +125,6 @@ def v_vector_m2(
     return y + c * s if mu_value > 0.0 else y.copy()
 
 
-def make_secant(
-    s: Vector, y: Vector, mu_value: float, params: SecantParams, C: float
-) -> SecantData:
-    t = t_coefficient(mu_value, dot(s, s), params.coefficient, C)
-    return SecantData(s=s, y=y, mu=mu_value, t=t, z=z_vector(y, s, t))
-
-
 def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1) -> float:
     """Diagnostic s^T H(x_new) s - s^T z^(m) with H probed by finite differences.
 
@@ -141,10 +134,8 @@ def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1
     curvature along s.
     """
     x_old = x_new - s
-    f_old = prob.objective(x_old)
-    f_new = prob.objective(x_new)
-    g_old = prob.gradient(x_old)
-    g_new = prob.gradient(x_new)
+    f_old, g_old = prob.fg(x_old)
+    f_new, g_new = prob.fg(x_new)
     s_norm_sq = dot(s, s)
     if not s_norm_sq > 0.0:
         raise DegenerateStepError("zero step in hessian_error")

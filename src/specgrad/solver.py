@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .directions import DirectionDiag, DirectionParams, next_direction
 from .linesearch import (
     ACCEPTED,
@@ -182,7 +184,10 @@ def _initial_alpha(k, gnorm_inf, alpha_prev, gd_prev, gd) -> float:
     return min(max(val, 1e-10), ALPHA_MAX)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize(problem: Problem, config: SolverConfig) -> RunResult:
+    """Run one solver from the problem's start.  Floating-point warnings are off
+    for the run: the oracle's finiteness checks catch an overflowing trial."""
     oracle = instrumented(problem)
     trace: list[IterationRecord] | None = [] if config.trace_level == "full" else None
     audit = AuditReport()

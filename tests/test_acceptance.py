@@ -81,9 +81,7 @@ def test_criterion_2_mu_quadratic_exactness():
 def test_criterion_3_secant_error_ordering():
     t0 = time.perf_counter()
     n = 5
-    cube = Problem(
-        "cube_sum", n, lambda x: float(np.sum(x**3)), lambda x: 3.0 * x * x, np.ones(n)
-    )
+    cube = Problem("cube_sum", n, lambda x: (float(np.sum(x**3)), 3.0 * x * x), np.ones(n))
     u = np.arange(1.0, n + 1.0)
     u /= np.linalg.norm(u)
     su3 = float(np.sum(u**3))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import specgrad.bench
 from specgrad.bench import (
     ProfileCurve,
     ResultRow,
@@ -54,6 +55,11 @@ class TestSolverSpec:
         with pytest.raises(ValueError):
             SolverSpec.parse("dk:q=2")
 
+    @pytest.mark.parametrize("text", ["scgmmwls:m=-inf", "m2:m=nan", "scgmmwls:m=2"])
+    def test_orders_no_config_accepts_rejected(self, text):
+        with pytest.raises(ValueError, match="order m"):
+            SolverSpec.parse(text)
+
 
 class TestRunSuite:
     def test_single_cell(self):
@@ -81,6 +87,23 @@ class TestRunSuite:
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ValueError):
             run_suite(["dk", "dk"], ["qf1"], dims=[10])
+
+    @pytest.mark.parametrize(
+        "solvers,names,dims,overrides,error",
+        [
+            (["dk"], ["qf1", "zzz"], [10], {}, KeyError),  # qf1 sorts first
+            (["dk"], ["arwhead", "qf1", "ext_rosenbrock"], [10, 11], {}, ValueError),
+            (["dk", "scgmmwls:m=3"], ["qf1"], [10], {"max_iter": -1}, ValueError),
+        ],
+    )
+    def test_bad_input_fails_before_any_run(
+        self, monkeypatch, solvers, names, dims, overrides, error
+    ):
+        runs = []
+        monkeypatch.setattr(specgrad.bench, "minimize", lambda p, cfg: runs.append(p.name))
+        with pytest.raises(error):
+            run_suite(solvers, names, dims, **overrides)
+        assert runs == []
 
 
 class TestRatios:

@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from specgrad.cli import main
 
 RUN_ARGS = [
@@ -115,3 +117,31 @@ class TestTrace:
         out = capsys.readouterr().out
         table_rows = [line for line in out.splitlines() if line.strip() and line.split()[0].isdigit()]
         assert len(table_rows) == 3
+
+
+class TestBadArguments:
+    """A bad argument is a usage error: exit 2 with one message, before any run."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--dims", "101", "--problems", "ext_rosenbrock"], "needs an even dimension"),
+            (["run", "--solvers", "foo"], "unknown method 'foo'"),
+            (["run", "--solvers", "scgmmwls:m=-inf"], "order m must be"),
+            (["run", "--max-iter", "-1"], "max_iter must be nonnegative"),
+            (["trace", "--problem", "nosuch"], "unknown problem 'nosuch'"),
+        ],
+    )
+    def test_exits_2_with_the_message_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        if argv[0] == "run":
+            argv = argv + ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert message in err_lines[-1] and err_lines[-1].startswith(f"bench {argv[0]}: error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists() and list(tmp_path.glob("**/results.*")) == []

@@ -16,7 +16,9 @@ from specgrad.directions import (
     theta_tilde,
 )
 from specgrad.linesearch import WolfeParams
-from specgrad.secant import SecantData, SecantParams, make_secant
+from specgrad.secant import SecantData, SecantParams
+
+from reference import make_secant
 
 PARAMS = DirectionParams(method="scgmmwls", eta=1e-3, tau=10.0)
 C_DEFAULT = WolfeParams().C  # 1/42, from the default (rho, sigma) = (0.18, 0.2)

@@ -25,7 +25,7 @@ def vec(*vals):
 
 
 def problem_1d(f, g, name="p1d"):
-    return Problem(name, 1, lambda x: float(f(x[0])), lambda x: np.array([g(x[0])]), np.ones(1))
+    return Problem(name, 1, lambda x: (float(f(x[0])), np.array([g(x[0])])), np.ones(1))
 
 
 PARAMS = WolfeParams(rho=0.18, sigma=0.2)

@@ -72,22 +72,19 @@ class TestInstrumented:
 
     def test_counter_contract_against_independent_tally(self):
         p = problem("engval1", 8)
-        calls = {"f": 0, "g": 0}
+        calls = 0
 
-        def counted_f(x):
-            calls["f"] += 1
-            return p.objective(x)
+        def counted_fg(x):
+            nonlocal calls
+            calls += 1
+            return p.fg(x)
 
-        def counted_g(x):
-            calls["g"] += 1
-            return p.gradient(x)
-
-        wrapped = type(p)(p.name, p.dim, counted_f, counted_g, p.start)
+        wrapped = type(p)(p.name, p.dim, counted_fg, p.start)
         oracle = instrumented(wrapped)
         rng = np.random.default_rng(2)
         for _ in range(25):
             oracle.eval_fg(p.start + 0.1 * rng.standard_normal(p.dim))
-        assert (oracle.nf, oracle.ng) == (calls["f"], calls["g"]) == (25, 25)
+        assert calls == oracle.nf == oracle.ng == 25
 
     def test_non_finite_objective_raises_with_context(self):
         p = problem("diagonal1", 4)
@@ -100,17 +97,17 @@ class TestInstrumented:
         assert (oracle.nf, oracle.ng) == (1, 1)  # failed trials still count
 
     @pytest.mark.parametrize(
-        "objective,gradient,what",
+        "fg,what",
         [
-            (lambda x: 1.0, lambda x: np.array([0.0, np.nan, 0.0]), "gradient"),
-            (lambda x: 1.0, lambda x: np.array([0.0, 0.0, -np.inf]), "gradient"),
-            (lambda x: float("inf"), lambda x: np.zeros(3), "objective"),
-            (lambda x: np.float64("-inf"), lambda x: np.zeros(3), "objective"),
-            (lambda x: np.float64("nan"), lambda x: np.zeros(3), "objective"),
+            (lambda x: (1.0, np.array([0.0, np.nan, 0.0])), "gradient"),
+            (lambda x: (1.0, np.array([0.0, 0.0, -np.inf])), "gradient"),
+            (lambda x: (float("inf"), np.zeros(3)), "objective"),
+            (lambda x: (np.float64("-inf"), np.zeros(3)), "objective"),
+            (lambda x: (np.float64("nan"), np.zeros(3)), "objective"),
         ],
     )
-    def test_eval_fg_rejects_non_finite_values_after_charging(self, objective, gradient, what):
-        oracle = instrumented(Problem("bad", 3, objective, gradient, np.zeros(3)))
+    def test_eval_fg_rejects_non_finite_values_after_charging(self, fg, what):
+        oracle = instrumented(Problem("bad", 3, fg, np.zeros(3)))
         with pytest.raises(EvaluationError, match=what) as err:
             oracle.eval_fg(np.zeros(3))
         assert err.value.problem_name == "bad"
@@ -128,7 +125,7 @@ class TestGradientCheck:
 
     def test_mutated_gradient_fails(self):
         p = problem("qf1", 20)
-        broken = type(p)(p.name, p.dim, p.objective, lambda x: 1.01 * p.gradient(x), p.start)
+        broken = type(p)(p.name, p.dim, lambda x: (p.objective(x), 1.01 * p.gradient(x)), p.start)
         assert not gradient_check(broken, [p.start], tol=1e-6).passed
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -204,6 +201,245 @@ REFERENCE_KERNELS = {
     "nondquar": _ref_nondquar,
 }
 KERNEL_RTOL = 1e-13
+
+
+# The split kernels: each family's objective and gradient as the two separate
+# closures ``fg`` replaced, copied unchanged.  ``fg`` only shares their common
+# terms, so it must reproduce them bit for bit.
+
+
+def _split_arwhead(n):
+    def f(x):
+        t = x[:-1] ** 2 + x[-1] ** 2
+        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0))
+
+    def g(x):
+        t = x[:-1] ** 2 + x[-1] ** 2
+        out = np.empty_like(x)
+        out[:-1] = 4.0 * x[:-1] * t - 4.0
+        out[-1] = 4.0 * x[-1] * np.sum(t)
+        return out
+
+    return f, g
+
+
+def _split_ext_rosenbrock(n):
+    def f(x):
+        u, v = x[0::2], x[1::2]
+        return float(np.sum(100.0 * (v - u * u) ** 2 + (1.0 - u) ** 2))
+
+    def g(x):
+        u, v = x[0::2], x[1::2]
+        r = v - u * u
+        out = np.empty_like(x)
+        out[0::2] = -400.0 * u * r - 2.0 * (1.0 - u)
+        out[1::2] = 200.0 * r
+        return out
+
+    return f, g
+
+
+def _split_ext_white_holst(n):
+    def f(x):
+        u, v = x[0::2], x[1::2]
+        return float(np.sum(100.0 * (v - u * u * u) ** 2 + (1.0 - u) ** 2))
+
+    def g(x):
+        u, v = x[0::2], x[1::2]
+        uu = u * u
+        r = v - uu * u
+        out = np.empty_like(x)
+        out[0::2] = -600.0 * uu * r - 2.0 * (1.0 - u)
+        out[1::2] = 200.0 * r
+        return out
+
+    return f, g
+
+
+def _split_ext_beale(n):
+    def f(x):
+        u, v = x[0::2], x[1::2]
+        vv = v * v
+        a = 1.5 - u * (1.0 - v)
+        b = 2.25 - u * (1.0 - vv)
+        c = 2.625 - u * (1.0 - vv * v)
+        return float(np.sum(a * a + b * b + c * c))
+
+    def g(x):
+        u, v = x[0::2], x[1::2]
+        vv = v * v
+        w1, w2, w3 = 1.0 - v, 1.0 - vv, 1.0 - vv * v
+        a = 1.5 - u * w1
+        b = 2.25 - u * w2
+        c = 2.625 - u * w3
+        out = np.empty_like(x)
+        out[0::2] = -2.0 * a * w1 - 2.0 * b * w2 - 2.0 * c * w3
+        out[1::2] = 2.0 * a * u + 4.0 * b * u * v + 6.0 * c * u * vv
+        return out
+
+    return f, g
+
+
+def _split_diagonal1(n):
+    idx = np.arange(1.0, n + 1.0)
+
+    def f(x):
+        return float(np.sum(np.exp(x) - idx * x))
+
+    def g(x):
+        return np.exp(x) - idx
+
+    return f, g
+
+
+def _split_raydan1(n):
+    w = np.arange(1.0, n + 1.0) / 10.0
+
+    def f(x):
+        return float(np.sum(w * (np.exp(x) - x)))
+
+    def g(x):
+        return w * (np.exp(x) - 1.0)
+
+    return f, g
+
+
+def _split_eg2(n):
+    def f(x):
+        return float(np.sum(np.sin(x[0] + x[:-1] ** 2 - 1.0)) + 0.5 * np.sin(x[-1] ** 2))
+
+    def g(x):
+        c = np.cos(x[0] + x[:-1] ** 2 - 1.0)
+        out = np.zeros_like(x)
+        out[: n - 1] = 2.0 * x[: n - 1] * c
+        out[0] += np.sum(c)
+        out[-1] += x[-1] * np.cos(x[-1] ** 2)
+        return out
+
+    return f, g
+
+
+def _split_engval1(n):
+    def f(x):
+        t = x[:-1] ** 2 + x[1:] ** 2
+        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0))
+
+    def g(x):
+        t = x[:-1] ** 2 + x[1:] ** 2
+        out = np.zeros_like(x)
+        out[:-1] += 4.0 * x[:-1] * t - 4.0
+        out[1:] += 4.0 * x[1:] * t
+        return out
+
+    return f, g
+
+
+def _split_fletchcr(n):
+    def f(x):
+        r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
+        return float(100.0 * np.sum(r * r))
+
+    def g(x):
+        r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
+        out = np.zeros_like(x)
+        out[:-1] += 200.0 * r * (-1.0 - 2.0 * x[:-1])
+        out[1:] += 200.0 * r
+        return out
+
+    return f, g
+
+
+def _split_nondquar(n):
+    def f(x):
+        q = x[: n - 2] + x[1 : n - 1] + x[-1]
+        qq = q * q
+        return float((x[0] - x[1]) ** 2 + (x[-2] + x[-1]) ** 2 + np.sum(qq * qq))
+
+    def g(x):
+        q = x[: n - 2] + x[1 : n - 1] + x[-1]
+        q3 = 4.0 * (q * q * q)
+        out = np.zeros_like(x)
+        out[: n - 2] += q3
+        out[1 : n - 1] += q3
+        out[-1] += np.sum(q3)
+        out[0] += 2.0 * (x[0] - x[1])
+        out[1] -= 2.0 * (x[0] - x[1])
+        out[-2] += 2.0 * (x[-2] + x[-1])
+        out[-1] += 2.0 * (x[-2] + x[-1])
+        return out
+
+    return f, g
+
+
+def _split_ext_himmelblau(n):
+    def f(x):
+        u, v = x[0::2], x[1::2]
+        a = u * u + v - 11.0
+        b = u + v * v - 7.0
+        return float(np.sum(a * a + b * b))
+
+    def g(x):
+        u, v = x[0::2], x[1::2]
+        a = u * u + v - 11.0
+        b = u + v * v - 7.0
+        out = np.empty_like(x)
+        out[0::2] = 4.0 * u * a + 2.0 * b
+        out[1::2] = 2.0 * a + 4.0 * v * b
+        return out
+
+    return f, g
+
+
+def _split_qf1(n):
+    idx = np.arange(1.0, n + 1.0)
+
+    def f(x):
+        return float(0.5 * np.sum(idx * x * x))
+
+    def g(x):
+        return idx * x
+
+    return f, g
+
+
+SPLIT_KERNELS = {
+    "arwhead": _split_arwhead,
+    "ext_rosenbrock": _split_ext_rosenbrock,
+    "ext_white_holst": _split_ext_white_holst,
+    "ext_beale": _split_ext_beale,
+    "diagonal1": _split_diagonal1,
+    "raydan1": _split_raydan1,
+    "eg2": _split_eg2,
+    "engval1": _split_engval1,
+    "fletchcr": _split_fletchcr,
+    "nondquar": _split_nondquar,
+    "ext_himmelblau": _split_ext_himmelblau,
+    "qf1": _split_qf1,
+}
+
+
+class TestFusedKernels:
+    def test_every_family_has_a_split_reference(self):
+        assert sorted(SPLIT_KERNELS) == sorted(ALL_NAMES)
+
+    @pytest.mark.parametrize("dim", [10, 1000])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_fg_equals_the_split_kernels_bit_for_bit(self, name, dim):
+        p = problem(name, dim)
+        f_ref, g_ref = SPLIT_KERNELS[name](dim)
+        for x in check_points(p):
+            f, g = p.fg(x)
+            assert type(f) is float
+            assert f == f_ref(x)
+            assert g.dtype == np.float64 and g.shape == x.shape
+            assert np.array_equal(g, g_ref(x))
+
+    def test_objective_and_gradient_are_the_fg_pair(self):
+        p = problem("eg2", 10)
+        x = check_points(p)[1]
+        f, g = p.fg(x)
+        assert p.objective(x) == f
+        assert np.array_equal(p.gradient(x), g)
 
 
 def _assert_matches_reference(p, x):

@@ -148,8 +148,7 @@ class TestDotCounts:
         prob = Problem(
             "walled",
             1,
-            lambda x: float(x[0] * x[0]) if abs(x[0]) < 2.0 else math.inf,
-            lambda x: 2.0 * x,
+            lambda x: (float(x[0] * x[0]) if abs(x[0]) < 2.0 else math.inf, 2.0 * x),
             np.ones(1),
         )
         x, g, d = np.ones(1), np.array([2.0]), np.array([-2.0])

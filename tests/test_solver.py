@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestConfig:
         cfg = default_config("scgmmwls", rho=0.1, sigma=0.9)
         C = (0.9 - 0.1) / (1.0 - 2.0 * 0.1 + 0.9)
         assert cfg.wolfe.C == C
-        cube = Problem("cube", 1, lambda x: float(x[0] ** 3), lambda x: 3.0 * x * x, np.ones(1))
+        cube = Problem("cube", 1, lambda x: (float(x[0] ** 3), 3.0 * x * x), np.ones(1))
         x, g, d = np.ones(1), np.array([3.0]), np.array([-1.0])
         sp = cfg.direction.secant
         out = modified_wolfe(instrumented(cube), x, 1.0, g, d, cfg.wolfe, sp, 1.0)
@@ -95,7 +96,7 @@ class TestMinimize:
         assert res.ni <= 10 * sd_ni
 
     def test_constant_function_converges_immediately(self):
-        p = Problem("const", 3, lambda x: 42.0, lambda x: np.zeros(3), np.ones(3))
+        p = Problem("const", 3, lambda x: (42.0, np.zeros(3)), np.ones(3))
         res = minimize(p, default_config("scgmmwls"))
         assert res.status == CONVERGED
         assert (res.ni, res.nf, res.ng) == (0, 1, 1)
@@ -107,13 +108,13 @@ class TestMinimize:
         assert res.ni == 0
 
     def test_eval_error_at_start(self):
-        p = Problem("bad", 2, lambda x: math.inf, lambda x: np.zeros(2), np.ones(2))
+        p = Problem("bad", 2, lambda x: (math.inf, np.zeros(2)), np.ones(2))
         res = minimize(p, default_config("scgmmwls"))
         assert res.status == EVAL_ERROR
         assert (res.ni, res.nf, res.ng) == (0, 1, 1)
 
     def test_linear_objective_reports_linesearch_failure(self):
-        p = Problem("lin", 2, lambda x: float(-x.sum()), lambda x: -np.ones(2), np.zeros(2))
+        p = Problem("lin", 2, lambda x: (float(-x.sum()), -np.ones(2)), np.zeros(2))
         res = minimize(p, default_config("scgmmwls"))
         assert res.status == LINESEARCH_FAILURE
         assert res.ni == 0
@@ -149,20 +150,17 @@ class TestMinimize:
 
     def test_counters_match_independent_tally(self):
         p = problem("qf1", 8)
-        calls = {"f": 0, "g": 0}
+        calls = 0
 
-        def f(x):
-            calls["f"] += 1
-            return p.objective(x)
+        def fg(x):
+            nonlocal calls
+            calls += 1
+            return p.fg(x)
 
-        def g(x):
-            calls["g"] += 1
-            return p.gradient(x)
-
-        wrapped = Problem(p.name, p.dim, f, g, p.start, p.lipschitz_hint)
+        wrapped = Problem(p.name, p.dim, fg, p.start, p.lipschitz_hint)
         res = minimize(wrapped, default_config("scgmmwls"))
         assert res.status == CONVERGED
-        assert (res.nf, res.ng) == (calls["f"], calls["g"])
+        assert res.nf == res.ng == calls
 
     def test_run_result_invariants(self):
         res = minimize(problem("engval1", 30), default_config("scgmmwls"))
@@ -187,13 +185,12 @@ class TestMinimize:
     @pytest.mark.parametrize("c", [1e-3, 1e3])
     def test_invariants_hold_under_objective_scaling(self, c):
         base = problem("ext_rosenbrock", 10)
-        scaled = Problem(
-            f"scaled_{c}",
-            base.dim,
-            lambda x: c * base.objective(x),
-            lambda x: c * base.gradient(x),
-            base.start,
-        )
+
+        def fg(x):
+            f, g = base.fg(x)
+            return c * f, c * g
+
+        scaled = Problem(f"scaled_{c}", base.dim, fg, base.start)
         res = minimize(scaled, default_config("scgmmwls", m=3))
         assert res.status != EVAL_ERROR
         assert res.audit.clean
@@ -217,13 +214,7 @@ class TestMuTrace:
 
     def test_quartic_first_mu_matches_independent_evaluation(self):
         n = 6
-        p = Problem(
-            "quartic",
-            n,
-            lambda x: float(np.sum(x**4)),
-            lambda x: 4.0 * x**3,
-            np.ones(n),
-        )
+        p = Problem("quartic", n, lambda x: (float(np.sum(x**4)), 4.0 * x**3), np.ones(n))
         cfg = default_config("scgmmwls", m=3, max_iter=1, trace_level="full")
         res = minimize(p, cfg)
         rec = res.trace[0]
@@ -252,3 +243,29 @@ class TestAudit:
         assert res.audit.steps == res.ni > 0
         assert res.audit.clean
         assert res.audit.zoutendijk == []  # collected only with trace_level="full"
+
+
+class TestFloatingPointState:
+    @pytest.mark.parametrize("method", ["scgmmwls", "dk"])
+    def test_an_overflowing_trial_warns_nothing_and_keeps_the_status(self, method):
+        # f = x^2 + exp(800 (x + 0.4)) from x = -0.5: the first trial, a unit
+        # step to x = 0.5, overflows exp; the search backs off and converges.
+        overflows = 0
+
+        def fg(x):
+            nonlocal overflows
+            e = np.exp(800.0 * (x + 0.4))
+            f = float(np.sum(x * x + e))
+            overflows += not math.isfinite(f)
+            return f, 2.0 * x + 800.0 * e
+
+        prob = Problem("wall", 1, fg, np.array([-0.5]))
+        cfg = default_config(method)
+        quiet = minimize(prob, cfg)
+        assert overflows == 1 and quiet.status == CONVERGED
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = minimize(prob, cfg)
+        assert overflows == 2
+        assert (strict.status, strict.ni, strict.nf) == (quiet.status, quiet.ni, quiet.nf)
+        assert np.geterr()["over"] == "warn"  # the run's error state ends with it
