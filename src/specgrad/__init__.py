@@ -16,12 +16,11 @@ from .linesearch import LineSearchOutcome, WolfeParams, modified_wolfe, standard
 from .numkit import FiniteDifferenceSpec, fd_gradient, fd_hessian_action
 from .problems import (
     EvaluationError,
+    InstrumentedOracle,
     Problem,
     family_names,
     gradient_check,
-    instrumented,
     problem,
-    registry,
 )
 from .secant import SecantData, SecantParams
 from .solver import RunResult, SolverConfig, default_config, minimize
@@ -31,6 +30,7 @@ __all__ = [
     "DirectionParams",
     "EvaluationError",
     "FiniteDifferenceSpec",
+    "InstrumentedOracle",
     "LineSearchOutcome",
     "Problem",
     "ProfileCurve",
@@ -48,14 +48,12 @@ __all__ = [
     "fd_gradient",
     "fd_hessian_action",
     "gradient_check",
-    "instrumented",
     "load_results",
     "minimize",
     "modified_wolfe",
     "performance_profile",
     "performance_ratios",
     "problem",
-    "registry",
     "run_suite",
     "standard_wolfe",
 ]

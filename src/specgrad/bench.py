@@ -7,8 +7,9 @@ the largest finite ratio in the table.  Profiles are the cumulative fraction
 of problems solved within a factor tau of the best solver, evaluated on a
 shared tau grid.
 
-Results and profile tables are emitted as CSV (floats at 17 significant
-digits) and as a JSON mirror under the keys ``results`` and ``profiles``.
+One :func:`emit` call writes every file of a command: the results and
+profile tables as CSV (floats at 17 significant digits), their JSON mirror
+under the keys ``results`` and ``profiles``, and the exclusion list.
 Cells run one after another in sorted (solver, problem, dim) order; a thread
 pool only made suites slower, since the solver holds the GIL.
 """
@@ -27,6 +28,9 @@ from .secant import SecantParams
 from .solver import CONVERGED, EVAL_ERROR, RunResult, default_config, minimize
 
 METRICS = ("ni", "nf", "ng")
+# The direction methods whose solver id carries a secant order (``scgmmwls:m=3``).
+ORDER_METHODS = ("scgmmwls", "m2")
+RESULT_FIELDS = ("solver", "problem", "dim", "status", "ni", "nf", "ng", "f_final", "gnorm_inf")
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,7 @@ class SolverSpec:
 
     @property
     def label(self) -> str:
-        if self.method in ("scgmmwls", "m2"):
+        if self.method in ORDER_METHODS:
             return f"{self.method}:m={self.m:g}"
         return self.method
 
@@ -46,16 +50,20 @@ class SolverSpec:
     def parse(cls, text: str) -> "SolverSpec":
         """Parse ids like ``dk``, ``jian``, ``scgmmwls:m=3`` or ``m2:m=inf``."""
         name, _, opts = text.strip().partition(":")
+        name = name.strip().lower()
         m = 3.0
         if opts:
             key, _, value = opts.partition("=")
             if key.strip() != "m":
                 raise ValueError(f"unknown solver option '{opts}' in '{text}'")
+            if name not in ORDER_METHODS:
+                valid = " and ".join(ORDER_METHODS)
+                raise ValueError(f"an order suffix is only valid on {valid}, got '{text}'")
             m = math.inf if value.strip() in ("inf", "infinity") else float(value)
         if math.isfinite(m) and m == int(m):
             m = int(m)
         SecantParams(m=m)  # the order check every config makes: ValueError here, before any run
-        return cls(method=name.strip().lower(), m=m)
+        return cls(method=name, m=m)
 
     def config(self, **overrides):
         return default_config(method=self.method, m=self.m, **overrides)
@@ -185,80 +193,51 @@ def performance_profile(ratio_set: RatioSet, grid=None) -> list[ProfileCurve]:
     return curves
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _csv_line(values) -> str:
+    return ",".join("%.17g" % v if isinstance(v, float) else str(v) for v in values)
 
 
 def _result_record(row: ResultRow) -> dict:
-    return {
-        "solver": row.solver,
-        "problem": row.problem,
-        "dim": row.dim,
-        "status": row.result.status,
-        "ni": row.result.ni,
-        "nf": row.result.nf,
-        "ng": row.result.ng,
-        "f_final": row.result.f_final,
-        "gnorm_inf": row.result.gnorm_inf_final,
-    }
+    r = row.result
+    values = (
+        row.solver, row.problem, row.dim, r.status, r.ni, r.nf, r.ng, r.f_final, r.gnorm_inf_final
+    )
+    return dict(zip(RESULT_FIELDS, values))
 
 
-def _group_curves(curves: list[ProfileCurve] | None) -> dict[str, list[ProfileCurve]]:
+def emit(table: ResultTable, prefix, *, curves=None, excluded=None) -> list[Path]:
+    """Write every file of one ``bench`` command under ``prefix``.
+
+    ``results.csv`` and ``results.json`` are always written.  ``curves``, the
+    :class:`ProfileCurve` list of every profiled metric, adds one
+    ``profile_<METRIC>.csv`` per metric and the same tables under the JSON key
+    ``profiles``.  ``excluded``, a list of ``(METRIC, problem)`` pairs, adds
+    ``excluded.csv``, header-only when the list is empty.
+    """
+    prefix = Path(prefix)
+    records = [_result_record(row) for row in table.rows]
+    tables = {"results": (RESULT_FIELDS, [r.values() for r in records])}
     grouped: dict[str, list[ProfileCurve]] = {}
     for c in curves or ():
         grouped.setdefault(c.metric.upper(), []).append(c)
-    return grouped
-
-
-def emit(table: ResultTable, curves: list[ProfileCurve] | None, fmt: str, prefix) -> list[Path]:
-    """Write ``results`` and ``profile_<METRIC>`` files under ``prefix``.
-
-    ``curves`` is ``None`` to emit results only, or the list of
-    :class:`ProfileCurve` of every profiled metric; each metric present gets
-    one profile table.
-    """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got '{fmt}'")
-    prefix = Path(prefix)
+    profiles = {}
+    for metric, mc in sorted(grouped.items()):
+        tau = [p[0] for p in mc[0].points]
+        solvers = {c.solver: [p[1] for p in c.points] for c in mc}
+        profiles[metric] = {"tau": tau, "solvers": solvers}
+        tables[f"profile_{metric}"] = (["tau", *solvers], zip(tau, *solvers.values()))
+    if excluded is not None:
+        tables["excluded"] = (("metric", "problem"), excluded)
     try:
         prefix.mkdir(parents=True, exist_ok=True)
-        grouped = _group_curves(curves)
-        written: list[Path] = []
-        if fmt == "csv":
-            path = prefix / "results.csv"
-            lines = ["solver,problem,dim,status,ni,nf,ng,f_final,gnorm_inf"]
-            for row in table.rows:
-                r = row.result
-                lines.append(
-                    f"{row.solver},{row.problem},{row.dim},{r.status},"
-                    f"{r.ni},{r.nf},{r.ng},{_fmt(r.f_final)},{_fmt(r.gnorm_inf_final)}"
-                )
-            path.write_text("\n".join(lines) + "\n")
+        written = []
+        for name, (header, rows) in tables.items():
+            path = prefix / f"{name}.csv"
+            path.write_text("\n".join([",".join(header)] + [_csv_line(r) for r in rows]) + "\n")
             written.append(path)
-            for metric, metric_curves in sorted(grouped.items()):
-                path = prefix / f"profile_{metric}.csv"
-                solvers = [c.solver for c in metric_curves]
-                lines = [",".join(["tau"] + solvers)]
-                for i, (tau, _) in enumerate(metric_curves[0].points):
-                    vals = [_fmt(tau)] + [_fmt(c.points[i][1]) for c in metric_curves]
-                    lines.append(",".join(vals))
-                path.write_text("\n".join(lines) + "\n")
-                written.append(path)
-        else:
-            doc = {
-                "results": [_result_record(row) for row in table.rows],
-                "profiles": {
-                    metric: {
-                        "tau": [p[0] for p in mc[0].points],
-                        "solvers": {c.solver: [p[1] for p in c.points] for c in mc},
-                    }
-                    for metric, mc in sorted(grouped.items())
-                },
-            }
-            path = prefix / "results.json"
-            path.write_text(json.dumps(doc, indent=1) + "\n")
-            written.append(path)
-        return written
+        path = prefix / "results.json"
+        path.write_text(json.dumps({"results": records, "profiles": profiles}, indent=1) + "\n")
+        return written + [path]
     except OSError as exc:
         raise OSError(f"while writing benchmark output under '{prefix}': {exc}") from exc
 

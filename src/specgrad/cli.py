@@ -8,8 +8,9 @@ Subcommands:
 * ``bench trace``    print the per-iteration mu table for one run
 
 Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
-solver id, option, problem name or dimension no run could use), found
-before any run starts.
+solver id, option, problem name or dimension no run could use, or a
+``profile --in`` directory without a readable ``results.json``), found
+before any run starts or any file is written.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ def _cmd_run(args, parser) -> int:
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0])  # a KeyError's str() would add quotes
     table = run_suite(solvers, names, dims, **options)
-    emit(table, None, "csv", args.out)
-    emit(table, None, "json", args.out)
+    emit(table, args.out)
     for row in table.rows:
         r = row.result
         print(
@@ -71,27 +71,26 @@ def _cmd_run(args, parser) -> int:
 
 
 def _cmd_profile(args, parser) -> int:
-    table = load_results(args.in_dir)
+    try:
+        table = load_results(args.in_dir)
+    except OSError as exc:
+        parser.error(str(exc))
     metrics = list(METRICS) if args.metric == "all" else [args.metric]
-    curves = []
-    excluded_lines = []
+    curves, excluded = [], []
     for metric in metrics:
         ratio_set = performance_ratios(table, metric)
         metric_curves = performance_profile(ratio_set)
         curves.extend(metric_curves)
         if ratio_set.excluded:
             print(f"[{metric}] excluded (no solver succeeded): {', '.join(ratio_set.excluded)}")
-            excluded_lines.extend(f"{metric.upper()},{p}\n" for p in ratio_set.excluded)
+            excluded.extend((metric.upper(), p) for p in ratio_set.excluded)
         # Every profile grid starts at tau = 1, so point 0 is rho(1).
         for c in metric_curves:
             print(f"[{metric}] rho(1) {c.solver} = {c.points[0][1]:.3f}")
-    emit(table, curves, "csv", args.out)
-    emit(table, curves, "json", args.out)
-    # Written on every run, header-only when nothing is excluded, so a reused
-    # --out never keeps an earlier run's list.
-    path = Path(args.out) / "excluded.csv"
-    path.write_text("metric,problem\n" + "".join(excluded_lines))
-    print(f"wrote exclusion report ({len(excluded_lines)} entries) to {path}")
+    # excluded.csv is written even when empty, so a reused --out never keeps
+    # an earlier run's list.
+    emit(table, args.out, curves=curves, excluded=excluded)
+    print(f"wrote exclusion report ({len(excluded)} entries) to {Path(args.out) / 'excluded.csv'}")
     print(f"wrote profiles for metrics {', '.join(m.upper() for m in metrics)} to {args.out}")
     return 1 if had_eval_error(table) else 0
 

@@ -14,9 +14,9 @@ they restart the direction at -g_new and are flagged in the diagnostics.
 
 Each formula is written once, over scalars.  Let w be the secant vector the
 method uses: z = y + t s (scgmmwls), v = y + c s with c = m2_coefficient
-(m2), or y (dk, jian; c = 0).  The vector-level functions (``beta_m``,
-``theta_tilde``, ``next_direction_<method>``) take every scalar with ``dot``
-from their vectors, for any s.  The solver's :func:`next_direction` uses
+(m2), or y (dk, jian; c = 0).  The vector forms, which take every scalar
+with ``dot`` from their vectors for any s, are test reference code
+(``tests/reference.py``).  The solver's :func:`next_direction` uses
 s = alpha d and takes the line search's dot products (:class:`StepSlopes`):
 
     g_old^T d, g_new^T d, d^T d      from the search
@@ -88,21 +88,10 @@ def _beta_m(gd_old, gd_new, dd, dw, gw, ww) -> tuple[float, bool]:
     return beta_r, True
 
 
-def beta_m(g_new: Vector, g_old: Vector, d: Vector, z: Vector) -> tuple[float, bool]:
-    """max(beta_L, beta_R); the flag reports whether the beta_R branch won."""
-    return _beta_m(dot(g_old, d), dot(g_new, d), dot(d, d), dot(d, z), dot(g_new, z), dot(z, z))
-
-
 def _theta_tilde(sg, dw, gg, gw, ww, beta) -> float:
     if abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww):
         raise DegenerateSpectralError(f"g_new^T z = {gw}")
     return (sg + beta * dw) / gw
-
-
-def theta_tilde(g_new: Vector, s: Vector, d: Vector, z: Vector, beta: float) -> float:
-    return _theta_tilde(
-        dot(s, g_new), dot(d, z), dot(g_new, g_new), dot(g_new, z), dot(z, z), beta
-    )
 
 
 def theta_bar(theta_t: float, params: DirectionParams) -> float:
@@ -117,12 +106,6 @@ def _restart(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]
     diag.theta = 1.0
     diag.restart = True
     return -g_new.copy(), diag
-
-
-def _raw_scalars(g_new, prev_d, prev_g, s, w):
-    """(g_old^T d, g_new^T d, d^T d, s^T g_new, d^T w) from vectors; s is arbitrary."""
-    gd_old, gd_new, dd = dot(prev_g, prev_d), dot(g_new, prev_d), dot(prev_d, prev_d)
-    return gd_old, gd_new, dd, dot(s, g_new), dot(prev_d, w)
 
 
 def _step_scalars(slopes: StepSlopes, c: float):
@@ -181,46 +164,12 @@ def _dk_direction(g_new, prev_d, y, gd_new, dd, sg, dy, params, spectral):
     return _restart(g_new, diag)
 
 
-def next_direction_scgmmwls(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, secant: SecantData, params: DirectionParams
-) -> tuple[Vector, DirectionDiag]:
-    scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, secant.z)
-    return _spectral_direction(g_new, prev_d, secant.z, *scalars, params)
-
-
-def next_direction_m2(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, secant: SecantData, params: DirectionParams
-) -> tuple[Vector, DirectionDiag]:
-    v = v_vector_m2(secant.y, secant.s, secant.mu, params.secant.m)
-    scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, v)
-    return _spectral_direction(g_new, prev_d, v, *scalars, params)
-
-
-def next_direction_dk(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, y: Vector
-) -> tuple[Vector, DirectionDiag]:
-    gd_new, dd, dy = dot(g_new, prev_d), dot(prev_d, prev_d), dot(prev_d, y)
-    return _dk_direction(g_new, prev_d, y, gd_new, dd, 0.0, dy, None, spectral=False)
-
-
-def next_direction_jian(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, y: Vector, s: Vector, params: DirectionParams
-) -> tuple[Vector, DirectionDiag]:
-    gd_new, dd, dy = dot(g_new, prev_d), dot(prev_d, prev_d), dot(prev_d, y)
-    return _dk_direction(g_new, prev_d, y, gd_new, dd, dot(s, g_new), dy, params, spectral=True)
-
-
 def next_direction(
-    g_new: Vector,
-    prev_d: Vector,
-    prev_g: Vector,
-    secant: SecantData,
-    params: DirectionParams,
-    slopes: StepSlopes,
+    g_new: Vector, prev_d: Vector, secant: SecantData, params: DirectionParams, slopes: StepSlopes
 ) -> tuple[Vector, DirectionDiag]:
     """The configured strategy for the accepted step s = alpha d, from the line search's scalars.
 
-    Gives the same direction as the matching ``next_direction_<method>``
+    Gives the same direction as the matching vector form (``tests/reference.py``)
     up to rounding, with at most four dot products.
     """
     method = params.method

@@ -195,7 +195,9 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
 def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
     if gd0 is None:
         gd0 = dot(g, d)
-    if not gd0 < 0.0:
+    # A slope of -inf (g^T d overflowed) puts Armijo's right side at -inf: no
+    # trial could pass, so the search ends here like an ascent direction.
+    if not -math.inf < gd0 < 0.0:
         return LineSearchOutcome(0.0, None, f, None, None, DEGENERATE_DIRECTION, 0)
     dd = dot(d, d)
     coefficient, C = secant_params.coefficient, params.C

@@ -246,8 +246,6 @@ _BUILDERS: dict[str, Callable[[int], Problem]] = {
 
 _EVEN_DIM = {"ext_rosenbrock", "ext_white_holst", "ext_beale", "ext_himmelblau"}
 
-STANDARD_DIMS = (100, 1000, 10000)
-
 
 def family_names() -> list[str]:
     return list(_BUILDERS)
@@ -267,12 +265,6 @@ def problem(name: str, dim: int) -> Problem:
     if key in _EVEN_DIM and dim % 2 != 0:
         raise ValueError(f"problem '{key}' needs an even dimension, got {dim}")
     return _BUILDERS[key](dim)
-
-
-def registry(dims=STANDARD_DIMS, names=None) -> list[Problem]:
-    """All registered problems instantiated at each requested dimension."""
-    names = family_names() if names is None else list(names)
-    return [problem(name, d) for name in names for d in dims]
 
 
 class InstrumentedOracle:
@@ -298,10 +290,6 @@ class InstrumentedOracle:
         if not np.isfinite(grad).all():
             raise EvaluationError(self.problem.name, x, "gradient")
         return val, grad
-
-
-def instrumented(prob: Problem) -> InstrumentedOracle:
-    return InstrumentedOracle(prob)
 
 
 @dataclass

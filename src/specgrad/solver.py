@@ -27,7 +27,7 @@ from .linesearch import (
     verify_accepted_step,
 )
 from .numkit import Vector, dot, norm_inf
-from .problems import EvaluationError, Problem, instrumented
+from .problems import EvaluationError, InstrumentedOracle, Problem
 from .secant import SecantParams
 
 CONVERGED = "converged"
@@ -188,7 +188,7 @@ def _initial_alpha(k, gnorm_inf, alpha_prev, gd_prev, gd) -> float:
 def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     """Run one solver from the problem's start.  Floating-point warnings are off
     for the run: the oracle's finiteness checks catch an overflowing trial."""
-    oracle = instrumented(problem)
+    oracle = InstrumentedOracle(problem)
     trace: list[IterationRecord] | None = [] if config.trace_level == "full" else None
     audit = AuditReport()
     method = config.direction.method
@@ -226,9 +226,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             audit.zoutendijk.append(gd * gd / outcome.slopes.dd)
 
         g_new = outcome.g_new
-        d_new, diag = next_direction(
-            g_new, d, g, outcome.secant, config.direction, outcome.slopes
-        )
+        d_new, diag = next_direction(g_new, d, outcome.secant, config.direction, outcome.slopes)
         if spectral:
             audit.check_direction(g_new, d_new, diag, config.direction)
 

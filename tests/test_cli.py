@@ -128,6 +128,7 @@ class TestBadArguments:
             (["run", "--dims", "101", "--problems", "ext_rosenbrock"], "needs an even dimension"),
             (["run", "--solvers", "foo"], "unknown method 'foo'"),
             (["run", "--solvers", "scgmmwls:m=-inf"], "order m must be"),
+            (["run", "--solvers", "dk:m=5,dk"], "order suffix is only valid on scgmmwls and m2"),
             (["run", "--max-iter", "-1"], "max_iter must be nonnegative"),
             (["trace", "--problem", "nosuch"], "unknown problem 'nosuch'"),
         ],
@@ -145,3 +146,18 @@ class TestBadArguments:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists() and list(tmp_path.glob("**/results.*")) == []
+
+    @pytest.mark.parametrize("make_input", [lambda d: None, lambda d: (d / "results.json").mkdir()])
+    def test_profile_without_readable_results_exits_2(self, tmp_path, capsys, make_input):
+        in_dir, out = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        make_input(in_dir)
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--in", str(in_dir), "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert err_lines[-1].startswith("bench profile: error:") and "results.json" in err_lines[-1]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()

@@ -7,18 +7,20 @@ from specgrad.directions import (
     DegenerateCurvatureError,
     DegenerateSpectralError,
     DirectionParams,
-    beta_m,
-    next_direction_dk,
-    next_direction_jian,
-    next_direction_m2,
-    next_direction_scgmmwls,
     theta_bar,
-    theta_tilde,
 )
 from specgrad.linesearch import WolfeParams
 from specgrad.secant import SecantData, SecantParams
 
-from reference import make_secant
+from reference import (
+    beta_m,
+    make_secant,
+    next_direction_dk,
+    next_direction_jian,
+    next_direction_m2,
+    next_direction_scgmmwls,
+    theta_tilde,
+)
 
 PARAMS = DirectionParams(method="scgmmwls", eta=1e-3, tau=10.0)
 C_DEFAULT = WolfeParams().C  # 1/42, from the default (rho, sigma) = (0.18, 0.2)

@@ -16,7 +16,7 @@ from specgrad.linesearch import (
     verify_accepted_step,
 )
 from specgrad.numkit import dot, norm_inf
-from specgrad.problems import Problem, instrumented, problem
+from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.secant import SecantParams, mu, t_coefficient, z_vector
 
 
@@ -49,35 +49,43 @@ class TestStandardWolfe:
     def test_quadratic_acceptance_interval(self):
         # f = x^2 at x = 1 with d = -2: Armijo allows alpha <= 0.82, curvature
         # needs alpha >= 0.4.
-        oracle = instrumented(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
+        oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
         out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, SP, alpha0=1.0)
         assert out.status == ACCEPTED
         assert 0.4 - 1e-9 <= out.alpha <= 0.82 + 1e-9
         assert out.nf_used <= 10
 
     def test_exact_minimizer_accepted_first(self):
-        oracle = instrumented(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
+        oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
         out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, SP, alpha0=0.5)
         assert out.status == ACCEPTED
         assert out.alpha == 0.5
         assert out.nf_used == 1
 
     def test_zero_slope_is_degenerate(self):
-        oracle = instrumented(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
+        oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
         out = standard_wolfe(oracle, vec(0.0), 0.0, vec(0.0), vec(1.0), PARAMS, SP, alpha0=1.0)
         assert out.status == DEGENERATE_DIRECTION
         assert out.nf_used == 0
 
+    @pytest.mark.parametrize("search", [standard_wolfe, modified_wolfe])
+    def test_infinite_slope_is_degenerate(self, search):
+        oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
+        # g^T d of g = 1e200, d = -1e200 overflows to -inf
+        out = search(oracle, vec(0.5), 0.25, vec(1e200), vec(-1e200), PARAMS, SP, 1.0, gd=-np.inf)
+        assert out.status == DEGENERATE_DIRECTION
+        assert out.nf_used == oracle.nf == 0
+
     def test_linear_objective_exhausts_trials(self):
         # phi' is constant, the curvature condition never holds.
-        oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
+        oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
         out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, SP, alpha0=1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
 
     def test_expansion_stops_at_alpha_max(self):
         # Every trial on f = -x passes Armijo and points downhill, so the
         # search doubles 1, 2, ..., 2**19 and then tries ALPHA_MAX once.
-        oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
+        oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
         out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, SP, alpha0=1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
         assert out.nf_used == oracle.nf == 21 < MAX_TRIALS
@@ -87,7 +95,7 @@ class TestModifiedWolfe:
     def test_negative_mu_rejects_short_step(self):
         # f = x^3 at x = 1, d = -1: the trial alpha = 0.5 has mu = -0.125 and
         # fails the corrected curvature test, so the engine must move on.
-        oracle = instrumented(problem_1d(lambda x: x**3, lambda x: 3.0 * x * x))
+        oracle = InstrumentedOracle(problem_1d(lambda x: x**3, lambda x: 3.0 * x * x))
         sp = SecantParams(m=3)
         out = modified_wolfe(oracle, vec(1.0), 1.0, vec(3.0), vec(-1.0), PARAMS, sp, alpha0=0.5)
         assert out.status == ACCEPTED
@@ -97,7 +105,7 @@ class TestModifiedWolfe:
 
     def test_accepted_step_carries_secant_bundle(self):
         p = problem("ext_rosenbrock", 10)
-        oracle = instrumented(p)
+        oracle = InstrumentedOracle(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
         sp = SecantParams(m=3)
@@ -112,14 +120,14 @@ class TestModifiedWolfe:
 
     def test_degenerate_direction(self):
         p = problem("qf1", 4)
-        oracle = instrumented(p)
+        oracle = InstrumentedOracle(p)
         g = p.gradient(p.start)
         sp = SecantParams(m=3)
         out = modified_wolfe(oracle, p.start, 1.0, g, g, PARAMS, sp, alpha0=1.0)  # ascent
         assert out.status == DEGENERATE_DIRECTION
 
     def test_alpha_underflow_reports_failure(self):
-        oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
+        oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
         sp = SecantParams(m=3)
         out = modified_wolfe(
             oracle, vec(0.0), 0.0, vec(-1.0), vec(1e-200), PARAMS, sp, alpha0=5e-124
@@ -129,7 +137,7 @@ class TestModifiedWolfe:
     def test_reduction_to_standard_on_dyadic_quadratic(self):
         # mu evaluates to exactly 0 on a dyadic quadratic state, so both
         # searches walk identical trial sequences and accept the same alpha.
-        make = lambda: instrumented(problem_1d(lambda x: 0.5 * x * x, lambda x: x))
+        make = lambda: InstrumentedOracle(problem_1d(lambda x: 0.5 * x * x, lambda x: x))
         sp = SecantParams(m=3)
         a = standard_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, sp, 0.25)
         b = modified_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, sp, 0.25)
@@ -142,8 +150,8 @@ class TestModifiedWolfe:
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
         sp = SecantParams(m=3)
-        a = standard_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 0.2)
-        b = modified_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 0.2)
+        a = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 0.2)
+        b = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 0.2)
         assert a.status == b.status == ACCEPTED
         assert a.alpha == b.alpha
         assert a.nf_used == b.nf_used
@@ -152,7 +160,7 @@ class TestModifiedWolfe:
 class TestAccounting:
     def test_counts_match_oracle_deltas(self):
         p = problem("ext_beale", 8)
-        oracle = instrumented(p)
+        oracle = InstrumentedOracle(p)
         f, g = oracle.eval_fg(p.start)
         before = (oracle.nf, oracle.ng)
         out = modified_wolfe(oracle, p.start, f, g, -g, PARAMS, SP, alpha0=1.0 / norm_inf(g))
@@ -183,9 +191,9 @@ class TestAcceptedBundleOnly:
         d = -g
         sp = SecantParams(m=3)
         if modified:
-            out = modified_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 1.0)
+            out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 1.0)
         else:
-            out = standard_wolfe(instrumented(p), p.start, f, g, d, PARAMS, sp, 1.0)
+            out = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 1.0)
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert len(z_calls) == 1
@@ -217,7 +225,7 @@ class TestAcceptedBundleOnly:
 
     @pytest.mark.parametrize("modified", [True, False])
     def test_failed_search_builds_no_bundle(self, z_calls, modified):
-        oracle = instrumented(problem_1d(lambda x: -x, lambda x: -1.0))
+        oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
         sp = SecantParams(m=3)
         if modified:
             out = modified_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, sp, 1.0)
@@ -232,7 +240,7 @@ class TestAcceptedBundleOnly:
 class TestVerifier:
     def test_accepted_modified_step_verifies(self):
         p = problem("qf1", 30)
-        oracle = instrumented(p)
+        oracle = InstrumentedOracle(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
         sp = SecantParams(m=3)
@@ -248,7 +256,7 @@ class TestVerifier:
 
     def test_armijo_invariant_tolerance(self):
         p = problem("ext_himmelblau", 6)
-        oracle = instrumented(p)
+        oracle = InstrumentedOracle(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
         out = standard_wolfe(oracle, p.start, f, g, d, PARAMS, SP, alpha0=0.01)

@@ -3,8 +3,8 @@
 Line-search trials take mu, |s|^2 and s^T d from g^T d, g_t^T d and d^T d
 (s = alpha d), and the solver's ``next_direction`` takes its step scalars
 from the search.  These tests run real searches and check that both paths
-agree with the vector-level functions, and that neither takes more dot
-products than its budget.
+agree with the vector forms (``secant.mu`` and the direction forms in
+``reference.py``), and that neither takes more dot products than its budget.
 """
 
 import math
@@ -14,18 +14,19 @@ import pytest
 
 import specgrad.directions
 import specgrad.linesearch
-from specgrad.directions import (
-    next_direction,
+from specgrad.directions import next_direction
+from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
+from specgrad.numkit import dot, norm_inf
+from specgrad.problems import InstrumentedOracle, Problem, problem
+from specgrad.secant import SecantParams, mu
+from specgrad.solver import default_config
+
+from reference import (
     next_direction_dk,
     next_direction_jian,
     next_direction_m2,
     next_direction_scgmmwls,
 )
-from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
-from specgrad.numkit import dot, norm_inf
-from specgrad.problems import Problem, instrumented, problem
-from specgrad.secant import SecantParams, mu
-from specgrad.solver import default_config
 
 METHODS = ("scgmmwls", "m2", "dk", "jian")
 FAMILIES = ("ext_rosenbrock", "ext_beale", "arwhead", "engval1", "diagonal1", "raydan1")
@@ -40,7 +41,7 @@ def accepted_steps(name, n, method, steps=5):
     """(f, g, d, outcome) for the first accepted steps of the solver's own update."""
     cfg = default_config(method, m=3)
     p = problem(name, n)
-    oracle = instrumented(p)
+    oracle = InstrumentedOracle(p)
     x = p.start.copy()
     f, g = oracle.eval_fg(x)
     d = -g
@@ -49,7 +50,7 @@ def accepted_steps(name, n, method, steps=5):
         out = search(oracle, x, f, g, d, cfg, 1.0 / norm_inf(g))
         assert out.status == ACCEPTED
         out_steps.append((f, g, d, out))
-        d_new, _ = next_direction(out.g_new, d, g, out.secant, cfg.direction, out.slopes)
+        d_new, _ = next_direction(out.g_new, d, out.secant, cfg.direction, out.slopes)
         x, f, g, d = out.x_new, out.f_new, out.g_new, d_new
     return cfg, out_steps
 
@@ -72,7 +73,7 @@ class TestAgreement:
         cfg, steps = accepted_steps(name, n, method)
         for _, g, d, out in steps:
             sec, g_new = out.secant, out.g_new
-            d_a, diag_a = next_direction(g_new, d, g, sec, cfg.direction, out.slopes)
+            d_a, diag_a = next_direction(g_new, d, sec, cfg.direction, out.slopes)
             d_b, diag_b = vector_direction(method, g_new, d, g, sec, cfg.direction)
             assert diag_a.restart == diag_b.restart
             assert diag_a.truncated_beta == diag_b.truncated_beta
@@ -134,9 +135,9 @@ class TestDotCounts:
         sp = SecantParams(m=3)
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
-            out = modified_wolfe(instrumented(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
+            out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
         else:
-            out = standard_wolfe(instrumented(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
+            out = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert dot_calls["linesearch"] == out.nf_used + 1
@@ -155,9 +156,9 @@ class TestDotCounts:
         sp = SecantParams(m=3)
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
-            out = modified_wolfe(instrumented(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
+            out = modified_wolfe(InstrumentedOracle(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
         else:
-            out = standard_wolfe(instrumented(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
+            out = standard_wolfe(InstrumentedOracle(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
         assert out.status == ACCEPTED
         assert out.alpha == 0.5
         assert out.nf_used == 3
@@ -167,7 +168,7 @@ class TestDotCounts:
         p = problem("ext_rosenbrock", 10)
         f, g = p.objective(p.start), p.gradient(p.start)
         sp = SecantParams(m=3)
-        out = modified_wolfe(instrumented(p), p.start, f, g, -g, WolfeParams(), sp, 1.0)
+        out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, -g, WolfeParams(), sp, 1.0)
         assert out.status == ACCEPTED
         assert dot_calls["linesearch"] == out.nf_used + 2
 
@@ -177,5 +178,5 @@ class TestDotCounts:
             cfg, steps = accepted_steps(name, 10, method)
             for _, g, d, out in steps:
                 dot_calls["directions"] = 0
-                next_direction(out.g_new, d, g, out.secant, cfg.direction, out.slopes)
+                next_direction(out.g_new, d, out.secant, cfg.direction, out.slopes)
                 assert dot_calls["directions"] <= 4

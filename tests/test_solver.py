@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from specgrad.linesearch import ACCEPTED, modified_wolfe
-from specgrad.problems import Problem, instrumented, problem
+from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.solver import (
     CONVERGED,
     EVAL_ERROR,
@@ -65,7 +65,7 @@ class TestConfig:
         cube = Problem("cube", 1, lambda x: (float(x[0] ** 3), 3.0 * x * x), np.ones(1))
         x, g, d = np.ones(1), np.array([3.0]), np.array([-1.0])
         sp = cfg.direction.secant
-        out = modified_wolfe(instrumented(cube), x, 1.0, g, d, cfg.wolfe, sp, 1.0)
+        out = modified_wolfe(InstrumentedOracle(cube), x, 1.0, g, d, cfg.wolfe, sp, 1.0)
         assert (out.status, out.alpha, out.secant.mu) == (ACCEPTED, 1.0, -1.0)
         assert out.secant.t == C * out.secant.mu / 1.0
         audit = AuditReport()
@@ -118,6 +118,19 @@ class TestMinimize:
         res = minimize(p, default_config("scgmmwls"))
         assert res.status == LINESEARCH_FAILURE
         assert res.ni == 0
+
+    @pytest.mark.parametrize("method", ["scgmmwls", "dk"])
+    def test_overflowing_slope_ends_the_run_without_a_trial(self, method):
+        # f = exp(2000 x) + exp(-2000 x) from x = -0.3: f and g are finite, but
+        # |g| is about 7.6e263, so g^T d = -|g|^2 overflows to -inf and no
+        # trial could satisfy Armijo.
+        def fg(x):
+            e_pos, e_neg = np.exp(2000.0 * x), np.exp(-2000.0 * x)
+            return float(np.sum(e_pos + e_neg)), 2000.0 * (e_pos - e_neg)
+
+        res = minimize(Problem("steep", 1, fg, np.array([-0.3])), default_config(method))
+        assert res.status == LINESEARCH_FAILURE
+        assert (res.ni, res.nf, res.ng) == (0, 1, 1)
 
     def test_first_direction_is_steepest_descent(self):
         p = problem("ext_himmelblau", 4)
