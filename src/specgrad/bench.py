@@ -7,9 +7,9 @@ the largest finite ratio in the table.  Profiles are the cumulative fraction
 of problems solved within a factor tau of the best solver, evaluated on a
 shared tau grid.
 
-One :func:`emit` call writes every file of a command: the results and
-profile tables as CSV (floats at 17 significant digits), their JSON mirror
-under the keys ``results`` and ``profiles``, and the exclusion list.
+One :func:`emit` call per format writes the files of a command: the results,
+profile and exclusion tables as CSV (floats at 17 significant digits), or
+their JSON mirror under the keys ``results`` and ``profiles``.
 Cells run one after another in sorted (solver, problem, dim) order; a thread
 pool only made suites slower, since the solver holds the GIL.
 """
@@ -23,13 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .directions import METHODS, ORDER_METHODS
 from .problems import family_names, problem
 from .secant import SecantParams
 from .solver import CONVERGED, EVAL_ERROR, RunResult, default_config, minimize
 
 METRICS = ("ni", "nf", "ng")
-# The direction methods whose solver id carries a secant order (``scgmmwls:m=3``).
-ORDER_METHODS = ("scgmmwls", "m2")
 RESULT_FIELDS = ("solver", "problem", "dim", "status", "ni", "nf", "ng", "f_final", "gnorm_inf")
 
 
@@ -56,7 +55,7 @@ class SolverSpec:
             key, _, value = opts.partition("=")
             if key.strip() != "m":
                 raise ValueError(f"unknown solver option '{opts}' in '{text}'")
-            if name not in ORDER_METHODS:
+            if name in METHODS and name not in ORDER_METHODS:
                 valid = " and ".join(ORDER_METHODS)
                 raise ValueError(f"an order suffix is only valid on {valid}, got '{text}'")
             m = math.inf if value.strip() in ("inf", "infinity") else float(value)
@@ -205,15 +204,20 @@ def _result_record(row: ResultRow) -> dict:
     return dict(zip(RESULT_FIELDS, values))
 
 
-def emit(table: ResultTable, prefix, *, curves=None, excluded=None) -> list[Path]:
-    """Write every file of one ``bench`` command under ``prefix``.
+def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list[Path]:
+    """Write the files of one format under ``prefix``.
 
-    ``results.csv`` and ``results.json`` are always written.  ``curves``, the
-    :class:`ProfileCurve` list of every profiled metric, adds one
-    ``profile_<METRIC>.csv`` per metric and the same tables under the JSON key
-    ``profiles``.  ``excluded``, a list of ``(METRIC, problem)`` pairs, adds
-    ``excluded.csv``, header-only when the list is empty.
+    ``fmt="csv"`` writes ``results.csv``; ``curves``, the :class:`ProfileCurve`
+    list of every profiled metric, adds one ``profile_<METRIC>.csv`` per metric,
+    and ``excluded``, a list of ``(METRIC, problem)`` pairs, adds
+    ``excluded.csv``, header-only when the list is empty.  ``fmt="json"``
+    writes ``results.json`` with the same tables under ``results`` and
+    ``profiles``.  ``curves`` is ``None`` to emit results only.
     """
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got '{fmt}'")
+    if excluded is not None and fmt != "csv":
+        raise ValueError("excluded.csv is written with fmt='csv'")
     prefix = Path(prefix)
     records = [_result_record(row) for row in table.rows]
     tables = {"results": (RESULT_FIELDS, [r.values() for r in records])}
@@ -230,14 +234,16 @@ def emit(table: ResultTable, prefix, *, curves=None, excluded=None) -> list[Path
         tables["excluded"] = (("metric", "problem"), excluded)
     try:
         prefix.mkdir(parents=True, exist_ok=True)
+        if fmt == "json":
+            path = prefix / "results.json"
+            path.write_text(json.dumps({"results": records, "profiles": profiles}, indent=1) + "\n")
+            return [path]
         written = []
         for name, (header, rows) in tables.items():
             path = prefix / f"{name}.csv"
             path.write_text("\n".join([",".join(header)] + [_csv_line(r) for r in rows]) + "\n")
             written.append(path)
-        path = prefix / "results.json"
-        path.write_text(json.dumps({"results": records, "profiles": profiles}, indent=1) + "\n")
-        return written + [path]
+        return written
     except OSError as exc:
         raise OSError(f"while writing benchmark output under '{prefix}': {exc}") from exc
 

@@ -59,7 +59,8 @@ def _cmd_run(args, parser) -> int:
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0])  # a KeyError's str() would add quotes
     table = run_suite(solvers, names, dims, **options)
-    emit(table, args.out)
+    emit(table, None, "csv", args.out)
+    emit(table, None, "json", args.out)
     for row in table.rows:
         r = row.result
         print(
@@ -89,7 +90,8 @@ def _cmd_profile(args, parser) -> int:
             print(f"[{metric}] rho(1) {c.solver} = {c.points[0][1]:.3f}")
     # excluded.csv is written even when empty, so a reused --out never keeps
     # an earlier run's list.
-    emit(table, args.out, curves=curves, excluded=excluded)
+    emit(table, curves, "csv", args.out, excluded=excluded)
+    emit(table, curves, "json", args.out)
     print(f"wrote exclusion report ({len(excluded)} entries) to {Path(args.out) / 'excluded.csv'}")
     print(f"wrote profiles for metrics {', '.join(m.upper() for m in metrics)} to {args.out}")
     return 1 if had_eval_error(table) else 0

@@ -39,6 +39,8 @@ from .numkit import Vector, dot
 from .secant import SecantData, SecantParams, StepSlopes, m2_coefficient, v_vector_m2
 
 METHODS = ("scgmmwls", "dk", "jian", "m2")
+# The methods whose solver id carries a secant order (``scgmmwls:m=3``).
+ORDER_METHODS = ("scgmmwls", "m2")
 
 # Denominators smaller than this (relative to the factor norms) are treated as
 # degenerate rather than divided through.
@@ -182,6 +184,6 @@ def next_direction(
     else:
         w, c = secant.y, 0.0
     gd_old, gd_new, dd, sg, dw = _step_scalars(slopes, c)
-    if method in ("scgmmwls", "m2"):
+    if method in ORDER_METHODS:
         return _spectral_direction(g_new, prev_d, w, gd_old, gd_new, dd, sg, dw, params)
     return _dk_direction(g_new, prev_d, w, gd_new, dd, sg, dw, params, spectral=method == "jian")

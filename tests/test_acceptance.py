@@ -153,7 +153,7 @@ def test_criterion_6_convergence_at_desk_scale(suite, tmp_path_factory):
         if metric == "ni":
             for c in performance_profile(ratio_set, grid=[1.0]):
                 shares[c.solver] = c.points[0][1]
-    paths = emit(table, out, curves=curves)
+    paths = emit(table, curves, "csv", out)
     assert any(p.name == "profile_NI.csv" for p in paths)
     print(f"\nACCEPTANCE 6 PASS: {len(converged)}/12 converged in {elapsed:.1f}s; "
           f"profiles emitted to {out}")
@@ -205,8 +205,8 @@ def test_criterion_9_determinism(suite, tmp_path_factory):
     table_b = run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
     dir_a = tmp_path_factory.mktemp("run_a")
     dir_b = tmp_path_factory.mktemp("run_b")
-    emit(table_a, dir_a)
-    emit(table_b, dir_b)
+    emit(table_a, None, "csv", dir_a)
+    emit(table_b, None, "csv", dir_b)
     bytes_a = (dir_a / "results.csv").read_bytes()
     bytes_b = (dir_b / "results.csv").read_bytes()
     assert bytes_a == bytes_b

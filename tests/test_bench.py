@@ -225,39 +225,41 @@ class TestEmit:
         table = example_2x2()
         rs = performance_ratios(table, "ni")
         curves = performance_profile(rs, grid=[1.0, 1.4, 2.0])
-        emit(table, tmp_path, curves=curves)
+        emit(table, curves, "csv", tmp_path)
         lines = (tmp_path / "profile_NI.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,A,B"
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert parsed == [(1.0, 0.5, 0.5), (1.4, 1.0, 0.5), (2.0, 1.0, 1.0)]
 
     def test_no_curves_write_results_only(self, tmp_path):
-        written = emit(example_2x2(), tmp_path)
-        assert [p.name for p in written] == ["results.csv", "results.json"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.csv", "results.json"]
+        for fmt in ("csv", "json"):
+            written = emit(example_2x2(), None, fmt, tmp_path / fmt)
+            assert [p.name for p in written] == [f"results.{fmt}"]
+            assert sorted(p.name for p in (tmp_path / fmt).iterdir()) == [f"results.{fmt}"]
 
     @pytest.mark.parametrize("excluded", [[], [("NI", "q:1"), ("NF", "q:1")]])
-    def test_one_call_writes_every_profile_file(self, tmp_path, excluded):
+    def test_each_format_writes_every_profile_file_in_one_call(self, tmp_path, excluded):
         table = example_2x2()
         curves = []
         for metric in ("ni", "nf"):
             curves.extend(performance_profile(performance_ratios(table, metric), grid=[1.0, 2.0]))
-        written = emit(table, tmp_path, curves=curves, excluded=excluded)
-        names = ["results.csv", "profile_NF.csv", "profile_NI.csv", "excluded.csv", "results.json"]
+        written = emit(table, curves, "csv", tmp_path, excluded=excluded)
+        names = ["results.csv", "profile_NF.csv", "profile_NI.csv", "excluded.csv"]
         assert [p.name for p in written] == names
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
         assert (tmp_path / "excluded.csv").read_text() == "".join(
             f"{m},{p}\n" for m, p in [("metric", "problem"), *excluded]
         )
+        assert [p.name for p in emit(table, curves, "json", tmp_path)] == ["results.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["results.json"])
         doc = json.loads((tmp_path / "results.json").read_text())
         assert sorted(doc["profiles"]) == ["NF", "NI"]
         ni = {"tau": [1.0, 2.0], "solvers": {"A": [0.5, 1.0], "B": [0.5, 1.0]}}
         assert doc["profiles"]["NI"] == ni
 
-    def test_format_argument_is_gone(self, tmp_path):
-        with pytest.raises(TypeError):
-            emit(example_2x2(), None, "csv", tmp_path)
-        assert list(tmp_path.iterdir()) == []
+    def test_exclusions_are_csv_only(self, tmp_path):
+        with pytest.raises(ValueError, match="excluded.csv"):
+            emit(example_2x2(), None, "json", tmp_path, excluded=[])
+        assert not tmp_path.joinpath("results.json").exists()
 
     def test_json_round_trip_is_exact(self, tmp_path):
         table = ResultTable(
@@ -266,7 +268,7 @@ class TestEmit:
                 row("B", "p", 100, status="iter_limit", ni=10000, f=1e-301, gn=np.nan),
             ]
         )
-        emit(table, tmp_path)
+        emit(table, None, "json", tmp_path)
         back = load_results(tmp_path)
         for a, b in zip(table.rows, back.rows):
             assert (a.solver, a.problem, a.dim) == (b.solver, b.problem, b.dim)
@@ -279,7 +281,7 @@ class TestEmit:
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         table = ResultTable([row("A", "p", 10, ni=3, f=2.0 / 7.0, gn=1e-9)])
-        emit(table, tmp_path)
+        emit(table, None, "csv", tmp_path)
         with open(tmp_path / "results.csv", newline="") as fh:
             (rec,) = list(csv.DictReader(fh))
         assert rec["f_final"] == "%.17g" % (2.0 / 7.0)
@@ -287,11 +289,13 @@ class TestEmit:
         assert float(rec["gnorm_inf"]) == 1e-9
 
     def test_load_results_reads_json_only(self, tmp_path):
-        (tmp_path / "results.csv").write_text(
-            "solver,problem,dim,status,ni,nf,ng,f_final,gnorm_inf\nA,p,1,converged,10,2,2,0,0\n"
-        )
+        emit(example_2x2(), None, "csv", tmp_path)
         with pytest.raises(FileNotFoundError):
             load_results(tmp_path)
+
+    def test_format_validation(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit(example_2x2(), None, "parquet", tmp_path)
 
     def test_had_eval_error(self):
         assert not had_eval_error(example_2x2())

@@ -127,6 +127,7 @@ class TestBadArguments:
         [
             (["run", "--dims", "101", "--problems", "ext_rosenbrock"], "needs an even dimension"),
             (["run", "--solvers", "foo"], "unknown method 'foo'"),
+            (["run", "--solvers", "foo:m=3"], "unknown method 'foo'"),
             (["run", "--solvers", "scgmmwls:m=-inf"], "order m must be"),
             (["run", "--solvers", "dk:m=5,dk"], "order suffix is only valid on scgmmwls and m2"),
             (["run", "--max-iter", "-1"], "max_iter must be nonnegative"),
