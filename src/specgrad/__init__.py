@@ -22,7 +22,7 @@ from .problems import (
     gradient_check,
     problem,
 )
-from .secant import SecantData, SecantParams
+from .secant import SecantParams
 from .solver import RunResult, SolverConfig, default_config, minimize
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "ResultRow",
     "ResultTable",
     "RunResult",
-    "SecantData",
     "SecantParams",
     "SolverConfig",
     "SolverSpec",

@@ -8,9 +8,10 @@ Subcommands:
 * ``bench trace``    print the per-iteration mu table for one run
 
 Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
-solver id, option, problem name or dimension no run could use, or a
-``profile --in`` directory without a readable ``results.json``), found
-before any run starts or any file is written.
+solver id, option, problem name or dimension no run could use, a negative
+``trace --iters``, or a ``profile --in`` directory without a readable,
+well-formed and nonempty ``results.json``), found before any run starts or
+any file is written.
 """
 
 from __future__ import annotations
@@ -74,8 +75,12 @@ def _cmd_run(args, parser) -> int:
 def _cmd_profile(args, parser) -> int:
     try:
         table = load_results(args.in_dir)
+        if not table.rows:
+            raise ValueError("no result rows")
     except OSError as exc:
         parser.error(str(exc))
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a result table
+        parser.error(f"malformed results.json in '{args.in_dir}': {exc!r}")
     metrics = list(METRICS) if args.metric == "all" else [args.metric]
     curves, excluded = [], []
     for metric in metrics:
@@ -98,6 +103,8 @@ def _cmd_profile(args, parser) -> int:
 
 
 def _cmd_trace(args, parser) -> int:
+    if args.iters < 0:
+        parser.error(f"--iters must be nonnegative, got {args.iters}")
     try:
         cfg = SolverSpec.parse(args.solver).config(**_solver_options(args), trace_level="full")
         prob = problem(args.problem, args.dim)

@@ -17,7 +17,8 @@ method uses: z = y + t s (scgmmwls), v = y + c s with c = m2_coefficient
 (m2), or y (dk, jian; c = 0).  The vector forms, which take every scalar
 with ``dot`` from their vectors for any s, are test reference code
 (``tests/reference.py``).  The solver's :func:`next_direction` uses
-s = alpha d and takes the line search's dot products (:class:`StepSlopes`):
+s = alpha d and reads g_new, the secant bundle and the line search's dot
+products from the step record (:class:`LineSearchOutcome`):
 
     g_old^T d, g_new^T d, d^T d      from the search
     s^T g_new = alpha g_new^T d
@@ -35,8 +36,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .linesearch import LineSearchOutcome
 from .numkit import Vector, dot
-from .secant import SecantData, SecantParams, StepSlopes, m2_coefficient, v_vector_m2
+from .secant import SecantParams, m2_coefficient, v_vector_m2
 
 METHODS = ("scgmmwls", "dk", "jian", "m2")
 # The methods whose solver id carries a secant order (``scgmmwls:m=3``).
@@ -110,12 +112,6 @@ def _restart(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]
     return -g_new.copy(), diag
 
 
-def _step_scalars(slopes: StepSlopes, c: float):
-    """The same five scalars for s = alpha d and w = y + c s, from the line search."""
-    gd_old, gd_new = slopes.gd_old, slopes.gd_new
-    return gd_old, gd_new, slopes.dd, slopes.alpha * gd_new, (gd_new - gd_old) + c * slopes.sd
-
-
 def _spectral_direction(g_new, prev_d, w, gd_old, gd_new, dd, sg, dw, params):
     diag = DirectionDiag()
     gg, gw, ww = dot(g_new, g_new), dot(g_new, w), dot(w, w)
@@ -167,23 +163,23 @@ def _dk_direction(g_new, prev_d, y, gd_new, dd, sg, dy, params, spectral):
 
 
 def next_direction(
-    g_new: Vector, prev_d: Vector, secant: SecantData, params: DirectionParams, slopes: StepSlopes
+    prev_d: Vector, step: LineSearchOutcome, params: DirectionParams
 ) -> tuple[Vector, DirectionDiag]:
-    """The configured strategy for the accepted step s = alpha d, from the line search's scalars.
+    """The configured strategy for the accepted step s = alpha d of a line search.
 
     Gives the same direction as the matching vector form (``tests/reference.py``)
     up to rounding, with at most four dot products.
     """
     method = params.method
     if method == "scgmmwls":
-        w, c = secant.z, secant.t
+        w, c = step.z, step.t
     elif method == "m2":
-        s_norm_sq = slopes.s_norm_sq
-        c = m2_coefficient(secant.mu, s_norm_sq, params.secant.m)
-        w = v_vector_m2(secant.y, secant.s, secant.mu, params.secant.m, s_norm_sq)
+        c = m2_coefficient(step.mu, step.s_norm_sq, params.secant.m)
+        w = v_vector_m2(step.y, step.s, c)
     else:
-        w, c = secant.y, 0.0
-    gd_old, gd_new, dd, sg, dw = _step_scalars(slopes, c)
+        w, c = step.y, 0.0
+    g_new, gd_old, gd_new, dd = step.g_new, step.gd_old, step.gd_new, step.dd
+    sg, dw = step.alpha * gd_new, (gd_new - gd_old) + c * step.sd
     if method in ORDER_METHODS:
         return _spectral_direction(g_new, prev_d, w, gd_old, gd_new, dd, sg, dw, params)
     return _dk_direction(g_new, prev_d, w, gd_new, dd, sg, dw, params, spectral=method == "jian")

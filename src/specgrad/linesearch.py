@@ -33,8 +33,9 @@ x + alpha d, one f+g evaluation and one dot product, g_t^T d:
 
 A trial builds no s, no g + g_t and no y.  The vectors s, y = g_t - g and
 z = y + t s are built once, for the accepted trial, from the trial's mu and
-t.  The outcome also carries the search's dot products (:class:`StepSlopes`)
-so the direction update need not take them again.
+t.  :class:`LineSearchOutcome` is the one record of a step: it carries the
+point, the secant bundle and the search's dot products, so the direction
+update need not take them again.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 from .numkit import Vector, dot
 from .problems import EvaluationError, InstrumentedOracle
-from .secant import SecantData, SecantParams, StepSlopes, t_coefficient, z_vector
+from .secant import SecantParams, t_coefficient, z_vector
 from .secant import mu  # noqa: F401  (no caller here; perfbench's tracer patches this name)
 
 ACCEPTED = "accepted"
@@ -88,14 +89,32 @@ class WolfeParams:
 
 @dataclass
 class LineSearchOutcome:
-    alpha: float
-    x_new: Vector | None
-    f_new: float
-    g_new: Vector | None
-    secant: SecantData | None
+    """One search; ``f_new`` stays f(x) unless a step s = alpha d is accepted, which
+    also carries y = g_new - g_old, z = y + t s and g_old^T d, g_new^T d, d^T d."""
+
     status: str
     nf_used: int  # trials; each evaluates f and g once
-    slopes: StepSlopes | None = None
+    f_new: float
+    alpha: float = 0.0
+    x_new: Vector | None = None
+    g_new: Vector | None = None
+    s: Vector | None = None
+    y: Vector | None = None
+    mu: float = math.nan
+    t: float = math.nan
+    z: Vector | None = None
+    gd_old: float = math.nan
+    gd_new: float = math.nan
+    dd: float = math.nan
+
+    @property
+    def sd(self) -> float:
+        """s^T d, the expression the modified curvature test multiplies by min(t, 0)."""
+        return self.alpha * self.dd
+
+    @property
+    def s_norm_sq(self) -> float:
+        return self.alpha * (self.alpha * self.dd)
 
 
 @dataclass
@@ -198,7 +217,7 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
     # A slope of -inf (g^T d overflowed) puts Armijo's right side at -inf: no
     # trial could pass, so the search ends here like an ascent direction.
     if not -math.inf < gd0 < 0.0:
-        return LineSearchOutcome(0.0, None, f, None, None, DEGENERATE_DIRECTION, 0)
+        return LineSearchOutcome(DEGENERATE_DIRECTION, 0, f)
     dd = dot(d, d)
     coefficient, C = secant_params.coefficient, params.C
 
@@ -208,7 +227,7 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
             f_t, g_t = oracle.eval_fg(x_t)
         except EvaluationError:
             return TrialPoint(alpha, math.inf, math.nan, False, False)
-        sd = alpha * dd  # s^T d and |s|^2, as StepSlopes.sd and .s_norm_sq
+        sd = alpha * dd  # s^T d and |s|^2, as LineSearchOutcome.sd and .s_norm_sq
         s_norm_sq = alpha * sd
         if not s_norm_sq > 0.0:
             return TrialPoint(alpha, f_t, math.nan, False, False, underflow=True)
@@ -216,22 +235,20 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
         mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
         t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
         armijo_ok = _armijo_holds(f, gd0, alpha, f_t, params.rho)
-        if modified:
-            curv_lhs = dphi + min(t_t, 0.0) * sd
-        else:
-            curv_lhs = dphi
+        curv_lhs = dphi + min(t_t, 0.0) * sd if modified else dphi
         curv_ok = _curvature_holds(curv_lhs, gd0, params.sigma)
         return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, mu_t, t_t))
 
     best, trials, status = bracket_zoom(evaluate, f, gd0, alpha0)
     if status != ACCEPTED:
-        return LineSearchOutcome(0.0, None, f, None, None, status, trials)
+        return LineSearchOutcome(status, trials, f)
     x_t, g_t, mu_t, t_t = best.payload
     s = best.alpha * d
     y = g_t - g
-    bundle = SecantData(s=s, y=y, mu=mu_t, t=t_t, z=z_vector(y, s, t_t))
-    slopes = StepSlopes(best.alpha, gd0, best.dphi, dd)
-    return LineSearchOutcome(best.alpha, x_t, best.f, g_t, bundle, ACCEPTED, trials, slopes)
+    z = z_vector(y, s, t_t)
+    return LineSearchOutcome(
+        ACCEPTED, trials, best.f, best.alpha, x_t, g_t, s, y, mu_t, t_t, z, gd0, best.dphi, dd
+    )
 
 
 def standard_wolfe(
@@ -286,23 +303,21 @@ def verify_accepted_step(
     modified search ``dz_curvature`` (d^T z >= (1 - sigma)(-g^T d)) plus
     ``t_bounds`` when an exact gradient-Lipschitz constant is supplied.
     """
-    if outcome.status != ACCEPTED or outcome.secant is None:
-        raise ValueError("verify_accepted_step needs an accepted outcome with a secant bundle")
-    sec = outcome.secant
+    if outcome.status != ACCEPTED:
+        raise ValueError("verify_accepted_step needs an accepted outcome")
     gd0 = dot(g0, d)
     checks: dict[str, bool] = {}
     checks["armijo"] = _armijo_holds(f0, gd0, outcome.alpha, outcome.f_new, params.rho)
+    curv_lhs = dot(outcome.g_new, d)
     if modified:
-        curv_lhs = dot(outcome.g_new, d) + min(sec.t, 0.0) * (outcome.alpha * dot(d, d))
-    else:
-        curv_lhs = dot(outcome.g_new, d)
+        curv_lhs += min(outcome.t, 0.0) * (outcome.alpha * dot(d, d))
     checks["curvature"] = _curvature_holds(curv_lhs, gd0, params.sigma)
     if modified:
         curv_tol = CURVATURE_TOL_REL * abs(gd0)
-        checks["dz_curvature"] = dot(d, sec.z) >= (1.0 - params.sigma) * (-gd0) - curv_tol
+        checks["dz_curvature"] = dot(d, outcome.z) >= (1.0 - params.sigma) * (-gd0) - curv_tol
         if lipschitz is not None and order_coefficient is not None:
             eps = 2.220446049250313e-16
             checks["t_bounds"] = (
-                -params.C * lipschitz - eps <= sec.t <= order_coefficient * lipschitz + eps
+                -params.C * lipschitz - eps <= outcome.t <= order_coefficient * lipschitz + eps
             )
     return checks

@@ -11,17 +11,18 @@ C = (sigma - rho) / (1 - 2 rho + sigma) so the curvature condition survives.
 :class:`specgrad.linesearch.WolfeParams`; :class:`SecantParams` holds m only.
 
 A step of the solvers is s = alpha d, so the line search's dot products
-(:class:`StepSlopes`) determine every scalar of the bundle that involves s:
+determine every scalar of the bundle that involves s:
 |s|^2 = alpha (alpha d^T d), s^T d = alpha d^T d, s^T g_new = alpha g_new^T d.
-:func:`mu` keeps the vector form for arbitrary s; it is the reference the
-line search's slope form is tested against.
+The search returns the bundle and those dot products on one record,
+:class:`specgrad.linesearch.LineSearchOutcome`.  :func:`mu` keeps the vector
+form for arbitrary s; it is the reference the line search's slope form is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .numkit import FiniteDifferenceSpec, Vector, dot, fd_hessian_action
 
@@ -50,35 +51,6 @@ class SecantParams:
     @property
     def coefficient(self) -> float:
         return order_coefficient(self.m)
-
-
-@dataclass(frozen=True)
-class SecantData:
-    """Per-step bundle: s = x_new - x_old, y = g_new - g_old, z = y + t*s."""
-
-    s: Vector
-    y: Vector
-    mu: float
-    t: float
-    z: Vector
-
-
-class StepSlopes(NamedTuple):
-    """The dot products of an accepted step s = alpha d, taken by the line search."""
-
-    alpha: float
-    gd_old: float  # g_old^T d
-    gd_new: float  # g_new^T d
-    dd: float  # d^T d
-
-    @property
-    def sd(self) -> float:
-        """s^T d, the expression the modified curvature test multiplies by min(t, 0)."""
-        return self.alpha * self.dd
-
-    @property
-    def s_norm_sq(self) -> float:
-        return self.alpha * (self.alpha * self.dd)
 
 
 def mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> float:
@@ -112,17 +84,9 @@ def m2_coefficient(mu_value: float, s_norm_sq: float, m: float) -> float:
     return order_coefficient(m) * mu_value / s_norm_sq
 
 
-def v_vector_m2(
-    y: Vector, s: Vector, mu_value: float, m: float, s_norm_sq: float | None = None
-) -> Vector:
-    """Truncated variant y + m2_coefficient * s used by the M2 baseline.
-
-    ``s_norm_sq`` defaults to s^T s; the solver passes the line search's value.
-    """
-    if s_norm_sq is None:
-        s_norm_sq = dot(s, s)
-    c = m2_coefficient(mu_value, s_norm_sq, m)
-    return y + c * s if mu_value > 0.0 else y.copy()
+def v_vector_m2(y: Vector, s: Vector, c: float) -> Vector:
+    """The M2 vector v = y + c s for c = :func:`m2_coefficient`; y itself when c = 0."""
+    return y + c * s if c > 0.0 else y
 
 
 def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1) -> float:

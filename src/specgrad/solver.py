@@ -223,23 +223,22 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
 
         audit.check_wolfe(f, g, d, outcome, config, problem.lipschitz_hint, modified)
         if trace is not None:
-            audit.zoutendijk.append(gd * gd / outcome.slopes.dd)
+            audit.zoutendijk.append(gd * gd / outcome.dd)
 
         g_new = outcome.g_new
-        d_new, diag = next_direction(g_new, d, outcome.secant, config.direction, outcome.slopes)
+        d_new, diag = next_direction(d, outcome, config.direction)
         if spectral:
             audit.check_direction(g_new, d_new, diag, config.direction)
 
         if trace is not None:
-            sec = outcome.secant
             trace.append(
                 IterationRecord(
                     k=k,
                     f=outcome.f_new,
                     gnorm_inf=norm_inf(g_new),
                     alpha=outcome.alpha,
-                    mu=sec.mu,
-                    t=sec.t,
+                    mu=outcome.mu,
+                    t=outcome.t,
                     beta=diag.beta,
                     theta=diag.theta,
                     restart=diag.restart,

@@ -1,8 +1,9 @@
 """Reference code that only the tests use.
 
-``make_secant`` builds the secant bundle in vector form from (s, y, mu); the
-solver builds its bundle inside the line search from the search's dot
-products.  The direction tests take their inputs from it.
+``make_secant`` builds the secant bundle in vector form from (s, y, mu), and
+``secant_step`` puts a given bundle on a step record; the solver builds its
+bundle inside the line search from the search's dot products.  The direction
+tests take their inputs from them.
 
 The vector forms of the direction formulas (``beta_m``, ``theta_tilde``,
 ``next_direction_<method>``) take every scalar with ``dot`` from their
@@ -10,6 +11,8 @@ vectors, for any step s.  They share the scalar formulas of
 :mod:`specgrad.directions`; the solver's ``next_direction`` takes the same
 scalars from the line search instead, and the tests check the two agree.
 """
+
+import math
 
 from specgrad.directions import (
     DirectionDiag,
@@ -19,13 +22,19 @@ from specgrad.directions import (
     _spectral_direction,
     _theta_tilde,
 )
+from specgrad.linesearch import ACCEPTED, LineSearchOutcome
 from specgrad.numkit import Vector, dot
-from specgrad.secant import SecantData, SecantParams, t_coefficient, v_vector_m2, z_vector
+from specgrad.secant import SecantParams, m2_coefficient, t_coefficient, v_vector_m2, z_vector
 
 
-def make_secant(s, y, mu_value: float, params: SecantParams, C: float) -> SecantData:
+def secant_step(s, y, mu: float, t: float, z) -> LineSearchOutcome:
+    """An accepted step record that carries only the secant bundle (s, y, mu, t, z)."""
+    return LineSearchOutcome(ACCEPTED, 1, math.nan, s=s, y=y, mu=mu, t=t, z=z)
+
+
+def make_secant(s, y, mu_value: float, params: SecantParams, C: float) -> LineSearchOutcome:
     t = t_coefficient(mu_value, dot(s, s), params.coefficient, C)
-    return SecantData(s=s, y=y, mu=mu_value, t=t, z=z_vector(y, s, t))
+    return secant_step(s, y, mu_value, t, z_vector(y, s, t))
 
 
 def beta_m(g_new: Vector, g_old: Vector, d: Vector, z: Vector) -> tuple[float, bool]:
@@ -46,16 +55,25 @@ def _raw_scalars(g_new, prev_d, prev_g, s, w):
 
 
 def next_direction_scgmmwls(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, secant: SecantData, params: DirectionParams
+    g_new: Vector,
+    prev_d: Vector,
+    prev_g: Vector,
+    secant: LineSearchOutcome,
+    params: DirectionParams,
 ) -> tuple[Vector, DirectionDiag]:
     scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, secant.z)
     return _spectral_direction(g_new, prev_d, secant.z, *scalars, params)
 
 
 def next_direction_m2(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, secant: SecantData, params: DirectionParams
+    g_new: Vector,
+    prev_d: Vector,
+    prev_g: Vector,
+    secant: LineSearchOutcome,
+    params: DirectionParams,
 ) -> tuple[Vector, DirectionDiag]:
-    v = v_vector_m2(secant.y, secant.s, secant.mu, params.secant.m)
+    c = m2_coefficient(secant.mu, dot(secant.s, secant.s), params.secant.m)
+    v = v_vector_m2(secant.y, secant.s, c)
     scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, v)
     return _spectral_direction(g_new, prev_d, v, *scalars, params)
 

@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion PASS lines and the informational profile summary).
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from specgrad.secant import hessian_error, mu
 from specgrad.solver import CONVERGED, LINESEARCH_FAILURE, RunResult, default_config, minimize
 
 SUITE_SOLVERS = ["dk", "jian", "m2:m=3", "scgmmwls:m=3"]
+# Per-cell (solver, problem, status, ni, nf) of the n = 100 suite, 48 rows.
+FINGERPRINT = Path(__file__).parent / "data" / "suite_n100_fingerprint.json"
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +216,38 @@ def test_criterion_9_determinism(suite, tmp_path_factory):
     assert bytes_a == bytes_b
     print(f"\nACCEPTANCE 9 PASS: consecutive full-suite runs byte-identical "
           f"({len(bytes_a)} bytes)")
+
+
+def suite_fingerprint(table) -> list[list]:
+    return [[r.solver, r.problem, r.result.status, r.result.ni, r.result.nf] for r in table.rows]
+
+
+def write_fingerprint(rows) -> None:
+    FINGERPRINT.parent.mkdir(exist_ok=True)
+    FINGERPRINT.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+
+
+def test_criterion_10_suite_fingerprint(suite):
+    table, _ = suite
+    got, expected = suite_fingerprint(table), json.loads(FINGERPRINT.read_text())
+
+    def totals(rows):
+        converged = sum(r[2] == CONVERGED for r in rows)
+        return converged, sum(r[3] for r in rows), sum(r[4] for r in rows)
+
+    assert got == expected, (
+        f"the n = 100 suite moved: converged/NI/NF {totals(expected)} -> {totals(got)}. "
+        f"If the change is meant to move trajectories, regenerate {FINGERPRINT} with "
+        "`PYTHONPATH=src python tests/test_acceptance.py` and say in CHANGES.md why they moved."
+    )
+    print(f"\nACCEPTANCE 10 PASS: {len(got)} cells match the committed fingerprint, "
+          f"converged/NI/NF = {totals(got)}")
+
+
+if __name__ == "__main__":
+    write_fingerprint(
+        suite_fingerprint(
+            run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
+        )
+    )
+    print(f"wrote {FINGERPRINT}")

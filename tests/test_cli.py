@@ -118,6 +118,12 @@ class TestTrace:
         table_rows = [line for line in out.splitlines() if line.strip() and line.split()[0].isdigit()]
         assert len(table_rows) == 3
 
+    def test_zero_iters_prints_the_header_and_status_only(self, capsys):
+        code = main(["trace", "--problem", "qf1", "--dim", "10", "--iters", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == 2
+        assert lines[0].split()[0] == "iteration" and lines[1].startswith("status=converged")
+
 
 class TestBadArguments:
     """A bad argument is a usage error: exit 2 with one message, before any run."""
@@ -132,6 +138,7 @@ class TestBadArguments:
             (["run", "--solvers", "dk:m=5,dk"], "order suffix is only valid on scgmmwls and m2"),
             (["run", "--max-iter", "-1"], "max_iter must be nonnegative"),
             (["trace", "--problem", "nosuch"], "unknown problem 'nosuch'"),
+            (["trace", "--problem", "qf1", "--iters", "-2"], "--iters must be nonnegative"),
         ],
     )
     def test_exits_2_with_the_message_and_writes_nothing(self, tmp_path, capsys, argv, message):
@@ -159,6 +166,30 @@ class TestBadArguments:
         captured = capsys.readouterr()
         err_lines = captured.err.strip().splitlines()
         assert err_lines[-1].startswith("bench profile: error:") and "results.json" in err_lines[-1]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("not json", "JSONDecodeError"),
+            ('{"rows": []}', "KeyError('results')"),
+            ('{"results": []}', "no result rows"),
+            ('{"results": [{"solver": "dk", "problem": "qf1", "dim": 10}]}', "KeyError('status')"),
+        ],
+    )
+    def test_profile_with_malformed_results_exits_2(self, tmp_path, capsys, text, message):
+        in_dir, out = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        (in_dir / "results.json").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--in", str(in_dir), "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert err_lines[-1].startswith("bench profile: error: malformed results.json")
+        assert message in err_lines[-1]
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()

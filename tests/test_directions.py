@@ -10,7 +10,7 @@ from specgrad.directions import (
     theta_bar,
 )
 from specgrad.linesearch import WolfeParams
-from specgrad.secant import SecantData, SecantParams
+from specgrad.secant import SecantParams
 
 from reference import (
     beta_m,
@@ -19,6 +19,7 @@ from reference import (
     next_direction_jian,
     next_direction_m2,
     next_direction_scgmmwls,
+    secant_step,
     theta_tilde,
 )
 
@@ -104,7 +105,7 @@ class TestTheta:
 
 class TestScgmmwls:
     def test_cubic_state_composes_to_steepest_descent(self):
-        sec = SecantData(s=CUBIC["s"], y=vec(-2.25), mu=-0.125, t=T_CUBIC, z=CUBIC["z"])
+        sec = secant_step(s=CUBIC["s"], y=vec(-2.25), mu=-0.125, t=T_CUBIC, z=CUBIC["z"])
         d, diag = next_direction_scgmmwls(CUBIC["g_new"], CUBIC["d"], CUBIC["g_old"], sec, PARAMS)
         assert d[0] == pytest.approx(-0.75, abs=1e-12)
         assert diag.theta == 1.0
@@ -112,13 +113,13 @@ class TestScgmmwls:
         assert not diag.restart
 
     def test_zero_gradient_yields_zero_direction(self):
-        sec = SecantData(s=vec(0.5, 0), y=vec(1, 1), mu=0.0, t=0.0, z=vec(1, 1))
+        sec = secant_step(s=vec(0.5, 0), y=vec(1, 1), mu=0.0, t=0.0, z=vec(1, 1))
         d, diag = next_direction_scgmmwls(vec(0, 0), vec(-1, -1), vec(2, 2), sec, PARAMS)
         np.testing.assert_array_equal(d, vec(0, 0))
         assert not diag.restart
 
     def test_degenerate_curvature_restarts(self):
-        sec = SecantData(s=vec(1, 0), y=vec(0, 1), mu=0.0, t=0.0, z=vec(0, 1))
+        sec = secant_step(s=vec(1, 0), y=vec(0, 1), mu=0.0, t=0.0, z=vec(0, 1))
         g_new = vec(0.3, -0.2)
         d, diag = next_direction_scgmmwls(g_new, vec(1, 0), vec(-1, 0), sec, PARAMS)
         np.testing.assert_array_equal(d, -g_new)
@@ -221,8 +222,8 @@ class TestM2:
     def test_nonpositive_mu_equals_scgmmwls_with_zero_t(self):
         s, y = vec(0.4, -0.2), vec(1.0, 0.5)
         g_new, d_prev, g_old = vec(0.2, -0.9), vec(-1.0, 0.3), vec(1.1, -0.4)
-        sec_m2 = SecantData(s=s, y=y, mu=-0.5, t=-0.1, z=y - 0.1 * s)
-        sec_ref = SecantData(s=s, y=y, mu=-0.5, t=0.0, z=y)
+        sec_m2 = secant_step(s=s, y=y, mu=-0.5, t=-0.1, z=y - 0.1 * s)
+        sec_ref = secant_step(s=s, y=y, mu=-0.5, t=0.0, z=y)
         d_a, diag_a = next_direction_m2(g_new, d_prev, g_old, sec_m2, PARAMS)
         d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec_ref, PARAMS)
         np.testing.assert_array_equal(d_a, d_b)

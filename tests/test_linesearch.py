@@ -113,10 +113,9 @@ class TestModifiedWolfe:
             oracle, p.start, f, g, d, PARAMS, sp, alpha0=1.0 / norm_inf(g)
         )
         assert out.status == ACCEPTED
-        sec = out.secant
-        np.testing.assert_allclose(sec.s, out.alpha * d)
-        np.testing.assert_allclose(sec.y, out.g_new - g)
-        np.testing.assert_allclose(sec.z, sec.y + sec.t * sec.s)
+        np.testing.assert_allclose(out.s, out.alpha * d)
+        np.testing.assert_allclose(out.y, out.g_new - g)
+        np.testing.assert_allclose(out.z, out.y + out.t * out.s)
 
     def test_degenerate_direction(self):
         p = problem("qf1", 4)
@@ -205,18 +204,17 @@ class TestAcceptedBundleOnly:
         # The search takes mu in slope form, from raw scalars only.
         mu_raw = 2.0 * (f - out.f_new) + alpha * (gd + gd_new)
         t_raw = t_coefficient(mu_raw, alpha * (alpha * dd), sp.coefficient, PARAMS.C)
-        sec = out.secant
         np.testing.assert_array_equal(out.x_new, p.start + s)
-        np.testing.assert_array_equal(sec.s, s)
-        np.testing.assert_array_equal(sec.y, y)
-        assert sec.mu == mu_raw
+        np.testing.assert_array_equal(out.s, s)
+        np.testing.assert_array_equal(out.y, y)
+        assert out.mu == mu_raw
         # The vector form differs only by rounding: mu is a difference of
         # O(|f|) terms, so compare on the scale of f and of the slope terms.
         scale = abs(f) + abs(out.f_new) + alpha * (abs(gd) + abs(gd_new))
-        assert abs(sec.mu - mu(f, out.f_new, g, out.g_new, s)) <= 1e-14 * scale
-        assert sec.t == t_raw
-        np.testing.assert_array_equal(sec.z, z_vector(y, s, t_raw))
-        assert out.slopes == (alpha, gd, gd_new, dd)
+        assert abs(out.mu - mu(f, out.f_new, g, out.g_new, s)) <= 1e-14 * scale
+        assert out.t == t_raw
+        np.testing.assert_array_equal(out.z, z_vector(y, s, t_raw))
+        assert (out.alpha, out.gd_old, out.gd_new, out.dd) == (alpha, gd, gd_new, dd)
 
         checks = verify_accepted_step(
             f, g, d, out, PARAMS, modified=modified, order_coefficient=sp.coefficient
@@ -233,7 +231,7 @@ class TestAcceptedBundleOnly:
             out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, sp, 1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
         assert out.nf_used > 1
-        assert out.secant is None
+        assert out.s is None and out.y is None and out.z is None
         assert z_calls == []
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import specgrad.directions
 import specgrad.linesearch
+import specgrad.secant
 from specgrad.directions import next_direction
 from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot, norm_inf
@@ -50,7 +51,7 @@ def accepted_steps(name, n, method, steps=5):
         out = search(oracle, x, f, g, d, cfg, 1.0 / norm_inf(g))
         assert out.status == ACCEPTED
         out_steps.append((f, g, d, out))
-        d_new, _ = next_direction(out.g_new, d, out.secant, cfg.direction, out.slopes)
+        d_new, _ = next_direction(d, out, cfg.direction)
         x, f, g, d = out.x_new, out.f_new, out.g_new, d_new
     return cfg, out_steps
 
@@ -72,9 +73,9 @@ class TestAgreement:
     def test_solver_path_matches_vector_functions(self, method, name, n):
         cfg, steps = accepted_steps(name, n, method)
         for _, g, d, out in steps:
-            sec, g_new = out.secant, out.g_new
-            d_a, diag_a = next_direction(g_new, d, sec, cfg.direction, out.slopes)
-            d_b, diag_b = vector_direction(method, g_new, d, g, sec, cfg.direction)
+            g_new = out.g_new
+            d_a, diag_a = next_direction(d, out, cfg.direction)
+            d_b, diag_b = vector_direction(method, g_new, d, g, out, cfg.direction)
             assert diag_a.restart == diag_b.restart
             assert diag_a.truncated_beta == diag_b.truncated_beta
             assert diag_a.truncated_theta == diag_b.truncated_theta
@@ -88,10 +89,9 @@ class TestAgreement:
     def test_slope_form_mu_matches_vector_mu(self, method, name, n):
         _, steps = accepted_steps(name, n, method)
         for f, g, d, out in steps:
-            sec = out.secant
             # mu is a difference of O(|f|) terms: compare on the scale of its terms.
             scale = abs(f) + abs(out.f_new) + out.alpha * (abs(dot(g, d)) + abs(dot(out.g_new, d)))
-            assert abs(sec.mu - mu(f, out.f_new, g, out.g_new, sec.s)) <= 1e-13 * scale
+            assert abs(out.mu - mu(f, out.f_new, g, out.g_new, out.s)) <= 1e-13 * scale
 
     def test_dw_bounded_below_by_the_curvature_condition(self):
         # d^T w >= (1 - sigma)|g^T d| up to the acceptance tolerance, so the
@@ -99,8 +99,8 @@ class TestAgreement:
         for method in METHODS:
             cfg, steps = accepted_steps("ext_rosenbrock", 10, method)
             for _, g, d, out in steps:
-                a, gd_old, gd_new, dd = out.slopes
-                c = out.secant.t if method == "scgmmwls" else 0.0
+                a, gd_old, gd_new, dd = out.alpha, out.gd_old, out.gd_new, out.dd
+                c = out.t if method == "scgmmwls" else 0.0
                 dw = (gd_new - gd_old) + c * (a * dd)
                 bound = (1.0 - cfg.wolfe.sigma) * abs(gd_old) - 1e-12 * abs(gd_old)
                 assert dw >= bound
@@ -178,5 +178,23 @@ class TestDotCounts:
             cfg, steps = accepted_steps(name, 10, method)
             for _, g, d, out in steps:
                 dot_calls["directions"] = 0
-                next_direction(out.g_new, d, out.secant, cfg.direction, out.slopes)
+                next_direction(d, out, cfg.direction)
                 assert dot_calls["directions"] <= 4
+
+
+def test_m2_direction_computes_its_coefficient_once(monkeypatch):
+    # next_direction needs c = m2_coefficient both for v = y + c s and for
+    # d^T v; v_vector_m2 takes c instead of recomputing it.
+    cfg, steps = accepted_steps("ext_rosenbrock", 10, "m2", steps=1)
+    _, _, d, out = steps[0]
+    calls, m2_coefficient = [], specgrad.secant.m2_coefficient
+
+    def counted(*args):
+        calls.append(args)
+        return m2_coefficient(*args)
+
+    # Patched in secant too, so a v_vector_m2 that recomputed c would be counted.
+    monkeypatch.setattr(specgrad.directions, "m2_coefficient", counted)
+    monkeypatch.setattr(specgrad.secant, "m2_coefficient", counted)
+    next_direction(d, out, cfg.direction)
+    assert calls == [(out.mu, out.s_norm_sq, cfg.direction.secant.m)]

@@ -10,6 +10,7 @@ from specgrad.secant import (
     DegenerateStepError,
     SecantParams,
     hessian_error,
+    m2_coefficient,
     mu,
     order_coefficient,
     t_coefficient,
@@ -22,6 +23,11 @@ from reference import make_secant
 
 def vec(*vals):
     return np.array(vals, dtype=float)
+
+
+def v_m2(y, s, mu_value, m):
+    """The M2 vector as the solver builds it: the coefficient first, then v."""
+    return v_vector_m2(y, s, m2_coefficient(mu_value, float(s @ s), m))
 
 
 def cubic_1d() -> Problem:
@@ -124,19 +130,25 @@ class TestZandV:
 
     def test_v_truncates_negative_mu(self):
         y = vec(1.0, 2.0)
-        np.testing.assert_array_equal(v_vector_m2(y, vec(1.0, 0.0), -5.0, 3), y)
+        np.testing.assert_array_equal(v_m2(y, vec(1.0, 0.0), -5.0, 3), y)
+
+    def test_v_is_y_itself_for_a_zero_coefficient(self):
+        # v is only read, so a truncated mu neither copies y nor adds 0 * s.
+        y = vec(1.0, 2.0)
+        assert m2_coefficient(-5.0, 1.0, 3) == 0.0
+        assert v_vector_m2(y, vec(1.0, 0.0), 0.0) is y
 
     def test_v_matches_z_for_positive_mu(self):
-        v = v_vector_m2(vec(2.25), vec(0.5), 0.125, 3)
+        v = v_m2(vec(2.25), vec(0.5), 0.125, 3)
         assert v[0] == pytest.approx(3.0)
 
     def test_v_order_4_coefficient(self):
-        v = v_vector_m2(np.zeros(3), vec(1, 0, 0), 1.0, 4)
+        v = v_m2(np.zeros(3), vec(1, 0, 0), 1.0, 4)
         np.testing.assert_allclose(v, vec(2, 0, 0))
 
     def test_v_zero_step_rejected(self):
         with pytest.raises(DegenerateStepError):
-            v_vector_m2(vec(1.0), vec(0.0), 1.0, 3)
+            m2_coefficient(1.0, 0.0, 3)
 
     def test_make_secant_bundle(self):
         sec = make_secant(vec(0.5), vec(2.25), 0.125, SecantParams(m=3), C_DEFAULT)

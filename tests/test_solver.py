@@ -66,8 +66,8 @@ class TestConfig:
         x, g, d = np.ones(1), np.array([3.0]), np.array([-1.0])
         sp = cfg.direction.secant
         out = modified_wolfe(InstrumentedOracle(cube), x, 1.0, g, d, cfg.wolfe, sp, 1.0)
-        assert (out.status, out.alpha, out.secant.mu) == (ACCEPTED, 1.0, -1.0)
-        assert out.secant.t == C * out.secant.mu / 1.0
+        assert (out.status, out.alpha, out.mu) == (ACCEPTED, 1.0, -1.0)
+        assert out.t == C * out.mu / 1.0
         audit = AuditReport()
         audit.check_wolfe(1.0, g, d, out, cfg, 2.0, modified=True)
         assert audit.clean and audit.t_bound_checks == 1
