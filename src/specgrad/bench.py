@@ -26,7 +26,7 @@ import numpy as np
 from .directions import METHODS, ORDER_METHODS
 from .problems import family_names, problem
 from .secant import SecantParams
-from .solver import CONVERGED, EVAL_ERROR, RunResult, default_config, minimize
+from .solver import CONVERGED, EVAL_ERROR, STATUSES, RunResult, default_config, minimize
 
 METRICS = ("ni", "nf", "ng")
 RESULT_FIELDS = ("solver", "problem", "dim", "status", "ni", "nf", "ng", "f_final", "gnorm_inf")
@@ -249,7 +249,8 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
 
 
 def load_results(prefix) -> ResultTable:
-    """Rebuild a result table from the ``results.json`` of an emitted directory."""
+    """Rebuild a result table from the ``results.json`` of an emitted directory;
+    a row with an unknown status or a repeated cell raises ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
@@ -269,6 +270,12 @@ def load_results(prefix) -> ResultTable:
         )
         for rec in json.loads(json_path.read_text())["results"]
     ]
+    unknown = {r.result.status for r in rows}.difference(STATUSES)
+    if unknown:
+        raise ValueError(f"unknown status {', '.join(sorted(unknown))}")
+    cells = [(r.solver, r.problem, r.dim) for r in rows]
+    if len(set(cells)) != len(cells):
+        raise ValueError("repeated (solver, problem, dim) cell")
     return ResultTable(rows)
 
 

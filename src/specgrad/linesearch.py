@@ -13,8 +13,9 @@ the safeguarded secant scaling evaluated at the trial point.  Acceptance is
 evaluated to the documented tolerances (1e-12 relative on each side); without
 that slack the Armijo test turns into comparing evaluation noise once the
 per-step decrease drops below the roundoff floor of f, and searches stall
-just short of tight gradient tolerances.  The post-hoc verifier applies the
-identical expressions, so accepted steps re-verify exactly.
+just short of tight gradient tolerances.  The solver's audit re-checks each
+accepted step from the raw vectors with the same :func:`armijo_holds` and
+:func:`curvature_holds`, so accepted steps re-verify exactly.
 
 A trial point with non-finite objective or gradient is treated as a rejected
 (Armijo-fail) trial so the bracket can recover; it still charges the
@@ -52,8 +53,8 @@ ACCEPTED = "accepted"
 MAX_TRIALS_EXCEEDED = "max_trials_exceeded"
 DEGENERATE_DIRECTION = "degenerate_direction"
 
-# Relative tolerances applied both when accepting a step and when re-verifying
-# it post hoc; the two paths share _armijo_holds/_curvature_holds bit for bit.
+# Relative tolerances of acceptance; the search and the solver's audit share
+# armijo_holds/curvature_holds bit for bit.
 ARMIJO_TOL_REL = 1e-12
 CURVATURE_TOL_REL = 1e-12
 
@@ -62,11 +63,11 @@ MAX_TRIALS = 60
 ALPHA_MAX = 1e6
 
 
-def _armijo_holds(f0: float, gd0: float, alpha: float, f_new: float, rho: float) -> bool:
+def armijo_holds(f0: float, gd0: float, alpha: float, f_new: float, rho: float) -> bool:
     return f_new <= f0 + rho * alpha * gd0 + ARMIJO_TOL_REL * (1.0 + abs(f0))
 
 
-def _curvature_holds(curv_lhs: float, gd0: float, sigma: float) -> bool:
+def curvature_holds(curv_lhs: float, gd0: float, sigma: float) -> bool:
     return curv_lhs >= sigma * gd0 - CURVATURE_TOL_REL * abs(gd0)
 
 
@@ -155,6 +156,13 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     ``evaluate(alpha)`` must return a :class:`TrialPoint`; ``f0`` and
     ``slope0`` describe the ray at alpha = 0 with ``slope0 < 0``.  Returns
     ``(trial_or_None, trials_used, status)``.
+
+    One trial loop keeps the bracket ``lo = (alpha, f, dphi)``, from alpha = 0,
+    and ``hi = (alpha, f)``.  Until ``hi`` is set, an Armijo trial whose slope
+    is not >= 0 (NaN included) becomes ``lo`` and the step doubles up to
+    ``ALPHA_MAX``; any other trial updates the bracket by the zoom rule, and
+    the next step is the safeguarded interpolant of ``lo`` and ``hi``; the
+    search fails when that interpolant lands on either end.
     """
     if not slope0 < 0.0:
         return None, 0, DEGENERATE_DIRECTION
@@ -165,11 +173,9 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     # below the ulp of f, value ordering is noise and only the (noise-robust)
     # directional derivative can steer the bracket.
     ftol = ARMIJO_TOL_REL * (1.0 + abs(f0))
-    trials = 0
-    prev_alpha, prev_f, prev_dphi = 0.0, f0, slope0
+    lo, hi = (0.0, f0, slope0), None
     alpha = min(alpha0, ALPHA_MAX)
-
-    lo = hi = None
+    trials = 0
     while trials < MAX_TRIALS:
         t = evaluate(alpha)
         trials += 1
@@ -177,37 +183,21 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
             return None, trials, MAX_TRIALS_EXCEEDED
         if t.acceptable:
             return t, trials, ACCEPTED
-        if not t.armijo_ok or t.f >= prev_f + ftol:
-            lo, hi = (prev_alpha, prev_f, prev_dphi), (t.alpha, t.f)
-            break
-        if t.dphi >= 0.0:
-            lo, hi = (t.alpha, t.f, t.dphi), (prev_alpha, prev_f)
-            break
-        prev_alpha, prev_f, prev_dphi = t.alpha, t.f, t.dphi
-        if alpha >= ALPHA_MAX:
-            return None, trials, MAX_TRIALS_EXCEEDED
-        alpha = min(2.0 * alpha, ALPHA_MAX)
-
-    # Zoom: lo satisfies Armijo with the lowest value seen and points downhill
-    # toward hi; shrink until the full predicate holds or trials run out.
-    while trials < MAX_TRIALS:
-        lo_alpha, lo_f, lo_dphi = lo
-        hi_alpha, hi_f = hi
-        alpha = _interpolate(lo_alpha, lo_f, lo_dphi, hi_alpha, hi_f)
-        if alpha == lo_alpha or alpha == hi_alpha or not alpha > 0.0:
-            return None, trials, MAX_TRIALS_EXCEEDED
-        t = evaluate(alpha)
-        trials += 1
-        if t.underflow:
-            return None, trials, MAX_TRIALS_EXCEEDED
-        if t.acceptable:
-            return t, trials, ACCEPTED
-        if not t.armijo_ok or t.f >= lo_f + ftol:
+        if not t.armijo_ok or t.f >= lo[1] + ftol:
             hi = (t.alpha, t.f)
-        else:
-            if t.dphi * (hi_alpha - lo_alpha) >= 0.0:
-                hi = (lo_alpha, lo_f)
+        elif hi is None and not t.dphi >= 0.0:
+            if alpha >= ALPHA_MAX:
+                return None, trials, MAX_TRIALS_EXCEEDED
             lo = (t.alpha, t.f, t.dphi)
+            alpha = min(2.0 * alpha, ALPHA_MAX)
+            continue
+        else:
+            if hi is None or t.dphi * (hi[0] - lo[0]) >= 0.0:
+                hi = lo[:2]  # the slope points away from hi: the old lo becomes hi
+            lo = (t.alpha, t.f, t.dphi)
+        alpha = _interpolate(*lo, *hi)
+        if alpha == lo[0] or alpha == hi[0] or not alpha > 0.0:
+            return None, trials, MAX_TRIALS_EXCEEDED
     return None, trials, MAX_TRIALS_EXCEEDED
 
 
@@ -234,9 +224,9 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
         dphi = dot(g_t, d)
         mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
         t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
-        armijo_ok = _armijo_holds(f, gd0, alpha, f_t, params.rho)
+        armijo_ok = armijo_holds(f, gd0, alpha, f_t, params.rho)
         curv_lhs = dphi + min(t_t, 0.0) * sd if modified else dphi
-        curv_ok = _curvature_holds(curv_lhs, gd0, params.sigma)
+        curv_ok = curvature_holds(curv_lhs, gd0, params.sigma)
         return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, mu_t, t_t))
 
     best, trials, status = bracket_zoom(evaluate, f, gd0, alpha0)
@@ -286,38 +276,3 @@ def modified_wolfe(
     """
     return _search(oracle, x, f, g, d, params, secant_params, alpha0, gd, True)
 
-
-def verify_accepted_step(
-    f0: float,
-    g0: Vector,
-    d: Vector,
-    outcome: LineSearchOutcome,
-    params: WolfeParams,
-    modified: bool,
-    lipschitz: float | None = None,
-    order_coefficient: float | None = None,
-) -> dict[str, bool]:
-    """Re-check the acceptance conditions of an accepted step from raw vectors.
-
-    Returns per-condition booleans: ``armijo``, ``curvature``, and for the
-    modified search ``dz_curvature`` (d^T z >= (1 - sigma)(-g^T d)) plus
-    ``t_bounds`` when an exact gradient-Lipschitz constant is supplied.
-    """
-    if outcome.status != ACCEPTED:
-        raise ValueError("verify_accepted_step needs an accepted outcome")
-    gd0 = dot(g0, d)
-    checks: dict[str, bool] = {}
-    checks["armijo"] = _armijo_holds(f0, gd0, outcome.alpha, outcome.f_new, params.rho)
-    curv_lhs = dot(outcome.g_new, d)
-    if modified:
-        curv_lhs += min(outcome.t, 0.0) * (outcome.alpha * dot(d, d))
-    checks["curvature"] = _curvature_holds(curv_lhs, gd0, params.sigma)
-    if modified:
-        curv_tol = CURVATURE_TOL_REL * abs(gd0)
-        checks["dz_curvature"] = dot(d, outcome.z) >= (1.0 - params.sigma) * (-gd0) - curv_tol
-        if lipschitz is not None and order_coefficient is not None:
-            eps = 2.220446049250313e-16
-            checks["t_bounds"] = (
-                -params.C * lipschitz - eps <= outcome.t <= order_coefficient * lipschitz + eps
-            )
-    return checks

@@ -20,11 +20,13 @@ from .directions import DirectionDiag, DirectionParams, next_direction
 from .linesearch import (
     ACCEPTED,
     ALPHA_MAX,
+    CURVATURE_TOL_REL,
     LineSearchOutcome,
     WolfeParams,
+    armijo_holds,
+    curvature_holds,
     modified_wolfe,
     standard_wolfe,
-    verify_accepted_step,
 )
 from .numkit import Vector, dot, norm_inf
 from .problems import EvaluationError, InstrumentedOracle, Problem
@@ -34,6 +36,7 @@ CONVERGED = "converged"
 ITER_LIMIT = "iter_limit"
 LINESEARCH_FAILURE = "linesearch_failure"
 EVAL_ERROR = "eval_error"
+STATUSES = (CONVERGED, ITER_LIMIT, LINESEARCH_FAILURE, EVAL_ERROR)
 
 # Numeric slack used when re-checking the sufficient-descent inequality.
 DESCENT_TOL_REL = 1e-12
@@ -132,24 +135,26 @@ class AuditReport:
         lipschitz: float | None,
         modified: bool,
     ) -> None:
+        """Re-check an accepted step from the raw vectors with the search's own
+        predicates; a modified step also gets the d^T z bound and, given an
+        exact gradient-Lipschitz constant L, the bounds -C L <= t <= c_m L."""
         self.steps += 1
-        checks = verify_accepted_step(
-            f0,
-            g0,
-            d,
-            outcome,
-            config.wolfe,
-            modified,
-            lipschitz=lipschitz,
-            order_coefficient=config.direction.secant.coefficient,
-        )
-        self.armijo_violations += not checks["armijo"]
-        self.curvature_violations += not checks["curvature"]
+        params = config.wolfe
+        gd0 = dot(g0, d)
+        self.armijo_violations += not armijo_holds(f0, gd0, outcome.alpha, outcome.f_new, params.rho)
+        curv_lhs = dot(outcome.g_new, d)
         if modified:
-            self.dz_curvature_violations += not checks["dz_curvature"]
-            if "t_bounds" in checks:
-                self.t_bound_checks += 1
-                self.t_bound_violations += not checks["t_bounds"]
+            curv_lhs += min(outcome.t, 0.0) * (outcome.alpha * dot(d, d))
+        self.curvature_violations += not curvature_holds(curv_lhs, gd0, params.sigma)
+        if not modified:
+            return
+        dz_floor = (1.0 - params.sigma) * (-gd0) - CURVATURE_TOL_REL * abs(gd0)
+        self.dz_curvature_violations += not dot(d, outcome.z) >= dz_floor
+        if lipschitz is not None:
+            eps = 2.220446049250313e-16
+            t_max = config.direction.secant.coefficient * lipschitz + eps
+            self.t_bound_checks += 1
+            self.t_bound_violations += not -params.C * lipschitz - eps <= outcome.t <= t_max
 
     def check_direction(
         self, g_new: Vector, d_new: Vector, diag: DirectionDiag, params: DirectionParams

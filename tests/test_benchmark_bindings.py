@@ -43,6 +43,9 @@ def test_tracer_counts_match_the_run(tmp_path, monkeypatch, capsys):
     assert m["secant.z_built"] == ni
     assert m["problems.eval_fg.calls"] == nf
     assert tracer.calls["solver.minimize"] == 8
+    # One check_wolfe per step, plus one check_direction per spectral (non-dk) step.
+    spectral_ni = sum(r.result.ni for r in rows if r.solver != "dk")
+    assert tracer.calls["solver.audit"] == ni + spectral_ni
     for span in ("solver.audit", "bench.emit", "bench.load", "bench.profile"):
         assert tracer.calls[span] > 0, span
         assert tracer.self_s[span] > 0.0, span

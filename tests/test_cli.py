@@ -125,6 +125,10 @@ class TestTrace:
         assert lines[0].split()[0] == "iteration" and lines[1].startswith("status=converged")
 
 
+ROW = ('{"solver": "dk", "problem": "qf1", "dim": 10, "status": "converged", "ni": 5, "nf": 9, '
+       '"ng": 9, "f_final": 0.0, "gnorm_inf": 0.0}')
+
+
 class TestBadArguments:
     """A bad argument is a usage error: exit 2 with one message, before any run."""
 
@@ -177,6 +181,8 @@ class TestBadArguments:
             ('{"rows": []}', "KeyError('results')"),
             ('{"results": []}', "no result rows"),
             ('{"results": [{"solver": "dk", "problem": "qf1", "dim": 10}]}', "KeyError('status')"),
+            ('{"results": [%s]}' % ROW.replace("converged", "banana"), "unknown status banana"),
+            ('{"results": [%s, %s]}' % (ROW, ROW), "repeated (solver, problem, dim) cell"),
         ],
     )
     def test_profile_with_malformed_results_exits_2(self, tmp_path, capsys, text, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,11 @@ from specgrad.linesearch import (
     bracket_zoom,
     modified_wolfe,
     standard_wolfe,
-    verify_accepted_step,
 )
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.secant import SecantParams, mu, t_coefficient, z_vector
+from specgrad.solver import AuditReport, default_config
 
 
 def vec(*vals):
@@ -30,6 +32,7 @@ def problem_1d(f, g, name="p1d"):
 
 PARAMS = WolfeParams(rho=0.18, sigma=0.2)
 SP = SecantParams(m=3)
+CONFIG = default_config("scgmmwls", m=3)  # the audit's config: PARAMS and SP
 
 
 class TestWolfeParams:
@@ -216,10 +219,9 @@ class TestAcceptedBundleOnly:
         np.testing.assert_array_equal(out.z, z_vector(y, s, t_raw))
         assert (out.alpha, out.gd_old, out.gd_new, out.dd) == (alpha, gd, gd_new, dd)
 
-        checks = verify_accepted_step(
-            f, g, d, out, PARAMS, modified=modified, order_coefficient=sp.coefficient
-        )
-        assert checks and all(checks.values()), checks
+        audit = AuditReport()
+        audit.check_wolfe(f, g, d, out, CONFIG, None, modified)
+        assert audit.steps == 1 and audit.clean, audit
 
     @pytest.mark.parametrize("modified", [True, False])
     def test_failed_search_builds_no_bundle(self, z_calls, modified):
@@ -236,6 +238,8 @@ class TestAcceptedBundleOnly:
 
 
 class TestVerifier:
+    """The solver's audit re-checks an accepted step from the raw vectors."""
+
     def test_accepted_modified_step_verifies(self):
         p = problem("qf1", 30)
         oracle = InstrumentedOracle(p)
@@ -244,13 +248,10 @@ class TestVerifier:
         sp = SecantParams(m=3)
         out = modified_wolfe(oracle, p.start, f, g, d, PARAMS, sp, alpha0=1.0 / norm_inf(g))
         assert out.status == ACCEPTED
-        checks = verify_accepted_step(
-            f, g, d, out, PARAMS, modified=True,
-            lipschitz=p.lipschitz_hint, order_coefficient=sp.coefficient,
-        )
-        assert checks == {
-            "armijo": True, "curvature": True, "dz_curvature": True, "t_bounds": True,
-        }
+        audit = AuditReport()
+        audit.check_wolfe(f, g, d, out, CONFIG, p.lipschitz_hint, modified=True)
+        assert audit.clean
+        assert (audit.steps, audit.t_bound_checks) == (1, 1)
 
     def test_armijo_invariant_tolerance(self):
         p = problem("ext_himmelblau", 6)
@@ -312,3 +313,26 @@ class TestBracketZoom:
     def test_nonpositive_slope_rejected_without_trials(self):
         best, trials, status = bracket_zoom(lambda a: None, 1.0, 0.0, alpha0=1.0)
         assert (best, trials, status) == (None, 0, DEGENERATE_DIRECTION)
+
+    def test_trial_sequence_expands_past_a_nan_slope_brackets_and_zooms(self):
+        # phi = (alpha - 2.7)^4 from alpha0 = 0.25.  The Armijo-ok trial at
+        # 0.5 reports a NaN slope, which keeps the expansion going; 4.0 rises
+        # above f(2.0) and closes the bracket; the zoom then moves both ends
+        # until |phi'| <= 1e-4.  The alphas are those of the two-loop engine
+        # this one loop replaced.
+        f0, slope0 = 2.7**4, -4.0 * 2.7**3
+        seen = []
+
+        def evaluate(alpha):
+            seen.append(alpha)
+            f = (alpha - 2.7) ** 4
+            dphi = math.nan if alpha == 0.5 else 4.0 * (alpha - 2.7) ** 3
+            armijo_ok = f <= f0 + 0.1 * alpha * slope0
+            return TrialPoint(alpha, f, dphi, armijo_ok, abs(dphi) <= 1e-4)
+
+        best, trials, status = bracket_zoom(evaluate, f0, slope0, alpha0=0.25)
+        assert seen == [
+            0.25, 0.5, 1.0, 2.0, 4.0,
+            2.5119402985074633, 2.660746268656717, 2.7946716417910453, 2.6804068387515887,
+        ]
+        assert (status, trials, best.alpha) == (ACCEPTED, 9, seen[-1])

@@ -1,10 +1,11 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from specgrad.linesearch import ACCEPTED, modified_wolfe
+from specgrad.linesearch import ACCEPTED, modified_wolfe, standard_wolfe
 from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.solver import (
     CONVERGED,
@@ -256,6 +257,59 @@ class TestAudit:
         assert res.audit.steps == res.ni > 0
         assert res.audit.clean
         assert res.audit.zoutendijk == []  # collected only with trace_level="full"
+
+    COUNTERS = ("armijo_violations", "curvature_violations", "dz_curvature_violations",
+                "t_bound_violations")
+
+    @staticmethod
+    def accepted_step(search):
+        """One accepted step on qf1 (n = 30, exact Lipschitz constant 30)."""
+        p = problem("qf1", 30)
+        cfg = default_config("scgmmwls", m=3)
+        f, g = p.objective(p.start), p.gradient(p.start)
+        d = -g
+        out = search(InstrumentedOracle(p), p.start, f, g, d, cfg.wolfe, cfg.direction.secant,
+                     1.0 / np.max(np.abs(g)))
+        assert out.status == ACCEPTED
+        return p, cfg, f, g, d, out
+
+    @pytest.mark.parametrize(
+        "tamper,counter",
+        [
+            (lambda f, g, out: replace(out, f_new=f + 1.0), "armijo_violations"),
+            # the old gradient: its slope g^T d fails sigma g^T d
+            (lambda f, g, out: replace(out, g_new=g), "curvature_violations"),
+            (lambda f, g, out: replace(out, z=1e-3 * out.z), "dz_curvature_violations"),
+        ],
+        ids=["raised_f_new", "lowered_g_new", "shrunk_z"],
+    )
+    def test_each_wolfe_check_counts_its_own_violation(self, tamper, counter):
+        p, cfg, f, g, d, out = self.accepted_step(modified_wolfe)
+        audit = AuditReport()
+        audit.check_wolfe(f, g, d, out, cfg, p.lipschitz_hint, modified=True)
+        assert audit.clean and audit.t_bound_checks == 1
+        audit = AuditReport()
+        audit.check_wolfe(f, g, d, tamper(f, g, out), cfg, p.lipschitz_hint, modified=True)
+        expected = {name: int(name == counter) for name in self.COUNTERS}
+        assert {name: getattr(audit, name) for name in self.COUNTERS} == expected
+        assert not audit.clean
+        assert (audit.steps, audit.t_bound_checks) == (1, 1)
+
+    def test_a_standard_step_never_counts_dz_or_t(self):
+        p, cfg, f, g, d, out = self.accepted_step(standard_wolfe)
+        audit = AuditReport()
+        audit.check_wolfe(f, g, d, replace(out, z=0.0 * out.z, t=1e300), cfg, p.lipschitz_hint,
+                          modified=False)
+        assert audit.clean and (audit.steps, audit.t_bound_checks) == (1, 0)
+
+    def test_no_lipschitz_constant_skips_the_t_bounds(self):
+        p, cfg, f, g, d, out = self.accepted_step(modified_wolfe)
+        far = replace(out, t=1e300)
+        audit = AuditReport()
+        audit.check_wolfe(f, g, d, far, cfg, None, modified=True)
+        assert audit.clean and (audit.steps, audit.t_bound_checks) == (1, 0)
+        audit.check_wolfe(f, g, d, far, cfg, p.lipschitz_hint, modified=True)
+        assert (audit.t_bound_checks, audit.t_bound_violations) == (1, 1)
 
 
 class TestFloatingPointState:
