@@ -13,15 +13,7 @@ from .bench import (
 )
 from .directions import DirectionDiag, DirectionParams
 from .linesearch import LineSearchOutcome, WolfeParams, modified_wolfe, standard_wolfe
-from .numkit import FiniteDifferenceSpec, fd_gradient, fd_hessian_action
-from .problems import (
-    EvaluationError,
-    InstrumentedOracle,
-    Problem,
-    family_names,
-    gradient_check,
-    problem,
-)
+from .problems import EvaluationError, InstrumentedOracle, Problem, family_names, problem
 from .secant import SecantParams
 from .solver import RunResult, SolverConfig, default_config, minimize
 
@@ -29,7 +21,6 @@ __all__ = [
     "DirectionDiag",
     "DirectionParams",
     "EvaluationError",
-    "FiniteDifferenceSpec",
     "InstrumentedOracle",
     "LineSearchOutcome",
     "Problem",
@@ -44,9 +35,6 @@ __all__ = [
     "default_config",
     "emit",
     "family_names",
-    "fd_gradient",
-    "fd_hessian_action",
-    "gradient_check",
     "load_results",
     "minimize",
     "modified_wolfe",

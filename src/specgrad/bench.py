@@ -158,7 +158,7 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
                 raw[(s, key)] = None
             else:
                 value = getattr(row.result, metric)
-                ratio = 1.0 if value == best else value / best
+                ratio = 1.0 if value == best else (value / best if best else math.inf)
                 raw[(s, key)] = ratio if math.isfinite(ratio) else None
 
     finite = [v for v in raw.values() if v is not None]
@@ -250,7 +250,8 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
 
 def load_results(prefix) -> ResultTable:
     """Rebuild a result table from the ``results.json`` of an emitted directory;
-    a row with an unknown status or a repeated cell raises ``ValueError``."""
+    a row with an unknown status, a negative count or a repeated cell raises
+    ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
@@ -273,6 +274,8 @@ def load_results(prefix) -> ResultTable:
     unknown = {r.result.status for r in rows}.difference(STATUSES)
     if unknown:
         raise ValueError(f"unknown status {', '.join(sorted(unknown))}")
+    if any(min(r.result.ni, r.result.nf, r.result.ng) < 0 for r in rows):
+        raise ValueError("negative ni, nf or ng")
     cells = [(r.solver, r.problem, r.dim) for r in rows]
     if len(set(cells)) != len(cells):
         raise ValueError("repeated (solver, problem, dim) cell")

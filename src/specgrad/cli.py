@@ -8,10 +8,10 @@ Subcommands:
 * ``bench trace``    print the per-iteration mu table for one run
 
 Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
-solver id, option, problem name or dimension no run could use, a negative
-``trace --iters``, or a ``profile --in`` directory without a readable,
-well-formed and nonempty ``results.json``), found before any run starts or
-any file is written.
+solver id, option, problem name or dimension no run could use, an ``--out``
+that cannot be made a directory, a negative ``trace --iters``, or a
+``profile --in`` directory without a readable, well-formed and nonempty
+``results.json``), found before any run starts or any file is written.
 """
 
 from __future__ import annotations
@@ -57,8 +57,11 @@ def _cmd_run(args, parser) -> int:
         names = family_names() if args.problems.strip() == "all" else _parse_list(args.problems)
         dims = [int(d) for d in _parse_list(args.dims)]
         suite_cells(solvers, names, dims, **options)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0])  # a KeyError's str() would add quotes
+    except OSError as exc:
+        parser.error(str(exc))
     table = run_suite(solvers, names, dims, **options)
     emit(table, None, "csv", args.out)
     emit(table, None, "json", args.out)
@@ -77,6 +80,7 @@ def _cmd_profile(args, parser) -> int:
         table = load_results(args.in_dir)
         if not table.rows:
             raise ValueError("no result rows")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(str(exc))
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a result table

@@ -13,8 +13,8 @@ Degenerate denominators and numerically non-descent results never escape:
 they restart the direction at -g_new and are flagged in the diagnostics.
 
 Each formula is written once, over scalars.  Let w be the secant vector the
-method uses: z = y + t s (scgmmwls), v = y + c s with c = m2_coefficient
-(m2), or y (dk, jian; c = 0).  The vector forms, which take every scalar
+method uses: z = y + t s (scgmmwls), v = y + c s with c = t if mu > 0, else
+0 (m2), or y (dk, jian; c = 0).  The vector forms, which take every scalar
 with ``dot`` from their vectors for any s, are test reference code
 (``tests/reference.py``).  The solver's :func:`next_direction` uses
 s = alpha d and reads g_new, the secant bundle and the line search's dot
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .linesearch import LineSearchOutcome
 from .numkit import Vector, dot
-from .secant import SecantParams, m2_coefficient, v_vector_m2
+from .secant import SecantParams, v_vector_m2
 
 METHODS = ("scgmmwls", "dk", "jian", "m2")
 # The methods whose solver id carries a secant order (``scgmmwls:m=3``).
@@ -174,7 +174,7 @@ def next_direction(
     if method == "scgmmwls":
         w, c = step.z, step.t
     elif method == "m2":
-        c = m2_coefficient(step.mu, step.s_norm_sq, params.secant.m)
+        c = step.t if step.mu > 0.0 else 0.0
         w = v_vector_m2(step.y, step.s, c)
     else:
         w, c = step.y, 0.0

@@ -4,9 +4,9 @@ Twelve classic families from the unconstrained-optimization test-function
 collections, each with its standard starting point and an exact gradient.
 Each family is one vectorized kernel ``fg(x) -> (f, g)`` computing the terms
 f and g share once, since every solver evaluation needs both at one point;
-``Problem.objective``/``gradient`` derive from it for the off-path callers
-(gradient checker, finite differences).  The only ``**`` allowed is a
-square: numpy sends ``x**2`` to its square loop but any other exponent to
+``Problem.objective``/``gradient`` derive from it for callers that need one
+of the two, such as the tests' gradient checker.  The only ``**`` allowed is
+a square: numpy sends ``x**2`` to its square loop but any other exponent to
 libm ``pow``, about 73 ns per element against about 2 ns for a product
 (n = 10000, numpy 2.4.6 on a 2-core x86 machine: ``q**4`` 730 us,
 ``(q*q)*(q*q)`` 16 us).  With ``pow``, ``nondquar`` alone costs about 3 ms
@@ -33,15 +33,12 @@ Families (standard starts in parentheses):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numkit import FiniteDifferenceSpec, Vector, fd_gradient, norm_inf
-
-# Seed for the reproducible perturbed check points used by gradient audits.
-CHECK_POINT_SEED = 20240117
+from .numkit import Vector
 
 
 class EvaluationError(RuntimeError):
@@ -291,43 +288,3 @@ class InstrumentedOracle:
             raise EvaluationError(self.problem.name, x, "gradient")
         return val, grad
 
-
-@dataclass
-class GradientCheckReport:
-    problem_name: str
-    tol: float
-    rel_errors: list[float] = field(default_factory=list)
-
-    @property
-    def worst(self) -> float:
-        return max(self.rel_errors) if self.rel_errors else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(e <= self.tol for e in self.rel_errors)
-
-
-def check_points(prob: Problem, count: int = 5, seed: int = CHECK_POINT_SEED) -> list[Vector]:
-    """Standard start plus ``count`` seeded Gaussian perturbations of it."""
-    rng = np.random.default_rng(seed)
-    pts = [prob.start.copy()]
-    for _ in range(count):
-        pts.append(prob.start + 0.1 * rng.standard_normal(prob.dim))
-    return pts
-
-
-def gradient_check(prob: Problem, points: list[Vector], tol: float) -> GradientCheckReport:
-    """Compare the analytic gradient against central differences at each point.
-
-    The relative error is ``|g_analytic - g_fd|_inf / (1 + |g_analytic|_inf)``
-    with the difference step scaled as ``1e-6 * (1 + |x|_inf)``.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    report = GradientCheckReport(prob.name, tol)
-    for x in points:
-        g_a = prob.gradient(x)
-        spec = FiniteDifferenceSpec(h=1e-6 * (1.0 + norm_inf(x)))
-        g_fd = fd_gradient(prob.objective, x, spec)
-        report.rel_errors.append(norm_inf(g_a - g_fd) / (1.0 + norm_inf(g_a)))
-    return report

@@ -16,7 +16,8 @@ determine every scalar of the bundle that involves s:
 The search returns the bundle and those dot products on one record,
 :class:`specgrad.linesearch.LineSearchOutcome`.  :func:`mu` keeps the vector
 form for arbitrary s; it is the reference the line search's slope form is
-tested against.
+tested against.  The M2 vector v = y + c s has c = (m/(m-2)) max(mu, 0)/|s|^2,
+which is t when mu > 0, so the direction update takes c from the step's t.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numkit import FiniteDifferenceSpec, Vector, dot, fd_hessian_action
+from .numkit import Vector, dot
+
 
 class DegenerateStepError(ValueError):
     """Zero-length step; secant quantities are undefined."""
@@ -75,35 +77,6 @@ def z_vector(y: Vector, s: Vector, t: float) -> Vector:
     return y + t * s
 
 
-def m2_coefficient(mu_value: float, s_norm_sq: float, m: float) -> float:
-    """(m/(m-2)) max(mu, 0)/|s|^2, the scaling of s in the M2 vector v = y + c s."""
-    if not s_norm_sq > 0.0:
-        raise DegenerateStepError("zero step in the M2 secant vector")
-    if mu_value <= 0.0:
-        return 0.0
-    return order_coefficient(m) * mu_value / s_norm_sq
-
-
 def v_vector_m2(y: Vector, s: Vector, c: float) -> Vector:
-    """The M2 vector v = y + c s for c = :func:`m2_coefficient`; y itself when c = 0."""
+    """The M2 vector v = y + c s, c = t for mu > 0 and 0 otherwise; y itself when c = 0."""
     return y + c * s if c > 0.0 else y
-
-
-def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1) -> float:
-    """Diagnostic s^T H(x_new) s - s^T z^(m) with H probed by finite differences.
-
-    Uses the raw order-m secant vector (no sign safeguard on mu), with f and g
-    taken from the problem's analytic definitions at x_new and x_new - s.  Not
-    part of any solver path; it quantifies how well the order-m secant carries
-    curvature along s.
-    """
-    x_old = x_new - s
-    f_old, g_old = prob.fg(x_old)
-    f_new, g_new = prob.fg(x_new)
-    s_norm_sq = dot(s, s)
-    if not s_norm_sq > 0.0:
-        raise DegenerateStepError("zero step in hessian_error")
-    mu_value = mu(f_old, f_new, g_old, g_new, s)
-    z = g_new - g_old + (order_coefficient(m) * mu_value / s_norm_sq) * s
-    curvature = fd_hessian_action(prob.objective, x_new, s, FiniteDifferenceSpec(h=fd_step))
-    return curvature - dot(s, z)

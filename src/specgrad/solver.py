@@ -66,17 +66,12 @@ def default_config(
     max_iter: int = 10000,
     eta: float = 1e-3,
     tau: float = 10.0,
-    rho: float | None = None,
-    sigma: float | None = None,
     trace_level: str = "none",
 ) -> SolverConfig:
     """Paper-default configuration: (rho, sigma) = (0.18, 0.2) for scgmmwls,
-    (0.1, 0.9) for the dk/jian/m2 baselines.  A ``rho`` or ``sigma`` left
-    unset takes the method's default on its own, so a lone override is kept
-    and an invalid pair still fails in :class:`WolfeParams`."""
-    default_rho, default_sigma = (0.18, 0.2) if method == "scgmmwls" else (0.1, 0.9)
-    rho = default_rho if rho is None else rho
-    sigma = default_sigma if sigma is None else sigma
+    (0.1, 0.9) for the dk/jian/m2 baselines.  A custom pair is set in one
+    place, ``SolverConfig(WolfeParams(rho, sigma), ...)``."""
+    rho, sigma = (0.18, 0.2) if method == "scgmmwls" else (0.1, 0.9)
     return SolverConfig(
         wolfe=WolfeParams(rho=rho, sigma=sigma),
         direction=DirectionParams(method=method, eta=eta, tau=tau, secant=SecantParams(m=m)),

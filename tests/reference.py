@@ -5,6 +5,14 @@
 bundle inside the line search from the search's dot products.  The direction
 tests take their inputs from them.
 
+``m2_coefficient`` is the paper form of the M2 scaling c in v = y + c s; the
+solver reads c from the step's t instead, and the tests check the two agree.
+
+The verification oracles: central differences (``fd_gradient``,
+``fd_hessian_action``), the gradient checker (``gradient_check`` at
+``check_points``) and the order-m curvature-error diagnostic
+``hessian_error``.
+
 The vector forms of the direction formulas (``beta_m``, ``theta_tilde``,
 ``next_direction_<method>``) take every scalar with ``dot`` from their
 vectors, for any step s.  They share the scalar formulas of
@@ -13,6 +21,10 @@ scalars from the line search instead, and the tests check the two agree.
 """
 
 import math
+from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from specgrad.directions import (
     DirectionDiag,
@@ -23,8 +35,22 @@ from specgrad.directions import (
     _theta_tilde,
 )
 from specgrad.linesearch import ACCEPTED, LineSearchOutcome
-from specgrad.numkit import Vector, dot
-from specgrad.secant import SecantParams, m2_coefficient, t_coefficient, v_vector_m2, z_vector
+from specgrad.numkit import Vector, dot, norm_inf
+from specgrad.problems import Problem
+from specgrad.secant import (
+    DegenerateStepError,
+    SecantParams,
+    mu,
+    order_coefficient,
+    t_coefficient,
+    v_vector_m2,
+    z_vector,
+)
+
+ScalarField = Callable[[np.ndarray], float]
+
+# Seed for the reproducible perturbed check points used by gradient audits.
+CHECK_POINT_SEED = 20240117
 
 
 def secant_step(s, y, mu: float, t: float, z) -> LineSearchOutcome:
@@ -90,3 +116,113 @@ def next_direction_jian(
 ) -> tuple[Vector, DirectionDiag]:
     gd_new, dd, dy = dot(g_new, prev_d), dot(prev_d, prev_d), dot(prev_d, y)
     return _dk_direction(g_new, prev_d, y, gd_new, dd, dot(s, g_new), dy, params, spectral=True)
+
+
+def m2_coefficient(mu_value: float, s_norm_sq: float, m: float) -> float:
+    """(m/(m-2)) max(mu, 0)/|s|^2, the scaling of s in the M2 vector v = y + c s."""
+    if not s_norm_sq > 0.0:
+        raise DegenerateStepError("zero step in the M2 secant vector")
+    if mu_value <= 0.0:
+        return 0.0
+    return order_coefficient(m) * mu_value / s_norm_sq
+
+
+@dataclass(frozen=True)
+class FiniteDifferenceSpec:
+    """Central-difference settings; ``h`` perturbs along coordinate axes."""
+
+    h: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if not self.h > 0:
+            raise ValueError(f"finite-difference step must be positive, got {self.h}")
+
+
+def fd_gradient(f: ScalarField, x: Vector, spec: FiniteDifferenceSpec) -> Vector:
+    """Central-difference gradient of ``f`` at ``x``: (f(x+h e_i) - f(x-h e_i)) / 2h."""
+    h = spec.h
+    g = np.empty_like(x)
+    xt = x.copy()
+    for i in range(x.size):
+        xi = x[i]
+        xt[i] = xi + h
+        fp = f(xt)
+        xt[i] = xi - h
+        fm = f(xt)
+        xt[i] = xi
+        g[i] = (fp - fm) / (2.0 * h)
+    if not np.all(np.isfinite(g)):
+        raise ArithmeticError("non-finite value in finite-difference gradient")
+    return g
+
+
+def fd_hessian_action(f: ScalarField, x: Vector, s: Vector, spec: FiniteDifferenceSpec) -> float:
+    """Estimate the curvature s^T H(x) s via (f(x+h s) - 2 f(x) + f(x-h s)) / h^2."""
+    if x.shape != s.shape:  # x + h*s would broadcast a length-1 s silently
+        raise ValueError(f"vector length mismatch: {x.shape[0]} vs {s.shape[0]}")
+    h = spec.h
+    val = (f(x + h * s) - 2.0 * f(x) + f(x - h * s)) / (h * h)
+    if not np.isfinite(val):
+        raise ArithmeticError("non-finite value in finite-difference curvature")
+    return float(val)
+
+
+@dataclass
+class GradientCheckReport:
+    problem_name: str
+    tol: float
+    rel_errors: list[float] = field(default_factory=list)
+
+    @property
+    def worst(self) -> float:
+        return max(self.rel_errors) if self.rel_errors else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return all(e <= self.tol for e in self.rel_errors)
+
+
+def check_points(prob: Problem, count: int = 5, seed: int = CHECK_POINT_SEED) -> list[Vector]:
+    """Standard start plus ``count`` seeded Gaussian perturbations of it."""
+    rng = np.random.default_rng(seed)
+    pts = [prob.start.copy()]
+    for _ in range(count):
+        pts.append(prob.start + 0.1 * rng.standard_normal(prob.dim))
+    return pts
+
+
+def gradient_check(prob: Problem, points: list[Vector], tol: float) -> GradientCheckReport:
+    """Compare the analytic gradient against central differences at each point.
+
+    The relative error is ``|g_analytic - g_fd|_inf / (1 + |g_analytic|_inf)``
+    with the difference step scaled as ``1e-6 * (1 + |x|_inf)``.
+    """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    report = GradientCheckReport(prob.name, tol)
+    for x in points:
+        g_a = prob.gradient(x)
+        spec = FiniteDifferenceSpec(h=1e-6 * (1.0 + norm_inf(x)))
+        g_fd = fd_gradient(prob.objective, x, spec)
+        report.rel_errors.append(norm_inf(g_a - g_fd) / (1.0 + norm_inf(g_a)))
+    return report
+
+
+def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1) -> float:
+    """Diagnostic s^T H(x_new) s - s^T z^(m) with H probed by finite differences.
+
+    Uses the raw order-m secant vector (no sign safeguard on mu), with f and g
+    taken from the problem's analytic definitions at x_new and x_new - s.  Not
+    part of any solver path; it quantifies how well the order-m secant carries
+    curvature along s.
+    """
+    x_old = x_new - s
+    f_old, g_old = prob.fg(x_old)
+    f_new, g_new = prob.fg(x_new)
+    s_norm_sq = dot(s, s)
+    if not s_norm_sq > 0.0:
+        raise DegenerateStepError("zero step in hessian_error")
+    mu_value = mu(f_old, f_new, g_old, g_new, s)
+    z = g_new - g_old + (order_coefficient(m) * mu_value / s_norm_sq) * s
+    curvature = fd_hessian_action(prob.objective, x_new, s, FiniteDifferenceSpec(h=fd_step))
+    return curvature - dot(s, z)

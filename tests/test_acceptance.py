@@ -20,9 +20,11 @@ from specgrad.bench import (
     performance_ratios,
     run_suite,
 )
-from specgrad.problems import Problem, check_points, family_names, gradient_check, problem
-from specgrad.secant import hessian_error, mu
+from specgrad.problems import Problem, family_names, problem
+from specgrad.secant import mu
 from specgrad.solver import CONVERGED, LINESEARCH_FAILURE, RunResult, default_config, minimize
+
+from reference import check_points, gradient_check, hessian_error
 
 SUITE_SOLVERS = ["dk", "jian", "m2:m=3", "scgmmwls:m=3"]
 # Per-cell (solver, problem, status, ni, nf) of the n = 100 suite, 48 rows.

@@ -158,6 +158,17 @@ class TestRatios:
         assert rs.problems == ["p:1"]
         assert rs.excluded == ["q:1"]
 
+    def test_positive_count_over_a_zero_best_takes_the_failure_ratio(self):
+        table = ResultTable([row("dk", "qf1", 10, ni=0), row("jian", "qf1", 10, ni=3)])
+        rs = performance_ratios(table, "ni")
+        assert rs.ratios[("dk", "qf1:10")] == 1.0
+        assert rs.r_fail == 2.0
+        assert rs.ratios[("jian", "qf1:10")] == 2.0
+
+    def test_zero_over_a_zero_best_is_one(self):
+        table = ResultTable([row("A", "p", 1, ni=0), row("B", "p", 1, ni=0)])
+        assert set(performance_ratios(table, "ni").ratios.values()) == {1.0}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             performance_ratios(example_2x2(), "wallclock")

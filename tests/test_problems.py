@@ -6,15 +6,9 @@ import pytest
 
 import specgrad.problems
 from specgrad.numkit import dot, norm_inf
-from specgrad.problems import (
-    EvaluationError,
-    Problem,
-    check_points,
-    family_names,
-    InstrumentedOracle,
-    gradient_check,
-    problem,
-)
+from specgrad.problems import EvaluationError, InstrumentedOracle, Problem, family_names, problem
+
+from reference import check_points, gradient_check
 
 ALL_NAMES = family_names()
 

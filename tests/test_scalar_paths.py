@@ -14,7 +14,6 @@ import pytest
 
 import specgrad.directions
 import specgrad.linesearch
-import specgrad.secant
 from specgrad.directions import next_direction
 from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot, norm_inf
@@ -23,6 +22,7 @@ from specgrad.secant import SecantParams, mu
 from specgrad.solver import default_config
 
 from reference import (
+    m2_coefficient,
     next_direction_dk,
     next_direction_jian,
     next_direction_m2,
@@ -38,9 +38,9 @@ def search(oracle, x, f, g, d, cfg, alpha0):
     return wolfe(oracle, x, f, g, d, cfg.wolfe, cfg.direction.secant, alpha0, gd=dot(g, d))
 
 
-def accepted_steps(name, n, method, steps=5):
+def accepted_steps(name, n, method, steps=5, m=3):
     """(f, g, d, outcome) for the first accepted steps of the solver's own update."""
-    cfg = default_config(method, m=3)
+    cfg = default_config(method, m=m)
     p = problem(name, n)
     oracle = InstrumentedOracle(p)
     x = p.start.copy()
@@ -182,19 +182,14 @@ class TestDotCounts:
                 assert dot_calls["directions"] <= 4
 
 
-def test_m2_direction_computes_its_coefficient_once(monkeypatch):
-    # next_direction needs c = m2_coefficient both for v = y + c s and for
-    # d^T v; v_vector_m2 takes c instead of recomputing it.
-    cfg, steps = accepted_steps("ext_rosenbrock", 10, "m2", steps=1)
-    _, _, d, out = steps[0]
-    calls, m2_coefficient = [], specgrad.secant.m2_coefficient
-
-    def counted(*args):
-        calls.append(args)
-        return m2_coefficient(*args)
-
-    # Patched in secant too, so a v_vector_m2 that recomputed c would be counted.
-    monkeypatch.setattr(specgrad.directions, "m2_coefficient", counted)
-    monkeypatch.setattr(specgrad.secant, "m2_coefficient", counted)
-    next_direction(d, out, cfg.direction)
-    assert calls == [(out.mu, out.s_norm_sq, cfg.direction.secant.m)]
+@pytest.mark.parametrize("m", [3, math.inf])
+def test_m2_coefficient_is_the_searchs_t_for_positive_mu(m):
+    # next_direction takes the M2 scaling c as t if mu > 0 and 0 otherwise; the
+    # m2 search computes t with the same m, so c equals the paper form exactly.
+    signs = set()
+    for name in ("ext_rosenbrock", "nondquar", "qf1"):
+        _, steps = accepted_steps(name, 10, "m2", steps=20, m=m)
+        for _, _, _, out in steps:
+            signs.add(out.mu > 0)
+            assert (out.t if out.mu > 0 else 0.0) == m2_coefficient(out.mu, out.s_norm_sq, m)
+    assert signs == {True, False}

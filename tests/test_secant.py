@@ -9,8 +9,6 @@ from specgrad.problems import Problem
 from specgrad.secant import (
     DegenerateStepError,
     SecantParams,
-    hessian_error,
-    m2_coefficient,
     mu,
     order_coefficient,
     t_coefficient,
@@ -18,7 +16,7 @@ from specgrad.secant import (
     z_vector,
 )
 
-from reference import make_secant
+from reference import hessian_error, m2_coefficient, make_secant
 
 
 def vec(*vals):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specgrad.linesearch import ACCEPTED, modified_wolfe, standard_wolfe
+from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.solver import (
     CONVERGED,
@@ -42,25 +42,11 @@ class TestConfig:
             cfg = default_config(method)
             assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.1, 0.9)
 
-    def test_lone_rho_or_sigma_keeps_the_other_default(self):
-        cfg = default_config("dk", rho=0.05)
-        assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.05, 0.9)
-        assert cfg.wolfe.C == (0.9 - 0.05) / (1.0 - 2.0 * 0.05 + 0.9)
-        cfg = default_config("scgmmwls", sigma=0.5)
-        assert (cfg.wolfe.rho, cfg.wolfe.sigma) == (0.18, 0.5)
-        assert cfg.wolfe.C == (0.5 - 0.18) / (1.0 - 2.0 * 0.18 + 0.5)
-
-    def test_lone_override_forming_an_invalid_pair_is_rejected(self):
-        with pytest.raises(ValueError):
-            default_config("scgmmwls", rho=0.5)  # sigma stays 0.2
-        with pytest.raises(ValueError):
-            default_config("dk", sigma=0.05)  # rho stays 0.1
-
     def test_one_rho_sigma_pair_sets_the_search_and_the_audit(self):
         # f = x^3 from x = 1 along d = -1: alpha = 1 is accepted with mu = -1
         # and |s|^2 = 1, so t = C mu.  The audit's bound -C L <= t holds for
         # L = 2 with C of (0.1, 0.9), 8/17, and fails with C of (0.18, 0.2), 1/42.
-        cfg = default_config("scgmmwls", rho=0.1, sigma=0.9)
+        cfg = SolverConfig(WolfeParams(0.1, 0.9), default_config("scgmmwls").direction)
         C = (0.9 - 0.1) / (1.0 - 2.0 * 0.1 + 0.9)
         assert cfg.wolfe.C == C
         cube = Problem("cube", 1, lambda x: (float(x[0] ** 3), 3.0 * x * x), np.ones(1))
@@ -75,6 +61,12 @@ class TestConfig:
         other = AuditReport()
         other.check_wolfe(1.0, g, d, out, default_config("scgmmwls"), 2.0, modified=True)
         assert other.t_bound_violations == 1
+
+    def test_rho_and_sigma_are_set_only_through_wolfe_params(self):
+        with pytest.raises(TypeError):
+            default_config("dk", rho=0.05)
+        with pytest.raises(TypeError):
+            default_config("scgmmwls", sigma=0.5)
 
     def test_validation(self):
         cfg = default_config("scgmmwls")
