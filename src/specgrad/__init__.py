@@ -4,7 +4,6 @@ from .bench import (
     ProfileCurve,
     ResultRow,
     ResultTable,
-    SolverSpec,
     emit,
     load_results,
     performance_profile,
@@ -14,7 +13,6 @@ from .bench import (
 from .directions import DirectionDiag, DirectionParams
 from .linesearch import LineSearchOutcome, WolfeParams, modified_wolfe, standard_wolfe
 from .problems import EvaluationError, InstrumentedOracle, Problem, family_names, problem
-from .secant import SecantParams
 from .solver import RunResult, SolverConfig, default_config, minimize
 
 __all__ = [
@@ -28,9 +26,7 @@ __all__ = [
     "ResultRow",
     "ResultTable",
     "RunResult",
-    "SecantParams",
     "SolverConfig",
-    "SolverSpec",
     "WolfeParams",
     "default_config",
     "emit",

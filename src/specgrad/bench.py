@@ -23,49 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .directions import METHODS, ORDER_METHODS
 from .problems import family_names, problem
-from .secant import SecantParams
 from .solver import CONVERGED, EVAL_ERROR, STATUSES, RunResult, default_config, minimize
 
 METRICS = ("ni", "nf", "ng")
 RESULT_FIELDS = ("solver", "problem", "dim", "status", "ni", "nf", "ng", "f_final", "gnorm_inf")
-
-
-@dataclass(frozen=True)
-class SolverSpec:
-    """A benchmark solver id: direction method plus secant order where relevant."""
-
-    method: str
-    m: float = 3
-
-    @property
-    def label(self) -> str:
-        if self.method in ORDER_METHODS:
-            return f"{self.method}:m={self.m:g}"
-        return self.method
-
-    @classmethod
-    def parse(cls, text: str) -> "SolverSpec":
-        """Parse ids like ``dk``, ``jian``, ``scgmmwls:m=3`` or ``m2:m=inf``."""
-        name, _, opts = text.strip().partition(":")
-        name = name.strip().lower()
-        m = 3.0
-        if opts:
-            key, _, value = opts.partition("=")
-            if key.strip() != "m":
-                raise ValueError(f"unknown solver option '{opts}' in '{text}'")
-            if name in METHODS and name not in ORDER_METHODS:
-                valid = " and ".join(ORDER_METHODS)
-                raise ValueError(f"an order suffix is only valid on {valid}, got '{text}'")
-            m = math.inf if value.strip() in ("inf", "infinity") else float(value)
-        if math.isfinite(m) and m == int(m):
-            m = int(m)
-        SecantParams(m=m)  # the order check every config makes: ValueError here, before any run
-        return cls(method=name, m=m)
-
-    def config(self, **overrides):
-        return default_config(method=self.method, m=self.m, **overrides)
 
 
 @dataclass
@@ -100,20 +62,19 @@ class RatioSet:
 
 def suite_cells(solvers, problems=None, dims=(100,), **config_overrides) -> list[tuple]:
     """The sorted (label, problem, dim, config) cells of a suite, checked before
-    any run: each config is built and each (problem, dim) instantiated once and
-    dropped, so bad input raises ``ValueError``/``KeyError`` here."""
-    specs = [SolverSpec.parse(s) if isinstance(s, str) else s for s in solvers]
+    any run: each solver id's config is built and each (problem, dim)
+    instantiated once and dropped, so bad input raises ``ValueError``/``KeyError``
+    here.  Cells are keyed by ``config.direction.label`` and ``Problem.name``."""
     names = family_names() if problems in (None, "all") else list(problems)
-    if not specs or not names or not dims:
+    if not solvers or not names or not dims:
         raise ValueError("solvers, problems and dims must all be nonempty")
-    cells = sorted((s.label, name, int(d)) for s in specs for name in names for d in dims)
+    configs = [default_config(s, **config_overrides) for s in solvers]
+    keys = [(problem(name, int(d)).name, int(d)) for name in names for d in dims]
+    cells = sorted((c.direction.label, name, dim) for c in configs for name, dim in keys)
     if len(set(cells)) != len(cells):
         raise ValueError("duplicate (solver, problem, dim) cells requested")
-    configs = {s.label: s.config(**config_overrides) for s in specs}
-    for name in names:
-        for d in dims:
-            problem(name, int(d))
-    return [(label, name, dim, configs[label]) for label, name, dim in cells]
+    by_label = {c.direction.label: c for c in configs}
+    return [(label, name, dim, by_label[label]) for label, name, dim in cells]
 
 
 def run_suite(solvers, problems=None, dims=(100,), **config_overrides) -> ResultTable:
@@ -250,8 +211,8 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
 
 def load_results(prefix) -> ResultTable:
     """Rebuild a result table from the ``results.json`` of an emitted directory;
-    a row with an unknown status, a negative count or a repeated cell raises
-    ``ValueError``."""
+    a row with an unknown status, a dim or count that is not a JSON integer, a
+    negative count or a repeated cell raises ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
@@ -259,22 +220,25 @@ def load_results(prefix) -> ResultTable:
         ResultRow(
             rec["solver"],
             rec["problem"],
-            int(rec["dim"]),
+            rec["dim"],
             RunResult(
                 status=rec["status"],
-                ni=int(rec["ni"]),
-                nf=int(rec["nf"]),
-                ng=int(rec["ng"]),
+                ni=rec["ni"],
+                nf=rec["nf"],
+                ng=rec["ng"],
                 f_final=float(rec["f_final"]),
                 gnorm_inf_final=float(rec["gnorm_inf"]),
             ),
         )
         for rec in json.loads(json_path.read_text())["results"]
     ]
+    counts = [(r.dim, r.result.ni, r.result.nf, r.result.ng) for r in rows]
+    if any(type(v) is not int for c in counts for v in c):  # bool is an int subclass
+        raise ValueError("dim, ni, nf or ng is not an integer")
     unknown = {r.result.status for r in rows}.difference(STATUSES)
     if unknown:
         raise ValueError(f"unknown status {', '.join(sorted(unknown))}")
-    if any(min(r.result.ni, r.result.nf, r.result.ng) < 0 for r in rows):
+    if any(min(c[1:]) < 0 for c in counts):
         raise ValueError("negative ni, nf or ng")
     cells = [(r.solver, r.problem, r.dim) for r in rows]
     if len(set(cells)) != len(cells):

@@ -8,10 +8,11 @@ Subcommands:
 * ``bench trace``    print the per-iteration mu table for one run
 
 Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
-solver id, option, problem name or dimension no run could use, an ``--out``
-that cannot be made a directory, a negative ``trace --iters``, or a
-``profile --in`` directory without a readable, well-formed and nonempty
-``results.json``), found before any run starts or any file is written.
+solver id, option, problem name or dimension no run could use, a cell named
+twice, an ``--out`` that cannot be made a directory, a negative
+``trace --iters``, or a ``profile --in`` directory without a readable,
+well-formed and nonempty ``results.json``), found before any run starts or
+any file is written.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pathlib import Path
 
 from .bench import (
     METRICS,
-    SolverSpec,
     emit,
     had_eval_error,
     load_results,
@@ -32,7 +32,7 @@ from .bench import (
     suite_cells,
 )
 from .problems import family_names, problem
-from .solver import EVAL_ERROR, minimize
+from .solver import EVAL_ERROR, default_config, minimize
 
 
 def _parse_list(text: str) -> list[str]:
@@ -53,7 +53,7 @@ def _solver_options(args) -> dict:
 def _cmd_run(args, parser) -> int:
     options = _solver_options(args)
     try:
-        solvers = [SolverSpec.parse(s) for s in _parse_list(args.solvers)]
+        solvers = _parse_list(args.solvers)
         names = family_names() if args.problems.strip() == "all" else _parse_list(args.problems)
         dims = [int(d) for d in _parse_list(args.dims)]
         suite_cells(solvers, names, dims, **options)
@@ -97,8 +97,10 @@ def _cmd_profile(args, parser) -> int:
         # Every profile grid starts at tau = 1, so point 0 is rho(1).
         for c in metric_curves:
             print(f"[{metric}] rho(1) {c.solver} = {c.points[0][1]:.3f}")
-    # excluded.csv is written even when empty, so a reused --out never keeps
-    # an earlier run's list.
+    # excluded.csv is written even when empty, and the profiles of metrics not
+    # computed are removed, so a reused --out never keeps an earlier run's files.
+    for metric in set(METRICS).difference(metrics):
+        (Path(args.out) / f"profile_{metric.upper()}.csv").unlink(missing_ok=True)
     emit(table, curves, "csv", args.out, excluded=excluded)
     emit(table, curves, "json", args.out)
     print(f"wrote exclusion report ({len(excluded)} entries) to {Path(args.out) / 'excluded.csv'}")
@@ -110,7 +112,7 @@ def _cmd_trace(args, parser) -> int:
     if args.iters < 0:
         parser.error(f"--iters must be nonnegative, got {args.iters}")
     try:
-        cfg = SolverSpec.parse(args.solver).config(**_solver_options(args), trace_level="full")
+        cfg = default_config(args.solver, **_solver_options(args), trace_level="full")
         prob = problem(args.problem, args.dim)
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0])

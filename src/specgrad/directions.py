@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .linesearch import LineSearchOutcome
 from .numkit import Vector, dot
-from .secant import SecantParams, v_vector_m2
+from .secant import order_coefficient, v_vector_m2
 
 METHODS = ("scgmmwls", "dk", "jian", "m2")
 # The methods whose solver id carries a secant order (``scgmmwls:m=3``).
@@ -59,18 +59,52 @@ class DegenerateSpectralError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DirectionParams:
+    """One solver: the direction method, its spectral bounds eta and tau, and
+    the secant order m (>= 3 or infinity; only scgmmwls and m2 read it)."""
+
     method: str = "scgmmwls"
     eta: float = 1e-3
     tau: float = 10.0
-    secant: SecantParams = SecantParams()
+    m: float = 3
 
     def __post_init__(self) -> None:
+        if not (self.m == math.inf or (self.m >= 3 and float(self.m).is_integer())):
+            raise ValueError(f"order m must be an integer >= 3 or infinity, got {self.m}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'; known: {', '.join(METHODS)}")
         if not self.eta > 0.0:
             raise ValueError("eta must be positive")
         if not 0.25 + self.eta < self.tau:
             raise ValueError(f"need 1/4 + eta < tau, got eta={self.eta}, tau={self.tau}")
+
+    @property
+    def coefficient(self) -> float:
+        """m/(m-2), the factor of a positive mu in the secant scaling t."""
+        return order_coefficient(self.m)
+
+    @property
+    def label(self) -> str:
+        """The solver id: ``dk``, ``jian`` or ``<method>:m=<order>``."""
+        return f"{self.method}:m={self.m:g}" if self.method in ORDER_METHODS else self.method
+
+    @classmethod
+    def parse(cls, text: str, **overrides) -> DirectionParams:
+        """Parse ids like ``dk``, ``jian``, ``scgmmwls:m=3`` or ``m2:m=inf`` (m
+        defaults to 3); ``overrides`` set the other fields."""
+        name, _, opts = text.strip().partition(":")
+        name = name.strip().lower()
+        m = 3
+        if opts:
+            key, _, value = opts.partition("=")
+            if key.strip() != "m":
+                raise ValueError(f"unknown solver option '{opts}' in '{text}'")
+            if name in METHODS and name not in ORDER_METHODS:
+                valid = " and ".join(ORDER_METHODS)
+                raise ValueError(f"an order suffix is only valid on {valid}, got '{text}'")
+            m = math.inf if value.strip() in ("inf", "infinity") else float(value)
+            if math.isfinite(m) and m == int(m):
+                m = int(m)
+        return cls(method=name, m=m, **overrides)
 
 
 @dataclass

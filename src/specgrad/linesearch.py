@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from .numkit import Vector, dot
 from .problems import EvaluationError, InstrumentedOracle
-from .secant import SecantParams, t_coefficient, z_vector
+from .secant import t_coefficient, z_vector
 from .secant import mu  # noqa: F401  (no caller here; perfbench's tracer patches this name)
 
 ACCEPTED = "accepted"
@@ -112,10 +112,6 @@ class LineSearchOutcome:
     def sd(self) -> float:
         """s^T d, the expression the modified curvature test multiplies by min(t, 0)."""
         return self.alpha * self.dd
-
-    @property
-    def s_norm_sq(self) -> float:
-        return self.alpha * (self.alpha * self.dd)
 
 
 @dataclass
@@ -201,15 +197,13 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     return None, trials, MAX_TRIALS_EXCEEDED
 
 
-def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
-    if gd0 is None:
-        gd0 = dot(g, d)
+def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
     # A slope of -inf (g^T d overflowed) puts Armijo's right side at -inf: no
     # trial could pass, so the search ends here like an ascent direction.
     if not -math.inf < gd0 < 0.0:
         return LineSearchOutcome(DEGENERATE_DIRECTION, 0, f)
     dd = dot(d, d)
-    coefficient, C = secant_params.coefficient, params.C
+    C = params.C
 
     def evaluate(alpha: float) -> TrialPoint:
         x_t = x + alpha * d
@@ -217,7 +211,7 @@ def _search(oracle, x, f, g, d, params, secant_params, alpha0, gd0, modified):
             f_t, g_t = oracle.eval_fg(x_t)
         except EvaluationError:
             return TrialPoint(alpha, math.inf, math.nan, False, False)
-        sd = alpha * dd  # s^T d and |s|^2, as LineSearchOutcome.sd and .s_norm_sq
+        sd = alpha * dd  # s^T d, as LineSearchOutcome.sd
         s_norm_sq = alpha * sd
         if not s_norm_sq > 0.0:
             return TrialPoint(alpha, f_t, math.nan, False, False, underflow=True)
@@ -248,15 +242,17 @@ def standard_wolfe(
     g: Vector,
     d: Vector,
     params: WolfeParams,
-    secant_params: SecantParams,
+    coefficient: float,
     alpha0: float,
-    gd: float | None = None,
+    gd: float,
 ) -> LineSearchOutcome:
     """Weak-Wolfe search; the secant bundle is still computed for direction updates.
 
-    ``gd`` is g^T d when the caller already has it; it is taken here otherwise.
+    ``coefficient`` is the order factor m/(m-2) of t
+    (:attr:`specgrad.directions.DirectionParams.coefficient`); ``gd`` is g^T d,
+    which the caller has already taken.
     """
-    return _search(oracle, x, f, g, d, params, secant_params, alpha0, gd, False)
+    return _search(oracle, x, f, g, d, params, coefficient, alpha0, gd, False)
 
 
 def modified_wolfe(
@@ -266,13 +262,13 @@ def modified_wolfe(
     g: Vector,
     d: Vector,
     params: WolfeParams,
-    secant_params: SecantParams,
+    coefficient: float,
     alpha0: float,
-    gd: float | None = None,
+    gd: float,
 ) -> LineSearchOutcome:
     """Wolfe search with the min(t, 0) s correction inside the curvature test.
 
     Same signature as :func:`standard_wolfe`.
     """
-    return _search(oracle, x, f, g, d, params, secant_params, alpha0, gd, True)
+    return _search(oracle, x, f, g, d, params, coefficient, alpha0, gd, True)
 

@@ -8,7 +8,8 @@ amplified by m/(m-2) for the chosen expansion order m (order "infinity" uses
 coefficient 1), a non-positive mu is damped by the line-search constant
 C = (sigma - rho) / (1 - 2 rho + sigma) so the curvature condition survives.
 (rho, sigma) is the Wolfe search's own pair, so C is a property of
-:class:`specgrad.linesearch.WolfeParams`; :class:`SecantParams` holds m only.
+:class:`specgrad.linesearch.WolfeParams`; m is the solver's, and m/(m-2) is
+:attr:`specgrad.directions.DirectionParams.coefficient`.
 
 A step of the solvers is s = alpha d, so the line search's dot products
 determine every scalar of the bundle that involves s:
@@ -23,7 +24,6 @@ which is t when mu > 0, so the direction update takes c from the step's t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .numkit import Vector, dot
 
@@ -39,22 +39,6 @@ def order_coefficient(m: float) -> float:
     return m / (m - 2.0)
 
 
-@dataclass(frozen=True)
-class SecantParams:
-    """Expansion order m (>= 3 or infinity).  C comes from the line search's
-    (rho, sigma), :attr:`specgrad.linesearch.WolfeParams.C`."""
-
-    m: float = 3
-
-    def __post_init__(self) -> None:
-        if not (self.m == math.inf or (self.m >= 3 and float(self.m).is_integer())):
-            raise ValueError(f"order m must be an integer >= 3 or infinity, got {self.m}")
-
-    @property
-    def coefficient(self) -> float:
-        return order_coefficient(self.m)
-
-
 def mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> float:
     """2 (f_old - f_new) + (g_old + g_new)^T s; exactly zero on quadratics."""
     return 2.0 * (f_old - f_new) + dot(g_old + g_new, s)
@@ -63,7 +47,7 @@ def mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> f
 def t_coefficient(mu_value: float, s_norm_sq: float, coefficient: float, C: float) -> float:
     """Safeguarded scaling of s in z = y + t*s, branching on the sign of mu.
 
-    ``coefficient`` is m/(m-2) (:attr:`SecantParams.coefficient`), ``C`` the
+    ``coefficient`` is m/(m-2) (:attr:`DirectionParams.coefficient`), ``C`` the
     line-search constant (:attr:`specgrad.linesearch.WolfeParams.C`).
     """
     if not s_norm_sq > 0.0:

@@ -30,7 +30,6 @@ from .linesearch import (
 )
 from .numkit import Vector, dot, norm_inf
 from .problems import EvaluationError, InstrumentedOracle, Problem
-from .secant import SecantParams
 
 CONVERGED = "converged"
 ITER_LIMIT = "iter_limit"
@@ -60,25 +59,21 @@ class SolverConfig:
 
 
 def default_config(
-    method: str = "scgmmwls",
-    m: float = 3,
+    solver: str = "scgmmwls",
+    *,
     epsilon: float = 1e-8,
     max_iter: int = 10000,
     eta: float = 1e-3,
     tau: float = 10.0,
     trace_level: str = "none",
 ) -> SolverConfig:
-    """Paper-default configuration: (rho, sigma) = (0.18, 0.2) for scgmmwls,
-    (0.1, 0.9) for the dk/jian/m2 baselines.  A custom pair is set in one
-    place, ``SolverConfig(WolfeParams(rho, sigma), ...)``."""
-    rho, sigma = (0.18, 0.2) if method == "scgmmwls" else (0.1, 0.9)
-    return SolverConfig(
-        wolfe=WolfeParams(rho=rho, sigma=sigma),
-        direction=DirectionParams(method=method, eta=eta, tau=tau, secant=SecantParams(m=m)),
-        epsilon=epsilon,
-        max_iter=max_iter,
-        trace_level=trace_level,
-    )
+    """Paper-default configuration of a solver id (:meth:`DirectionParams.parse`):
+    (rho, sigma) = (0.18, 0.2) for scgmmwls, (0.1, 0.9) for the dk/jian/m2
+    baselines.  A custom pair is set in one place,
+    ``SolverConfig(WolfeParams(rho, sigma), ...)``."""
+    direction = DirectionParams.parse(solver, eta=eta, tau=tau)
+    rho, sigma = (0.18, 0.2) if direction.method == "scgmmwls" else (0.1, 0.9)
+    return SolverConfig(WolfeParams(rho, sigma), direction, epsilon, max_iter, trace_level)
 
 
 @dataclass
@@ -147,7 +142,7 @@ class AuditReport:
         self.dz_curvature_violations += not dot(d, outcome.z) >= dz_floor
         if lipschitz is not None:
             eps = 2.220446049250313e-16
-            t_max = config.direction.secant.coefficient * lipschitz + eps
+            t_max = config.direction.coefficient * lipschitz + eps
             self.t_bound_checks += 1
             self.t_bound_violations += not -params.C * lipschitz - eps <= outcome.t <= t_max
 
@@ -195,6 +190,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     modified = method == "scgmmwls"
     search = modified_wolfe if modified else standard_wolfe
     spectral = method in ("scgmmwls", "m2", "jian")
+    coefficient = config.direction.coefficient
 
     x = problem.start.copy()
     try:
@@ -216,7 +212,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
 
         gd = dot(g, d)
         alpha0 = _initial_alpha(k, gnorm, alpha_prev, gd_prev, gd)
-        outcome = search(oracle, x, f, g, d, config.wolfe, config.direction.secant, alpha0, gd=gd)
+        outcome = search(oracle, x, f, g, d, config.wolfe, coefficient, alpha0, gd)
         if outcome.status != ACCEPTED:
             status = LINESEARCH_FAILURE
             break

@@ -39,7 +39,6 @@ from specgrad.numkit import Vector, dot, norm_inf
 from specgrad.problems import Problem
 from specgrad.secant import (
     DegenerateStepError,
-    SecantParams,
     mu,
     order_coefficient,
     t_coefficient,
@@ -58,8 +57,8 @@ def secant_step(s, y, mu: float, t: float, z) -> LineSearchOutcome:
     return LineSearchOutcome(ACCEPTED, 1, math.nan, s=s, y=y, mu=mu, t=t, z=z)
 
 
-def make_secant(s, y, mu_value: float, params: SecantParams, C: float) -> LineSearchOutcome:
-    t = t_coefficient(mu_value, dot(s, s), params.coefficient, C)
+def make_secant(s, y, mu_value: float, coefficient: float, C: float) -> LineSearchOutcome:
+    t = t_coefficient(mu_value, dot(s, s), coefficient, C)
     return secant_step(s, y, mu_value, t, z_vector(y, s, t))
 
 
@@ -98,7 +97,7 @@ def next_direction_m2(
     secant: LineSearchOutcome,
     params: DirectionParams,
 ) -> tuple[Vector, DirectionDiag]:
-    c = m2_coefficient(secant.mu, dot(secant.s, secant.s), params.secant.m)
+    c = m2_coefficient(secant.mu, dot(secant.s, secant.s), params.m)
     v = v_vector_m2(secant.y, secant.s, c)
     scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, v)
     return _spectral_direction(g_new, prev_d, v, *scalars, params)

@@ -170,14 +170,14 @@ def test_criterion_6_convergence_at_desk_scale(suite, tmp_path_factory):
 
 
 def test_criterion_7_mu_sign_behavior():
-    cfg = default_config("scgmmwls", m=3, trace_level="full")
+    cfg = default_config("scgmmwls:m=3", trace_level="full")
     res = minimize(problem("arwhead", 1000), cfg)
     mu0 = res.trace[0].mu
     assert mu0 < 0.0, f"mu_0 = {mu0:.3e} expected negative"
     assert abs(mu0) >= 1e3, f"|mu_0| = {abs(mu0):.3e} expected >= 1e3"
 
     qf1 = problem("qf1", 100)
-    res_q = minimize(qf1, default_config("scgmmwls", m=3, trace_level="full"))
+    res_q = minimize(qf1, default_config("scgmmwls:m=3", trace_level="full"))
     assert res_q.status == CONVERGED
     f_prev = qf1.objective(qf1.start)
     for rec in res_q.trace:

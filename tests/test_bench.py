@@ -10,13 +10,13 @@ from specgrad.bench import (
     ProfileCurve,
     ResultRow,
     ResultTable,
-    SolverSpec,
     emit,
     had_eval_error,
     load_results,
     performance_profile,
     performance_ratios,
     run_suite,
+    suite_cells,
 )
 from specgrad.solver import RunResult
 
@@ -35,36 +35,6 @@ def example_2x2():
             row("B", "q", 1, ni=15),
         ]
     )
-
-
-class TestSolverSpec:
-    def test_parse_with_order(self):
-        spec = SolverSpec.parse("scgmmwls:m=3")
-        assert (spec.method, spec.m) == ("scgmmwls", 3)
-        assert spec.label == "scgmmwls:m=3"
-
-    def test_parse_infinity(self):
-        spec = SolverSpec.parse("m2:m=inf")
-        assert math.isinf(spec.m)
-        assert spec.label == "m2:m=inf"
-
-    def test_plain_methods_have_no_order_suffix(self):
-        assert SolverSpec.parse("dk").label == "dk"
-        assert SolverSpec.parse("jian").label == "jian"
-
-    def test_unknown_option_rejected(self):
-        with pytest.raises(ValueError):
-            SolverSpec.parse("dk:q=2")
-
-    @pytest.mark.parametrize("text", ["dk:m=5", "jian:m=inf", "DK:m=3"])
-    def test_order_suffix_only_on_scgmmwls_and_m2(self, text):
-        with pytest.raises(ValueError, match="order suffix is only valid on scgmmwls and m2"):
-            SolverSpec.parse(text)
-
-    @pytest.mark.parametrize("text", ["scgmmwls:m=-inf", "m2:m=nan", "scgmmwls:m=2"])
-    def test_orders_no_config_accepts_rejected(self, text):
-        with pytest.raises(ValueError, match="order m"):
-            SolverSpec.parse(text)
 
 
 class TestRunSuite:
@@ -93,6 +63,14 @@ class TestRunSuite:
     def test_duplicate_cells_rejected(self):
         with pytest.raises(ValueError):
             run_suite(["dk", "dk"], ["qf1"], dims=[10])
+
+    def test_cells_are_keyed_by_the_canonical_names(self):
+        cells = suite_cells(["DK", "scgmmwls"], ["QF1"], dims=[10])
+        assert [cell[:3] for cell in cells] == [("dk", "qf1", 10), ("scgmmwls:m=3", "qf1", 10)]
+        with pytest.raises(ValueError, match="duplicate"):
+            suite_cells(["dk"], ["qf1", "QF1"], dims=[10])
+        with pytest.raises(ValueError, match="duplicate"):
+            suite_cells(["m2", "m2:m=3"], ["qf1"], dims=[10])
 
     @pytest.mark.parametrize(
         "solvers,names,dims,overrides,error",

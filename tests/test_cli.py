@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -45,6 +46,13 @@ class TestRun:
         )
         assert code == 0
         assert "scgmmwls:m=inf" in capsys.readouterr().out
+
+    def test_problem_names_are_written_in_canonical_form(self, tmp_path):
+        code = main(["run", "--solvers", "DK", "--problems", "QF1", "--dims", "10",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:3] for r in rows] == [["dk", "qf1", "10"]]
 
 
 class TestProfile:
@@ -93,6 +101,19 @@ class TestProfile:
         main(clean)
         main(["profile", "--in", str(tmp_path / "r2"), "--out", str(tmp_path / "p")])
         assert excluded.read_text() == "metric,problem\n"
+
+    def test_reused_out_dir_drops_the_profiles_of_metrics_not_computed(self, tmp_path):
+        main(RUN_ARGS + ["--out", str(tmp_path / "res")])
+        prof = tmp_path / "prof"
+        main(["profile", "--in", str(tmp_path / "res"), "--out", str(prof)])
+        other = prof / "other.csv"
+        other.write_text("keep\n")
+        main(["profile", "--metric", "ni", "--in", str(tmp_path / "res"), "--out", str(prof)])
+        assert sorted(p.name for p in prof.iterdir()) == [
+            "excluded.csv", "other.csv", "profile_NI.csv", "results.csv", "results.json"
+        ]
+        assert other.read_text() == "keep\n"
+        assert list(json.loads((prof / "results.json").read_text())["profiles"]) == ["NI"]
 
     def test_zero_best_count_profiles_and_exits_0(self, tmp_path, capsys):
         # Two converged qf1 rows: dk with ni = 0, jian with ni = 3.
@@ -154,6 +175,8 @@ class TestBadArguments:
             (["run", "--solvers", "scgmmwls:m=-inf"], "order m must be"),
             (["run", "--solvers", "dk:m=5,dk"], "order suffix is only valid on scgmmwls and m2"),
             (["run", "--max-iter", "-1"], "max_iter must be nonnegative"),
+            (["run", "--solvers", "dk", "--problems", "qf1,QF1", "--dims", "10"],
+             "duplicate (solver, problem, dim) cells"),
             (["trace", "--problem", "nosuch"], "unknown problem 'nosuch'"),
             (["trace", "--problem", "qf1", "--iters", "-2"], "--iters must be nonnegative"),
         ],
@@ -199,6 +222,10 @@ class TestBadArguments:
             ('{"results": [%s]}' % ROW.replace('"ni": 5', '"ni": -4'), "negative ni, nf or ng"),
             ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": -1'), "negative ni, nf or ng"),
             ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": -9'), "negative ni, nf or ng"),
+            ('{"results": [%s]}' % ROW.replace('"ni": 5', '"ni": 3.7'), "not an integer"),
+            ('{"results": [%s]}' % ROW.replace('"dim": 10', '"dim": true'), "not an integer"),
+            ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": 9.0'), "not an integer"),
+            ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": "9"'), "not an integer"),
         ],
     )
     def test_profile_with_malformed_results_exits_2(self, tmp_path, capsys, text, message):

@@ -10,7 +10,6 @@ from specgrad.directions import (
     theta_bar,
 )
 from specgrad.linesearch import WolfeParams
-from specgrad.secant import SecantParams
 
 from reference import (
     beta_m,
@@ -45,6 +44,51 @@ class TestParams:
             DirectionParams(method="scgmmwls", eta=0.1, tau=0.3)
         with pytest.raises(ValueError):
             DirectionParams(method="bfgs")
+
+
+class TestSolverId:
+    """``DirectionParams.parse`` reads a solver id; ``label`` writes it back."""
+
+    def test_parse_with_order(self):
+        params = DirectionParams.parse("scgmmwls:m=3")
+        assert (params.method, params.m) == ("scgmmwls", 3)
+        assert params.label == "scgmmwls:m=3"
+
+    def test_parse_infinity(self):
+        params = DirectionParams.parse("m2:m=inf")
+        assert math.isinf(params.m)
+        assert params.label == "m2:m=inf"
+
+    def test_plain_methods_have_no_order_suffix(self):
+        assert DirectionParams.parse("dk").label == "dk"
+        assert DirectionParams.parse("jian").label == "jian"
+
+    def test_unknown_option_rejected(self):
+        with pytest.raises(ValueError):
+            DirectionParams.parse("dk:q=2")
+
+    @pytest.mark.parametrize("text", ["dk:m=5", "jian:m=inf", "DK:m=3"])
+    def test_order_suffix_only_on_scgmmwls_and_m2(self, text):
+        with pytest.raises(ValueError, match="order suffix is only valid on scgmmwls and m2"):
+            DirectionParams.parse(text)
+
+    @pytest.mark.parametrize("text", ["scgmmwls:m=-inf", "m2:m=nan", "scgmmwls:m=2"])
+    def test_orders_no_config_accepts_rejected(self, text):
+        with pytest.raises(ValueError, match="order m"):
+            DirectionParams.parse(text)
+
+    @pytest.mark.parametrize(
+        "params",
+        [DirectionParams(method, m=m) for method in ("scgmmwls", "m2") for m in (3, 4, math.inf)]
+        + [DirectionParams("dk"), DirectionParams("jian")],
+        ids=lambda p: p.label,
+    )
+    def test_label_parses_back_to_the_same_params(self, params):
+        assert DirectionParams.parse(params.label) == params
+
+    def test_overrides_set_eta_and_tau(self):
+        params = DirectionParams.parse("m2:m=4", eta=0.01, tau=5.0)
+        assert params == DirectionParams("m2", eta=0.01, tau=5.0, m=4)
 
 
 class TestBetaM:
@@ -134,7 +178,7 @@ class TestScgmmwls:
             d_prev = -g_old + 0.1 * rng.standard_normal(n)
             s = 0.05 * rng.standard_normal(n)
             y = g_new - g_old
-            sec = make_secant(s, y, float(rng.standard_normal()), SecantParams(m=3), C_DEFAULT)
+            sec = make_secant(s, y, float(rng.standard_normal()), PARAMS.coefficient, C_DEFAULT)
             d, diag = next_direction_scgmmwls(g_new, d_prev, g_old, sec, PARAMS)
             gg = float(g_new @ g_new)
             assert float(g_new @ d) <= -PARAMS.eta * gg + 1e-12 * gg
@@ -232,7 +276,7 @@ class TestM2:
     def test_positive_mu_coincides_with_scgmmwls(self):
         s, y = vec(0.4, -0.2), vec(1.0, 0.5)
         g_new, d_prev, g_old = vec(0.2, -0.9), vec(-1.0, 0.3), vec(1.1, -0.4)
-        sec = make_secant(s, y, 0.7, SecantParams(m=3), C_DEFAULT)
+        sec = make_secant(s, y, 0.7, PARAMS.coefficient, C_DEFAULT)
         d_a, diag_a = next_direction_m2(g_new, d_prev, g_old, sec, PARAMS)
         d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec, PARAMS)
         np.testing.assert_array_equal(d_a, d_b)

@@ -18,7 +18,7 @@ from specgrad.linesearch import (
 )
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import InstrumentedOracle, Problem, problem
-from specgrad.secant import SecantParams, mu, t_coefficient, z_vector
+from specgrad.secant import mu, order_coefficient, t_coefficient, z_vector
 from specgrad.solver import AuditReport, default_config
 
 
@@ -31,8 +31,8 @@ def problem_1d(f, g, name="p1d"):
 
 
 PARAMS = WolfeParams(rho=0.18, sigma=0.2)
-SP = SecantParams(m=3)
-CONFIG = default_config("scgmmwls", m=3)  # the audit's config: PARAMS and SP
+COEF = order_coefficient(3)
+CONFIG = default_config("scgmmwls:m=3")  # the audit's config: PARAMS and COEF
 
 
 class TestWolfeParams:
@@ -53,21 +53,21 @@ class TestStandardWolfe:
         # f = x^2 at x = 1 with d = -2: Armijo allows alpha <= 0.82, curvature
         # needs alpha >= 0.4.
         oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
-        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, SP, alpha0=1.0)
+        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, COEF, 1.0, -4.0)
         assert out.status == ACCEPTED
         assert 0.4 - 1e-9 <= out.alpha <= 0.82 + 1e-9
         assert out.nf_used <= 10
 
     def test_exact_minimizer_accepted_first(self):
         oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
-        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, SP, alpha0=0.5)
+        out = standard_wolfe(oracle, vec(1.0), 1.0, vec(2.0), vec(-2.0), PARAMS, COEF, 0.5, -4.0)
         assert out.status == ACCEPTED
         assert out.alpha == 0.5
         assert out.nf_used == 1
 
     def test_zero_slope_is_degenerate(self):
         oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
-        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(0.0), vec(1.0), PARAMS, SP, alpha0=1.0)
+        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(0.0), vec(1.0), PARAMS, COEF, 1.0, 0.0)
         assert out.status == DEGENERATE_DIRECTION
         assert out.nf_used == 0
 
@@ -75,21 +75,21 @@ class TestStandardWolfe:
     def test_infinite_slope_is_degenerate(self, search):
         oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
         # g^T d of g = 1e200, d = -1e200 overflows to -inf
-        out = search(oracle, vec(0.5), 0.25, vec(1e200), vec(-1e200), PARAMS, SP, 1.0, gd=-np.inf)
+        out = search(oracle, vec(0.5), 0.25, vec(1e200), vec(-1e200), PARAMS, COEF, 1.0, gd=-np.inf)
         assert out.status == DEGENERATE_DIRECTION
         assert out.nf_used == oracle.nf == 0
 
     def test_linear_objective_exhausts_trials(self):
         # phi' is constant, the curvature condition never holds.
         oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
-        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, SP, alpha0=1.0)
+        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, COEF, 1.0, -1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
 
     def test_expansion_stops_at_alpha_max(self):
         # Every trial on f = -x passes Armijo and points downhill, so the
         # search doubles 1, 2, ..., 2**19 and then tries ALPHA_MAX once.
         oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
-        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, SP, alpha0=1.0)
+        out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, COEF, 1.0, -1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
         assert out.nf_used == oracle.nf == 21 < MAX_TRIALS
 
@@ -99,8 +99,7 @@ class TestModifiedWolfe:
         # f = x^3 at x = 1, d = -1: the trial alpha = 0.5 has mu = -0.125 and
         # fails the corrected curvature test, so the engine must move on.
         oracle = InstrumentedOracle(problem_1d(lambda x: x**3, lambda x: 3.0 * x * x))
-        sp = SecantParams(m=3)
-        out = modified_wolfe(oracle, vec(1.0), 1.0, vec(3.0), vec(-1.0), PARAMS, sp, alpha0=0.5)
+        out = modified_wolfe(oracle, vec(1.0), 1.0, vec(3.0), vec(-1.0), PARAMS, COEF, 0.5, -3.0)
         assert out.status == ACCEPTED
         assert out.alpha != 0.5
         assert out.alpha == 1.0  # x lands on the stationary point of x^3
@@ -111,9 +110,8 @@ class TestModifiedWolfe:
         oracle = InstrumentedOracle(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3)
         out = modified_wolfe(
-            oracle, p.start, f, g, d, PARAMS, sp, alpha0=1.0 / norm_inf(g)
+            oracle, p.start, f, g, d, PARAMS, COEF, 1.0 / norm_inf(g), dot(g, d)
         )
         assert out.status == ACCEPTED
         np.testing.assert_allclose(out.s, out.alpha * d)
@@ -124,15 +122,13 @@ class TestModifiedWolfe:
         p = problem("qf1", 4)
         oracle = InstrumentedOracle(p)
         g = p.gradient(p.start)
-        sp = SecantParams(m=3)
-        out = modified_wolfe(oracle, p.start, 1.0, g, g, PARAMS, sp, alpha0=1.0)  # ascent
+        out = modified_wolfe(oracle, p.start, 1.0, g, g, PARAMS, COEF, 1.0, dot(g, g))  # ascent
         assert out.status == DEGENERATE_DIRECTION
 
     def test_alpha_underflow_reports_failure(self):
         oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
-        sp = SecantParams(m=3)
         out = modified_wolfe(
-            oracle, vec(0.0), 0.0, vec(-1.0), vec(1e-200), PARAMS, sp, alpha0=5e-124
+            oracle, vec(0.0), 0.0, vec(-1.0), vec(1e-200), PARAMS, COEF, 5e-124, -1e-200
         )
         assert out.status == MAX_TRIALS_EXCEEDED
 
@@ -140,9 +136,8 @@ class TestModifiedWolfe:
         # mu evaluates to exactly 0 on a dyadic quadratic state, so both
         # searches walk identical trial sequences and accept the same alpha.
         make = lambda: InstrumentedOracle(problem_1d(lambda x: 0.5 * x * x, lambda x: x))
-        sp = SecantParams(m=3)
-        a = standard_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, sp, 0.25)
-        b = modified_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, sp, 0.25)
+        a = standard_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, COEF, 0.25, -1.0)
+        b = modified_wolfe(make(), vec(1.0), 0.5, vec(1.0), vec(-1.0), PARAMS, COEF, 0.25, -1.0)
         assert a.status == b.status == ACCEPTED
         assert a.alpha == b.alpha
         assert a.nf_used == b.nf_used
@@ -151,9 +146,8 @@ class TestModifiedWolfe:
         p = problem("qf1", 5)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3)
-        a = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 0.2)
-        b = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 0.2)
+        a = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 0.2, dot(g, d))
+        b = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 0.2, dot(g, d))
         assert a.status == b.status == ACCEPTED
         assert a.alpha == b.alpha
         assert a.nf_used == b.nf_used
@@ -165,7 +159,8 @@ class TestAccounting:
         oracle = InstrumentedOracle(p)
         f, g = oracle.eval_fg(p.start)
         before = (oracle.nf, oracle.ng)
-        out = modified_wolfe(oracle, p.start, f, g, -g, PARAMS, SP, alpha0=1.0 / norm_inf(g))
+        d = -g
+        out = modified_wolfe(oracle, p.start, f, g, d, PARAMS, COEF, 1.0 / norm_inf(g), dot(g, d))
         assert out.status == ACCEPTED
         assert out.nf_used == oracle.nf - before[0]
         assert out.nf_used == oracle.ng - before[1]  # one f and one g per trial
@@ -191,11 +186,8 @@ class TestAcceptedBundleOnly:
         p = problem(name, 10)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3)
-        if modified:
-            out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 1.0)
-        else:
-            out = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, sp, 1.0)
+        search = modified_wolfe if modified else standard_wolfe
+        out = search(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 1.0, dot(g, d))
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert len(z_calls) == 1
@@ -206,7 +198,7 @@ class TestAcceptedBundleOnly:
         gd, gd_new, dd = dot(g, d), dot(out.g_new, d), dot(d, d)
         # The search takes mu in slope form, from raw scalars only.
         mu_raw = 2.0 * (f - out.f_new) + alpha * (gd + gd_new)
-        t_raw = t_coefficient(mu_raw, alpha * (alpha * dd), sp.coefficient, PARAMS.C)
+        t_raw = t_coefficient(mu_raw, alpha * (alpha * dd), COEF, PARAMS.C)
         np.testing.assert_array_equal(out.x_new, p.start + s)
         np.testing.assert_array_equal(out.s, s)
         np.testing.assert_array_equal(out.y, y)
@@ -226,11 +218,8 @@ class TestAcceptedBundleOnly:
     @pytest.mark.parametrize("modified", [True, False])
     def test_failed_search_builds_no_bundle(self, z_calls, modified):
         oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
-        sp = SecantParams(m=3)
-        if modified:
-            out = modified_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, sp, 1.0)
-        else:
-            out = standard_wolfe(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, sp, 1.0)
+        search = modified_wolfe if modified else standard_wolfe
+        out = search(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, COEF, 1.0, -1.0)
         assert out.status == MAX_TRIALS_EXCEEDED
         assert out.nf_used > 1
         assert out.s is None and out.y is None and out.z is None
@@ -245,8 +234,7 @@ class TestVerifier:
         oracle = InstrumentedOracle(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        sp = SecantParams(m=3)
-        out = modified_wolfe(oracle, p.start, f, g, d, PARAMS, sp, alpha0=1.0 / norm_inf(g))
+        out = modified_wolfe(oracle, p.start, f, g, d, PARAMS, COEF, 1.0 / norm_inf(g), dot(g, d))
         assert out.status == ACCEPTED
         audit = AuditReport()
         audit.check_wolfe(f, g, d, out, CONFIG, p.lipschitz_hint, modified=True)
@@ -258,7 +246,7 @@ class TestVerifier:
         oracle = InstrumentedOracle(p)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        out = standard_wolfe(oracle, p.start, f, g, d, PARAMS, SP, alpha0=0.01)
+        out = standard_wolfe(oracle, p.start, f, g, d, PARAMS, COEF, 0.01, dot(g, d))
         assert out.status == ACCEPTED
         gd = dot(g, d)
         assert out.f_new <= f + PARAMS.rho * out.alpha * gd + 1e-12 * (1.0 + abs(f))

@@ -18,7 +18,7 @@ from specgrad.directions import next_direction
 from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import InstrumentedOracle, Problem, problem
-from specgrad.secant import SecantParams, mu
+from specgrad.secant import mu, order_coefficient
 from specgrad.solver import default_config
 
 from reference import (
@@ -35,12 +35,12 @@ FAMILIES = ("ext_rosenbrock", "ext_beale", "arwhead", "engval1", "diagonal1", "r
 
 def search(oracle, x, f, g, d, cfg, alpha0):
     wolfe = modified_wolfe if cfg.direction.method == "scgmmwls" else standard_wolfe
-    return wolfe(oracle, x, f, g, d, cfg.wolfe, cfg.direction.secant, alpha0, gd=dot(g, d))
+    return wolfe(oracle, x, f, g, d, cfg.wolfe, cfg.direction.coefficient, alpha0, dot(g, d))
 
 
-def accepted_steps(name, n, method, steps=5, m=3):
+def accepted_steps(name, n, solver, steps=5):
     """(f, g, d, outcome) for the first accepted steps of the solver's own update."""
-    cfg = default_config(method, m=m)
+    cfg = default_config(solver)
     p = problem(name, n)
     oracle = InstrumentedOracle(p)
     x = p.start.copy()
@@ -132,12 +132,12 @@ class TestDotCounts:
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
         gd = dot(g, d)
-        sp = SecantParams(m=3)
+        coef = order_coefficient(3)
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
-            out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
+            out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, coef, 1.0, gd=gd)
         else:
-            out = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, sp, 1.0, gd=gd)
+            out = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, coef, 1.0, gd=gd)
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert dot_calls["linesearch"] == out.nf_used + 1
@@ -153,24 +153,26 @@ class TestDotCounts:
             np.ones(1),
         )
         x, g, d = np.ones(1), np.array([2.0]), np.array([-2.0])
-        sp = SecantParams(m=3)
+        coef = order_coefficient(3)
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
-            out = modified_wolfe(InstrumentedOracle(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
+            out = modified_wolfe(InstrumentedOracle(prob), x, 1.0, g, d, params, coef, 2.0, gd=-4.0)
         else:
-            out = standard_wolfe(InstrumentedOracle(prob), x, 1.0, g, d, params, sp, 2.0, gd=-4.0)
+            out = standard_wolfe(InstrumentedOracle(prob), x, 1.0, g, d, params, coef, 2.0, gd=-4.0)
         assert out.status == ACCEPTED
         assert out.alpha == 0.5
         assert out.nf_used == 3
         assert dot_calls["linesearch"] == 1 + (out.nf_used - 1)
 
-    def test_search_without_gd_takes_it_once(self, dot_calls):
+    @pytest.mark.parametrize("search", [modified_wolfe, standard_wolfe])
+    def test_search_takes_gd_from_the_caller(self, dot_calls, search):
+        # The solver always has g^T d; a search called without it is an error,
+        # not a second dot product.
         p = problem("ext_rosenbrock", 10)
         f, g = p.objective(p.start), p.gradient(p.start)
-        sp = SecantParams(m=3)
-        out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, -g, WolfeParams(), sp, 1.0)
-        assert out.status == ACCEPTED
-        assert dot_calls["linesearch"] == out.nf_used + 2
+        with pytest.raises(TypeError):
+            search(InstrumentedOracle(p), p.start, f, g, -g, WolfeParams(), 3.0, 1.0)
+        assert dot_calls["linesearch"] == 0
 
     @pytest.mark.parametrize("method", METHODS)
     def test_solver_path_direction_takes_at_most_four_dots(self, dot_calls, method):
@@ -188,8 +190,9 @@ def test_m2_coefficient_is_the_searchs_t_for_positive_mu(m):
     # m2 search computes t with the same m, so c equals the paper form exactly.
     signs = set()
     for name in ("ext_rosenbrock", "nondquar", "qf1"):
-        _, steps = accepted_steps(name, 10, "m2", steps=20, m=m)
+        _, steps = accepted_steps(name, 10, f"m2:m={m}", steps=20)
         for _, _, _, out in steps:
             signs.add(out.mu > 0)
-            assert (out.t if out.mu > 0 else 0.0) == m2_coefficient(out.mu, out.s_norm_sq, m)
+            s_norm_sq = out.alpha * (out.alpha * out.dd)
+            assert (out.t if out.mu > 0 else 0.0) == m2_coefficient(out.mu, s_norm_sq, m)
     assert signs == {True, False}

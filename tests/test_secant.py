@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from specgrad.directions import DirectionParams
 from specgrad.linesearch import WolfeParams
 from specgrad.problems import Problem
 from specgrad.secant import (
     DegenerateStepError,
-    SecantParams,
     mu,
     order_coefficient,
     t_coefficient,
@@ -46,7 +46,7 @@ class TestParams:
 
     def test_infinity_coefficient_is_one(self):
         assert order_coefficient(math.inf) == 1.0
-        assert SecantParams(m=math.inf).coefficient == 1.0
+        assert DirectionParams(m=math.inf).coefficient == 1.0
 
     def test_finite_coefficients(self):
         assert order_coefficient(3) == 3.0
@@ -55,15 +55,16 @@ class TestParams:
     @pytest.mark.parametrize("m", [2, 1, 3.5, -1, -math.inf, math.nan])
     def test_rejects_bad_orders(self, m):
         with pytest.raises(ValueError):
-            SecantParams(m=m)
+            DirectionParams(m=m)
 
     def test_rejects_bad_rho_sigma(self):
         with pytest.raises(ValueError):
             WolfeParams(rho=0.5, sigma=0.2)
 
-    def test_holds_the_order_only(self):
+    def test_direction_params_hold_no_rho_or_sigma(self):
         # rho and sigma live in WolfeParams alone, so no config holds two pairs.
-        assert [f.name for f in dataclasses.fields(SecantParams)] == ["m"]
+        names = [f.name for f in dataclasses.fields(DirectionParams)]
+        assert names == ["method", "eta", "tau", "m"]
 
 
 class TestMu:
@@ -97,20 +98,20 @@ class TestMu:
 
 class TestTCoefficient:
     def test_positive_mu_order_3(self):
-        assert t_coefficient(0.125, 0.25, SecantParams(m=3).coefficient, C_DEFAULT) == pytest.approx(
+        assert t_coefficient(0.125, 0.25, order_coefficient(3), C_DEFAULT) == pytest.approx(
             1.5
         )
 
     def test_negative_mu_uses_c(self):
-        coef = SecantParams(m=3).coefficient
+        coef = order_coefficient(3)
         assert t_coefficient(-0.84, 1.0, coef, C_DEFAULT) == pytest.approx(-0.02, abs=1e-15)
 
     def test_zero_mu_gives_zero(self):
-        assert t_coefficient(0.0, 0.7, SecantParams(m=5).coefficient, C_DEFAULT) == 0.0
+        assert t_coefficient(0.0, 0.7, order_coefficient(5), C_DEFAULT) == 0.0
 
     def test_zero_step_rejected(self):
         with pytest.raises(DegenerateStepError):
-            t_coefficient(1.0, 0.0, SecantParams(m=3).coefficient, C_DEFAULT)
+            t_coefficient(1.0, 0.0, order_coefficient(3), C_DEFAULT)
 
 
 class TestZandV:
@@ -149,7 +150,7 @@ class TestZandV:
             m2_coefficient(1.0, 0.0, 3)
 
     def test_make_secant_bundle(self):
-        sec = make_secant(vec(0.5), vec(2.25), 0.125, SecantParams(m=3), C_DEFAULT)
+        sec = make_secant(vec(0.5), vec(2.25), 0.125, order_coefficient(3), C_DEFAULT)
         assert sec.t == pytest.approx(1.5)
         assert sec.z[0] == pytest.approx(3.0)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
+from specgrad.numkit import dot
 from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.solver import (
     CONVERGED,
@@ -51,8 +52,8 @@ class TestConfig:
         assert cfg.wolfe.C == C
         cube = Problem("cube", 1, lambda x: (float(x[0] ** 3), 3.0 * x * x), np.ones(1))
         x, g, d = np.ones(1), np.array([3.0]), np.array([-1.0])
-        sp = cfg.direction.secant
-        out = modified_wolfe(InstrumentedOracle(cube), x, 1.0, g, d, cfg.wolfe, sp, 1.0)
+        coef = cfg.direction.coefficient
+        out = modified_wolfe(InstrumentedOracle(cube), x, 1.0, g, d, cfg.wolfe, coef, 1.0, -3.0)
         assert (out.status, out.alpha, out.mu) == (ACCEPTED, 1.0, -1.0)
         assert out.t == C * out.mu / 1.0
         audit = AuditReport()
@@ -61,6 +62,29 @@ class TestConfig:
         other = AuditReport()
         other.check_wolfe(1.0, g, d, out, default_config("scgmmwls"), 2.0, modified=True)
         assert other.t_bound_violations == 1
+
+    @pytest.mark.parametrize(
+        "solver,pair,coefficient",
+        [
+            ("scgmmwls:m=3", (0.18, 0.2), 3.0),
+            ("dk", (0.1, 0.9), 3.0),
+            ("jian", (0.1, 0.9), 3.0),
+            ("m2:m=3", (0.1, 0.9), 3.0),
+        ],
+    )
+    def test_benchmark_ids(self, solver, pair, coefficient):
+        cfg = default_config(solver)
+        assert cfg.direction.label == solver
+        assert (cfg.wolfe.rho, cfg.wolfe.sigma) == pair
+        assert cfg.direction.coefficient == coefficient
+
+    def test_the_order_is_given_only_in_the_solver_id(self):
+        assert default_config("m2:m=inf").direction.coefficient == 1.0
+        assert default_config("m2:m=4").direction.coefficient == 2.0
+        with pytest.raises(TypeError):
+            default_config("m2", m=4)
+        with pytest.raises(TypeError):
+            default_config("m2", 4)
 
     def test_rho_and_sigma_are_set_only_through_wolfe_params(self):
         with pytest.raises(TypeError):
@@ -82,7 +106,7 @@ class TestConfig:
 class TestMinimize:
     def test_qf1_converges_and_beats_10x_steepest_descent(self):
         sd_ni = steepest_descent_iters_qf1(10)
-        res = minimize(problem("qf1", 10), default_config("scgmmwls", m=3))
+        res = minimize(problem("qf1", 10), default_config("scgmmwls:m=3"))
         assert res.status == CONVERGED
         assert res.gnorm_inf_final <= 1e-8
         assert res.ni <= 200
@@ -137,7 +161,7 @@ class TestMinimize:
 
     def test_monotone_descent_along_trace(self):
         p = problem("ext_rosenbrock", 20)
-        res = minimize(p, default_config("scgmmwls", m=3, trace_level="full"))
+        res = minimize(p, default_config("scgmmwls:m=3", trace_level="full"))
         assert res.status == CONVERGED
         f_prev = p.objective(p.start)
         for rec in res.trace:
@@ -145,7 +169,7 @@ class TestMinimize:
             f_prev = rec.f
 
     def test_determinism_bitwise(self):
-        cfg = default_config("scgmmwls", m=3, trace_level="full")
+        cfg = default_config("scgmmwls:m=3", trace_level="full")
         a = minimize(problem("arwhead", 50), cfg)
         b = minimize(problem("arwhead", 50), cfg)
         assert (a.status, a.ni, a.nf, a.ng) == (b.status, b.ni, b.nf, b.ng)
@@ -176,7 +200,7 @@ class TestMinimize:
 
     @pytest.mark.parametrize("method", ["dk", "jian", "m2"])
     def test_baselines_converge_on_qf1(self, method):
-        res = minimize(problem("qf1", 10), default_config(method, m=3))
+        res = minimize(problem("qf1", 10), default_config(method))
         assert res.status == CONVERGED
         assert res.audit.clean
 
@@ -197,7 +221,7 @@ class TestMinimize:
             return c * f, c * g
 
         scaled = Problem(f"scaled_{c}", base.dim, fg, base.start)
-        res = minimize(scaled, default_config("scgmmwls", m=3))
+        res = minimize(scaled, default_config("scgmmwls:m=3"))
         assert res.status != EVAL_ERROR
         assert res.audit.clean
 
@@ -205,7 +229,7 @@ class TestMinimize:
 class TestMuTrace:
     def test_qf1_mu_at_roundoff_scale(self):
         p = problem("qf1", 100)
-        cfg = default_config("scgmmwls", m=3, trace_level="full")
+        cfg = default_config("scgmmwls:m=3", trace_level="full")
         res = minimize(p, cfg)
         assert res.status == CONVERGED
         f_prev = p.objective(p.start)
@@ -214,14 +238,14 @@ class TestMuTrace:
             f_prev = rec.f
 
     def test_arwhead_first_mu_negative(self):
-        cfg = default_config("scgmmwls", m=3, max_iter=1, trace_level="full")
+        cfg = default_config("scgmmwls:m=3", max_iter=1, trace_level="full")
         res = minimize(problem("arwhead", 100), cfg)
         assert res.trace[0].mu < 0.0
 
     def test_quartic_first_mu_matches_independent_evaluation(self):
         n = 6
         p = Problem("quartic", n, lambda x: (float(np.sum(x**4)), 4.0 * x**3), np.ones(n))
-        cfg = default_config("scgmmwls", m=3, max_iter=1, trace_level="full")
+        cfg = default_config("scgmmwls:m=3", max_iter=1, trace_level="full")
         res = minimize(p, cfg)
         rec = res.trace[0]
         g0 = p.gradient(p.start)
@@ -257,11 +281,11 @@ class TestAudit:
     def accepted_step(search):
         """One accepted step on qf1 (n = 30, exact Lipschitz constant 30)."""
         p = problem("qf1", 30)
-        cfg = default_config("scgmmwls", m=3)
+        cfg = default_config("scgmmwls:m=3")
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
-        out = search(InstrumentedOracle(p), p.start, f, g, d, cfg.wolfe, cfg.direction.secant,
-                     1.0 / np.max(np.abs(g)))
+        out = search(InstrumentedOracle(p), p.start, f, g, d, cfg.wolfe, cfg.direction.coefficient,
+                     1.0 / np.max(np.abs(g)), dot(g, d))
         assert out.status == ACCEPTED
         return p, cfg, f, g, d, out
 
