@@ -28,6 +28,10 @@ from .solver import CONVERGED, EVAL_ERROR, STATUSES, RunResult, default_config, 
 
 METRICS = ("ni", "nf", "ng")
 RESULT_FIELDS = ("solver", "problem", "dim", "status", "ni", "nf", "ng", "f_final", "gnorm_inf")
+# The JSON type of each field in results.json; a float field also takes an
+# integer, and NaN (an eval_error row's f_final), but no bool.
+_FIELD_TYPES = dict(zip(RESULT_FIELDS, (str, str, int, str, int, int, int, float, float)))
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 
 @dataclass
@@ -211,11 +215,17 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
 
 def load_results(prefix) -> ResultTable:
     """Rebuild a result table from the ``results.json`` of an emitted directory;
-    a row with an unknown status, a dim or count that is not a JSON integer, a
-    negative count or a repeated cell raises ``ValueError``."""
+    a field of the wrong JSON type, an unknown status, a negative count or a
+    repeated cell raises ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
+    records = json.loads(json_path.read_text())["results"]
+    for rec in records:
+        for key, kind in _FIELD_TYPES.items():
+            # type(), not isinstance(): bool is an int subclass
+            if type(rec[key]) is not kind and (kind, type(rec[key])) != (float, int):
+                raise ValueError(f"{key} is not {_TYPE_NAMES[kind]}: {rec[key]!r}")
     rows = [
         ResultRow(
             rec["solver"],
@@ -230,15 +240,12 @@ def load_results(prefix) -> ResultTable:
                 gnorm_inf_final=float(rec["gnorm_inf"]),
             ),
         )
-        for rec in json.loads(json_path.read_text())["results"]
+        for rec in records
     ]
-    counts = [(r.dim, r.result.ni, r.result.nf, r.result.ng) for r in rows]
-    if any(type(v) is not int for c in counts for v in c):  # bool is an int subclass
-        raise ValueError("dim, ni, nf or ng is not an integer")
     unknown = {r.result.status for r in rows}.difference(STATUSES)
     if unknown:
         raise ValueError(f"unknown status {', '.join(sorted(unknown))}")
-    if any(min(c[1:]) < 0 for c in counts):
+    if any(min(r.result.ni, r.result.nf, r.result.ng) < 0 for r in rows):
         raise ValueError("negative ni, nf or ng")
     cells = [(r.solver, r.problem, r.dim) for r in rows]
     if len(set(cells)) != len(cells):

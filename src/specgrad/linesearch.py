@@ -32,9 +32,10 @@ x + alpha d, one f+g evaluation and one dot product, g_t^T d:
     s^T d = alpha d^T d,        |s|^2 = alpha (alpha d^T d)
     t     = t_coefficient(mu, |s|^2),  modified curvature term min(t, 0) s^T d
 
-A trial builds no s, no g + g_t and no y.  The vectors s, y = g_t - g and
-z = y + t s are built once, for the accepted trial, from the trial's mu and
-t.  :class:`LineSearchOutcome` is the one record of a step: it carries the
+A trial builds no s, no g + g_t and no y.  The vectors s and y = g_t - g
+are built once, for the accepted trial; z = y + t s, from the trial's t, only
+by the modified search, the one whose direction (scgmmwls) and audit read it.
+:class:`LineSearchOutcome` is the one record of a step: it carries the
 point, the secant bundle and the search's dot products, so the direction
 update need not take them again.
 """
@@ -91,7 +92,8 @@ class WolfeParams:
 @dataclass
 class LineSearchOutcome:
     """One search; ``f_new`` stays f(x) unless a step s = alpha d is accepted, which
-    also carries y = g_new - g_old, z = y + t s and g_old^T d, g_new^T d, d^T d."""
+    also carries y = g_new - g_old, g_old^T d, g_new^T d, d^T d and, from the
+    modified search only, z = y + t s."""
 
     status: str
     nf_used: int  # trials; each evaluates f and g once
@@ -229,7 +231,7 @@ def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
     x_t, g_t, mu_t, t_t = best.payload
     s = best.alpha * d
     y = g_t - g
-    z = z_vector(y, s, t_t)
+    z = z_vector(y, s, t_t) if modified else None
     return LineSearchOutcome(
         ACCEPTED, trials, best.f, best.alpha, x_t, g_t, s, y, mu_t, t_t, z, gd0, best.dphi, dd
     )
@@ -246,7 +248,8 @@ def standard_wolfe(
     alpha0: float,
     gd: float,
 ) -> LineSearchOutcome:
-    """Weak-Wolfe search; the secant bundle is still computed for direction updates.
+    """Weak-Wolfe search; the secant bundle, without z, is still computed for
+    direction updates.
 
     ``coefficient`` is the order factor m/(m-2) of t
     (:attr:`specgrad.directions.DirectionParams.coefficient`); ``gd`` is g^T d,

@@ -1,11 +1,12 @@
 """Modified secant quantities shared by the line search and direction updates.
 
-A step produces the bundle (s, y, mu, t, z) where z = y + t*s plays the role
-of the gradient difference in the curvature-aware formulas.  The scalar mu
-folds function-value information into the secant relation; it vanishes
-identically on quadratics.  The scaling t is safeguarded: a positive mu is
-amplified by m/(m-2) for the chosen expansion order m (order "infinity" uses
-coefficient 1), a non-positive mu is damped by the line-search constant
+A step produces the bundle (s, y, mu, t); a modified Wolfe step adds
+z = y + t*s, which plays the role of the gradient difference in the
+curvature-aware formulas of scgmmwls.  The scalar mu folds function-value
+information into the secant relation; it vanishes identically on
+quadratics.  The scaling t is safeguarded: a positive mu is amplified by
+m/(m-2) for the chosen expansion order m (order "infinity" uses coefficient
+1), a non-positive mu is damped by the line-search constant
 C = (sigma - rho) / (1 - 2 rho + sigma) so the curvature condition survives.
 (rho, sigma) is the Wolfe search's own pair, so C is a property of
 :class:`specgrad.linesearch.WolfeParams`; m is the solver's, and m/(m-2) is

@@ -14,10 +14,12 @@ The verification oracles: central differences (``fd_gradient``,
 ``hessian_error``.
 
 The vector forms of the direction formulas (``beta_m``, ``theta_tilde``,
-``next_direction_<method>``) take every scalar with ``dot`` from their
-vectors, for any step s.  They share the scalar formulas of
-:mod:`specgrad.directions`; the solver's ``next_direction`` takes the same
-scalars from the line search instead, and the tests check the two agree.
+``beta_dk``, ``next_direction_<method>``) are written from the paper's
+formulas on raw vectors, for any step s, and raise :class:`Degenerate` on a
+vanishing denominator themselves.  They share no code with
+:mod:`specgrad.directions`, whose ``next_direction`` takes its scalars from
+the line search instead; the tests check the two agree.  ``accepted_step``
+builds the step record of s = alpha d that ``next_direction`` reads.
 """
 
 import math
@@ -26,30 +28,20 @@ from typing import Callable
 
 import numpy as np
 
-from specgrad.directions import (
-    DirectionDiag,
-    DirectionParams,
-    _beta_m,
-    _dk_direction,
-    _spectral_direction,
-    _theta_tilde,
-)
+from specgrad.directions import DirectionDiag, DirectionParams
 from specgrad.linesearch import ACCEPTED, LineSearchOutcome
 from specgrad.numkit import Vector, dot, norm_inf
 from specgrad.problems import Problem
-from specgrad.secant import (
-    DegenerateStepError,
-    mu,
-    order_coefficient,
-    t_coefficient,
-    v_vector_m2,
-    z_vector,
-)
+from specgrad.secant import DegenerateStepError, mu, order_coefficient, t_coefficient, z_vector
 
 ScalarField = Callable[[np.ndarray], float]
 
 # Seed for the reproducible perturbed check points used by gradient audits.
 CHECK_POINT_SEED = 20240117
+
+# A denominator at most this share of the product of its factors' norms is
+# degenerate: the formula that divides by it is undefined.
+DEGENERATE_REL = 1e-300
 
 
 def secant_step(s, y, mu: float, t: float, z) -> LineSearchOutcome:
@@ -62,21 +54,80 @@ def make_secant(s, y, mu_value: float, coefficient: float, C: float) -> LineSear
     return secant_step(s, y, mu_value, t, z_vector(y, s, t))
 
 
-def beta_m(g_new: Vector, g_old: Vector, d: Vector, z: Vector) -> tuple[float, bool]:
-    """max(beta_L, beta_R); the flag reports whether the beta_R branch won."""
-    return _beta_m(dot(g_old, d), dot(g_new, d), dot(d, d), dot(d, z), dot(g_new, z), dot(z, z))
-
-
-def theta_tilde(g_new: Vector, s: Vector, d: Vector, z: Vector, beta: float) -> float:
-    return _theta_tilde(
-        dot(s, g_new), dot(d, z), dot(g_new, g_new), dot(g_new, z), dot(z, z), beta
+def accepted_step(g_old, g_new, d, alpha: float, mu: float = 0.0, t: float = 0.0):
+    """The record of an accepted step s = alpha d from gradient g_old to g_new:
+    the secant bundle with z = y + t s and the search's dot products."""
+    s, y = alpha * d, g_new - g_old
+    return LineSearchOutcome(
+        ACCEPTED, 1, math.nan, alpha, g_new=g_new, s=s, y=y, mu=mu, t=t, z=y + t * s,
+        gd_old=float(g_old @ d), gd_new=float(g_new @ d), dd=float(d @ d),
     )
 
 
-def _raw_scalars(g_new, prev_d, prev_g, s, w):
-    """(g_old^T d, g_new^T d, d^T d, s^T g_new, d^T w) from vectors; s is arbitrary."""
-    gd_old, gd_new, dd = dot(prev_g, prev_d), dot(g_new, prev_d), dot(prev_d, prev_d)
-    return gd_old, gd_new, dd, dot(s, g_new), dot(prev_d, w)
+class Degenerate(ArithmeticError):
+    """A denominator of a direction formula vanished."""
+
+
+def _denominator(u: Vector, v: Vector, name: str) -> float:
+    """u^T v, raising :class:`Degenerate` when it is negligible against |u| |v|."""
+    value = float(u @ v)
+    if abs(value) <= DEGENERATE_REL * np.linalg.norm(u) * np.linalg.norm(v):
+        raise Degenerate(f"{name} = {value}")
+    return value
+
+
+def beta_m(g_new: Vector, g_old: Vector, d: Vector, z: Vector) -> tuple[float, bool]:
+    """max(beta_L, beta_R); the flag reports whether the beta_R branch won.
+
+    beta_L = g_new^T z / d^T z - |z|^2 g_new^T d / (d^T z)^2,
+    beta_R = g_old^T d / |d|^2.
+    """
+    dz = _denominator(d, z, "d^T z")
+    beta_l = float(g_new @ z) / dz - float(z @ z) * float(g_new @ d) / dz**2
+    beta_r = float(g_old @ d) / float(d @ d)
+    return (beta_l, False) if beta_l >= beta_r else (beta_r, True)
+
+
+def theta_tilde(g_new: Vector, s: Vector, d: Vector, z: Vector, beta: float) -> float:
+    """(s^T g_new + beta d^T z) / g_new^T z."""
+    gz = _denominator(g_new, z, "g_new^T z")
+    return (float(s @ g_new) + beta * float(d @ z)) / gz
+
+
+def beta_dk(g_new: Vector, d: Vector, y: Vector) -> float:
+    """Dai-Kou: y^T g_new / d^T y - |y|^2 d^T g_new / (d^T y)^2."""
+    dy = _denominator(d, y, "d^T y")
+    return float(y @ g_new) / dy - float(y @ y) * float(d @ g_new) / dy**2
+
+
+def _restarted(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]:
+    diag.beta, diag.theta, diag.restart = 0.0, 1.0, True
+    return -g_new, diag
+
+
+def _spectral_step(g_new, prev_d, beta, theta_raw, params, diag):
+    """-theta g_new + beta d with theta_raw truncated into [1/4 + eta, tau]
+    (else 1); restarts unless g_new^T d <= -eta |g_new|^2."""
+    in_range = 0.25 + params.eta <= theta_raw <= params.tau
+    diag.theta = theta_raw if in_range else 1.0
+    diag.truncated_theta = not in_range
+    d = -diag.theta * g_new + beta * prev_d
+    if float(g_new @ d) <= -params.eta * float(g_new @ g_new):
+        return d, diag
+    return _restarted(g_new, diag)
+
+
+def _max_form_direction(g_new, prev_d, prev_g, s, w, params):
+    diag = DirectionDiag()
+    try:
+        diag.beta, diag.truncated_beta = beta_m(g_new, prev_g, prev_d, w)
+    except Degenerate:
+        return _restarted(g_new, diag)
+    try:
+        theta_raw = theta_tilde(g_new, s, prev_d, w, diag.beta)
+    except Degenerate:
+        theta_raw = math.nan
+    return _spectral_step(g_new, prev_d, diag.beta, theta_raw, params, diag)
 
 
 def next_direction_scgmmwls(
@@ -86,8 +137,7 @@ def next_direction_scgmmwls(
     secant: LineSearchOutcome,
     params: DirectionParams,
 ) -> tuple[Vector, DirectionDiag]:
-    scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, secant.z)
-    return _spectral_direction(g_new, prev_d, secant.z, *scalars, params)
+    return _max_form_direction(g_new, prev_d, prev_g, secant.s, secant.z, params)
 
 
 def next_direction_m2(
@@ -97,24 +147,40 @@ def next_direction_m2(
     secant: LineSearchOutcome,
     params: DirectionParams,
 ) -> tuple[Vector, DirectionDiag]:
-    c = m2_coefficient(secant.mu, dot(secant.s, secant.s), params.m)
-    v = v_vector_m2(secant.y, secant.s, c)
-    scalars = _raw_scalars(g_new, prev_d, prev_g, secant.s, v)
-    return _spectral_direction(g_new, prev_d, v, *scalars, params)
+    s = secant.s
+    v = secant.y + m2_coefficient(secant.mu, float(s @ s), params.m) * s
+    return _max_form_direction(g_new, prev_d, prev_g, s, v, params)
 
 
-def next_direction_dk(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, y: Vector
-) -> tuple[Vector, DirectionDiag]:
-    gd_new, dd, dy = dot(g_new, prev_d), dot(prev_d, prev_d), dot(prev_d, y)
-    return _dk_direction(g_new, prev_d, y, gd_new, dd, 0.0, dy, None, spectral=False)
+def next_direction_dk(g_new: Vector, prev_d: Vector, y: Vector) -> tuple[Vector, DirectionDiag]:
+    """-g_new + beta_DK d; restarts unless g_new^T d < 0 (or g_new = 0)."""
+    diag = DirectionDiag()
+    try:
+        diag.beta = beta_dk(g_new, prev_d, y)
+    except Degenerate:
+        return _restarted(g_new, diag)
+    d = -g_new + diag.beta * prev_d
+    if float(g_new @ d) >= 0.0 and float(g_new @ g_new) > 0.0:
+        return _restarted(g_new, diag)
+    return d, diag
 
 
 def next_direction_jian(
-    g_new: Vector, prev_d: Vector, prev_g: Vector, y: Vector, s: Vector, params: DirectionParams
+    g_new: Vector, prev_d: Vector, y: Vector, s: Vector, params: DirectionParams
 ) -> tuple[Vector, DirectionDiag]:
-    gd_new, dd, dy = dot(g_new, prev_d), dot(prev_d, prev_d), dot(prev_d, y)
-    return _dk_direction(g_new, prev_d, y, gd_new, dd, dot(s, g_new), dy, params, spectral=True)
+    """beta_DK with theta+ = 1 - (|y|^2 d^T g_new / d^T y - s^T g_new) / y^T g_new."""
+    diag = DirectionDiag()
+    try:
+        diag.beta = beta_dk(g_new, prev_d, y)
+    except Degenerate:
+        return _restarted(g_new, diag)
+    dy = float(prev_d @ y)
+    try:
+        yg = _denominator(y, g_new, "y^T g_new")
+        theta_raw = 1.0 - (float(y @ y) * float(prev_d @ g_new) / dy - float(s @ g_new)) / yg
+    except Degenerate:
+        theta_raw = math.nan
+    return _spectral_step(g_new, prev_d, diag.beta, theta_raw, params, diag)
 
 
 def m2_coefficient(mu_value: float, s_norm_sq: float, m: float) -> float:

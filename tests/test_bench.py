@@ -277,6 +277,14 @@ class TestEmit:
         assert float(rec["f_final"]) == 2.0 / 7.0
         assert float(rec["gnorm_inf"]) == 1e-9
 
+    def test_float_fields_take_json_integers_and_nan(self, tmp_path):
+        rec = {"solver": "A", "problem": "p", "dim": 1, "status": "eval_error", "ni": 0, "nf": 1,
+               "ng": 1, "f_final": 3, "gnorm_inf": math.nan}
+        (tmp_path / "results.json").write_text(json.dumps({"results": [rec]}))
+        (back,) = load_results(tmp_path).rows
+        assert type(back.result.f_final) is float and back.result.f_final == 3.0
+        assert math.isnan(back.result.gnorm_inf_final)
+
     def test_load_results_reads_json_only(self, tmp_path):
         emit(example_2x2(), None, "csv", tmp_path)
         with pytest.raises(FileNotFoundError):

@@ -40,7 +40,8 @@ def test_tracer_counts_match_the_run(tmp_path, monkeypatch, capsys):
     nf = sum(r.result.nf for r in rows)
     m = tracer.layer_metrics()
     assert m["linesearch.calls"] == m["directions.calls"] == ni
-    assert m["secant.z_built"] == ni
+    # Only the modified search (scgmmwls) builds z, once per accepted step.
+    assert m["secant.z_built"] == sum(r.result.ni for r in rows if r.solver.startswith("scgmmwls"))
     assert m["problems.eval_fg.calls"] == nf
     assert tracer.calls["solver.minimize"] == 8
     # One check_wolfe per step, plus one check_direction per spectral (non-dk) step.

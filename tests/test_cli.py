@@ -226,6 +226,18 @@ class TestBadArguments:
             ('{"results": [%s]}' % ROW.replace('"dim": 10', '"dim": true'), "not an integer"),
             ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": 9.0'), "not an integer"),
             ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": "9"'), "not an integer"),
+            (
+                '{"results": [%s, %s]}' % (ROW, ROW.replace('"solver": "dk"', '"solver": 5')),
+                "solver is not a string",
+            ),
+            ('{"results": [%s]}' % ROW.replace('"qf1"', '["qf1"]'), "problem is not a string"),
+            ('{"results": [%s]}' % ROW.replace('"converged"', "null"), "status is not a string"),
+            ('{"results": [%s]}' % ROW.replace('"f_final": 0.0', '"f_final": true'),
+             "f_final is not a number"),
+            ('{"results": [%s]}' % ROW.replace('"f_final": 0.0', '"f_final": "1e3"'),
+             "f_final is not a number"),
+            ('{"results": [%s]}' % ROW.replace('"gnorm_inf": 0.0', '"gnorm_inf": false'),
+             "gnorm_inf is not a number"),
         ],
     )
     def test_profile_with_malformed_results_exits_2(self, tmp_path, capsys, text, message):

@@ -1,17 +1,18 @@
+"""Direction formulas: the solver's ``next_direction`` on step records of
+s = alpha d, and the independent vector forms of ``reference.py``."""
+
 import math
 
 import numpy as np
 import pytest
 
-from specgrad.directions import (
-    DegenerateCurvatureError,
-    DegenerateSpectralError,
-    DirectionParams,
-    theta_bar,
-)
+from specgrad.directions import DirectionParams, next_direction, theta_bar
 from specgrad.linesearch import WolfeParams
 
 from reference import (
+    Degenerate,
+    accepted_step,
+    beta_dk,
     beta_m,
     make_secant,
     next_direction_dk,
@@ -109,7 +110,7 @@ class TestBetaM:
         assert truncated
 
     def test_degenerate_curvature(self):
-        with pytest.raises(DegenerateCurvatureError):
+        with pytest.raises(Degenerate, match=r"d\^T z"):
             beta_m(vec(1, 0), vec(1, 0), vec(1, 0), vec(0, 1))
 
 
@@ -128,7 +129,7 @@ class TestTheta:
         assert theta_tilde(one, one, one, one, beta=0.0) == 1.0
 
     def test_degenerate_spectral(self):
-        with pytest.raises(DegenerateSpectralError):
+        with pytest.raises(Degenerate, match=r"g_new\^T z"):
             theta_tilde(vec(1, 0), vec(1, 1), vec(1, 1), vec(0, 1), beta=0.0)
 
     @pytest.mark.parametrize(
@@ -198,13 +199,13 @@ class TestScgmmwls:
 
 class TestDk:
     def test_one_dimensional_cancellation(self):
-        d, diag = next_direction_dk(vec(0.75), vec(-1.0), vec(3.0), vec(-2.25))
+        d, diag = next_direction_dk(vec(0.75), vec(-1.0), vec(-2.25))
         assert abs(diag.beta) <= 1e-12
         assert d[0] == pytest.approx(-0.75, abs=1e-12)
 
     def test_orthogonal_state_is_steepest_descent(self):
         g_new = vec(0, 0, 2)
-        d, diag = next_direction_dk(g_new, vec(1, 1, 0), vec(-1, 0, 0), vec(1, -1, 0))
+        d, diag = next_direction_dk(g_new, vec(1, 1, 0), vec(1, -1, 0))
         np.testing.assert_allclose(d, -g_new)
 
     def test_matches_scalar_oracle(self):
@@ -220,14 +221,14 @@ class TestDk:
             / dy**2
         )
         d_ref = [-g_new[i] + beta_ref * d_prev[i] for i in range(3)]
-        d, diag = next_direction_dk(g_new, d_prev, rng.standard_normal(3), y)
+        d, diag = next_direction_dk(g_new, d_prev, y)
         if not diag.restart:
             assert diag.beta == pytest.approx(beta_ref, rel=1e-12)
             np.testing.assert_allclose(d, d_ref, rtol=1e-12)
 
     def test_degenerate_dy_restarts(self):
         g_new = vec(1, 1)
-        d, diag = next_direction_dk(g_new, vec(1, 0), vec(-1, 0), vec(0, 1))
+        d, diag = next_direction_dk(g_new, vec(1, 0), vec(0, 1))
         np.testing.assert_array_equal(d, -g_new)
         assert diag.restart
 
@@ -236,7 +237,7 @@ class TestJian:
     def test_truncates_theta_outside_range(self):
         g_new = vec(1.0, 1.0)
         y = vec(1e-8, 0.0)
-        d, diag = next_direction_jian(g_new, vec(-1, -1), vec(2, 2), y, vec(-0.1, -0.1), PARAMS)
+        d, diag = next_direction_jian(g_new, vec(-1, -1), y, vec(-0.1, -0.1), PARAMS)
         assert diag.theta == 1.0
         assert diag.truncated_theta
 
@@ -255,7 +256,7 @@ class TestJian:
         theta_plus = 1.0 - (yy * dg / dy - sg) / yg
         theta_ref = theta_plus if 0.251 <= theta_plus <= 10.0 else 1.0
         d_ref = -theta_ref * g_new + beta_ref * d_prev
-        d, diag = next_direction_jian(g_new, d_prev, rng.standard_normal(3), y, s, PARAMS)
+        d, diag = next_direction_jian(g_new, d_prev, y, s, PARAMS)
         if not diag.restart:
             assert diag.beta == pytest.approx(beta_ref, rel=1e-12)
             assert diag.theta == pytest.approx(theta_ref, rel=1e-12)
@@ -281,3 +282,108 @@ class TestM2:
         d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec, PARAMS)
         np.testing.assert_array_equal(d_a, d_b)
         assert diag_a == diag_b
+
+
+class TestNextDirection:
+    """The solver's ``next_direction`` itself, on step records of s = alpha d."""
+
+    D = vec(1.0, 0.0)
+
+    @staticmethod
+    def params(method):
+        return DirectionParams(method, eta=1e-3, tau=10.0)
+
+    def test_beta_r_branch_wins(self):
+        # z = (1, 2), d^T z = 1: beta_L = 6 - 5 * 2 = -4 < beta_R = g_old^T d = -1.
+        step = accepted_step(vec(-1, 0), vec(2, 2), self.D, 1.0, mu=-1.0, t=-2.0)
+        d, diag = next_direction(self.D, step, PARAMS)
+        assert (diag.beta, diag.truncated_beta, diag.restart) == (-1.0, True, False)
+        np.testing.assert_array_equal(d, vec(-3, -2))
+
+    @pytest.mark.parametrize("method", ["scgmmwls", "m2", "dk", "jian"])
+    def test_degenerate_curvature_restarts(self, method):
+        # y = (0, 1/2) is orthogonal to d, and t = 0, so d^T w = 0.
+        g_new = vec(-1, 0.5)
+        step = accepted_step(vec(-1, 0), g_new, self.D, 1.0)
+        d, diag = next_direction(self.D, step, self.params(method))
+        np.testing.assert_array_equal(d, -g_new)
+        assert diag.restart and diag.beta == 0.0 and diag.theta == 1.0
+
+    @pytest.mark.parametrize("method", ["scgmmwls", "m2", "jian"])
+    def test_degenerate_spectral_denominator_gives_theta_one(self, method):
+        # w = y = (1, 0) is orthogonal to g_new = (0, 1): theta is undefined.
+        step = accepted_step(vec(-1, 1), vec(0, 1), self.D, 1.0)
+        d, diag = next_direction(self.D, step, self.params(method))
+        assert (diag.theta, diag.truncated_theta, diag.restart) == (1.0, True, False)
+        np.testing.assert_array_equal(d, vec(0, -1))
+
+    @pytest.mark.parametrize(
+        "a,alpha,theta,truncated",
+        [
+            (1.0, 0.2, 1.0, True),  # theta~ = alpha / 2 = 0.1, below 1/4 + eta
+            (1.0, 1.0, 0.5, False),
+            (1.0, 20.0, 10.0, False),  # at tau
+            (1.0, 40.0, 1.0, True),  # above tau
+            (4.0, 1e308, 1.0, True),  # s^T g_new overflows: theta~ = inf
+        ],
+    )
+    def test_theta_truncation(self, a, alpha, theta, truncated):
+        # w = y = (a + 1, 0) gives beta = 0 and theta~ = alpha a / (a (a + 1)).
+        g_new = vec(a, 1)
+        step = accepted_step(vec(-1, 1), g_new, self.D, alpha)
+        d, diag = next_direction(self.D, step, PARAMS)
+        assert (diag.beta, diag.theta, diag.truncated_theta) == (0.0, theta, truncated)
+        assert not diag.restart
+        np.testing.assert_array_equal(d, -theta * g_new)
+
+    def test_dk_restarts_when_rounding_breaks_descent(self):
+        # beta_DK = 2^54: -g_new vanishes in the rounding of beta d, so
+        # g_new^T d_new = 0 although it is -2 in exact arithmetic.
+        g_new, prev_d = vec(1, 1), vec(1, -1)
+        step = accepted_step(vec(0, 2.0**-53), g_new, prev_d, 1.0)
+        for direction in (
+            lambda: next_direction(prev_d, step, self.params("dk")),
+            lambda: next_direction_dk(g_new, prev_d, step.y),
+        ):
+            d, diag = direction()
+            np.testing.assert_array_equal(d, -g_new)
+            assert diag.restart and diag.beta == 0.0
+        assert beta_dk(g_new, prev_d, step.y) == 2.0**54
+
+    def test_jian_truncates_theta(self):
+        # theta+ = 1 - (|y|^2 d^T g / d^T y - s^T g) / y^T g is about -2e7.
+        step = accepted_step(vec(1 - 1e-8, 1), vec(1, 1), vec(-1, -1), 0.1)
+        _, diag = next_direction(vec(-1, -1), step, self.params("jian"))
+        assert (diag.theta, diag.truncated_theta, diag.restart) == (1.0, True, False)
+
+    @pytest.mark.parametrize("mu", [-0.5, 0.0])
+    def test_m2_with_nonpositive_mu_equals_scgmmwls_with_zero_t(self, mu):
+        g_old, g_new, prev_d = vec(1.1, -0.4), vec(0.2, -0.9), vec(-1.0, 0.3)
+        m2_step = accepted_step(g_old, g_new, prev_d, 0.4, mu=mu, t=-0.1)
+        ref_step = accepted_step(g_old, g_new, prev_d, 0.4, mu=mu, t=0.0)
+        d_a, diag_a = next_direction(prev_d, m2_step, self.params("m2"))
+        d_b, diag_b = next_direction(prev_d, ref_step, PARAMS)
+        np.testing.assert_array_equal(d_a, d_b)
+        assert diag_a == diag_b
+
+    def test_m2_with_positive_mu_equals_scgmmwls(self):
+        g_old, g_new, prev_d = vec(1.1, -0.4), vec(0.2, -0.9), vec(-1.0, 0.3)
+        step = accepted_step(g_old, g_new, prev_d, 0.4, mu=0.7, t=1.3)
+        d_a, diag_a = next_direction(prev_d, step, self.params("m2"))
+        d_b, diag_b = next_direction(prev_d, step, PARAMS)
+        np.testing.assert_array_equal(d_a, d_b)
+        assert diag_a == diag_b
+
+    @pytest.mark.parametrize("method", ["scgmmwls", "m2", "jian"])
+    def test_sufficient_descent_always_holds(self, method):
+        rng = np.random.default_rng(17)
+        params = self.params(method)
+        for _ in range(50):
+            g_old, g_new = rng.standard_normal(6), rng.standard_normal(6)
+            prev_d = -g_old + 0.1 * rng.standard_normal(6)
+            t = float(rng.standard_normal())
+            step = accepted_step(g_old, g_new, prev_d, 0.05, mu=t, t=t)
+            d, diag = next_direction(prev_d, step, params)
+            gg = float(g_new @ g_new)
+            assert float(g_new @ d) <= -params.eta * gg + 1e-12 * gg
+            assert diag.theta == 1.0 or 0.251 <= diag.theta <= 10.0

@@ -10,6 +10,11 @@ inside a definition count only while that definition is itself referenced,
 so the check iterates to a fixpoint: a helper used only by another unused
 helper is caught too.  Code that only the tests use belongs in
 ``tests/reference.py``.
+
+The other way round, no test may use a private (underscore) name of
+``specgrad``: tests, and the reference forms in ``tests/reference.py`` above
+all, reach production code only through its public names, so a reference
+cannot quietly share the code it is checked against.
 """
 
 import ast
@@ -86,3 +91,63 @@ def test_a_helper_used_only_by_another_unused_helper_is_caught(tmp_path):
     )
     caller.write_text("import pkg.mod\nfrom pkg.mod import helper\npkg.mod.live()\nx = 'patched'\n")
     assert unreferenced(package, [caller]) == {"mod.dead", "mod.helper"}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def root_name(node: ast.AST) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def private_uses(path: Path) -> list[str]:
+    """Each private name of ``specgrad`` that ``path`` imports (``from
+    specgrad.x import _y``) or reads as an attribute of a name bound to the
+    package or imported from it (``specgrad.x._y``, ``x._y``)."""
+    tree = ast.parse(path.read_text())
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "specgrad":
+                    bound.add(alias.asname or "specgrad")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "specgrad":
+            for alias in node.names:
+                bound.add(alias.asname or alias.name)
+                if is_private(alias.name):
+                    found.append(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            if root_name(node.value) in bound:
+                found.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return found
+
+
+def test_no_test_uses_a_private_name_of_specgrad():
+    files = sorted((ROOT / "tests").rglob("*.py"))
+    assert ROOT / "tests" / "reference.py" in files
+    used = [f"{path.relative_to(ROOT)}: {name}" for path in files for name in private_uses(path)]
+    assert not used, f"tests use private production names: {used}"
+
+
+def test_private_imports_and_attribute_reads_are_caught(tmp_path):
+    path = tmp_path / "test_uses.py"
+    path.write_text(
+        "import specgrad.directions\n"
+        "import specgrad.solver as sv\n"
+        "from specgrad import bench\n"
+        "from specgrad.directions import DirectionParams, _beta_m\n"
+        "specgrad.directions._DEGENERATE_REL\n"
+        "sv._initial_alpha(0)\n"
+        "bench._FIELD_TYPES\n"
+        "specgrad.__all__, DirectionParams.parse, sv.minimize, other._private\n"
+    )
+    assert sorted(private_uses(path)) == [
+        "bench._FIELD_TYPES",
+        "specgrad.directions._DEGENERATE_REL",
+        "specgrad.directions._beta_m",
+        "sv._initial_alpha",
+    ]

@@ -3,8 +3,9 @@
 Line-search trials take mu, |s|^2 and s^T d from g^T d, g_t^T d and d^T d
 (s = alpha d), and the solver's ``next_direction`` takes its step scalars
 from the search.  These tests run real searches and check that both paths
-agree with the vector forms (``secant.mu`` and the direction forms in
-``reference.py``), and that neither takes more dot products than its budget.
+agree with the vector forms (``secant.mu`` and the independent direction
+forms in ``reference.py``), and that neither takes more dot products than
+its budget.
 """
 
 import math
@@ -62,8 +63,8 @@ def vector_direction(method, g_new, d, g, sec, params):
     if method == "m2":
         return next_direction_m2(g_new, d, g, sec, params)
     if method == "dk":
-        return next_direction_dk(g_new, d, g, sec.y)
-    return next_direction_jian(g_new, d, g, sec.y, sec.s, params)
+        return next_direction_dk(g_new, d, sec.y)
+    return next_direction_jian(g_new, d, sec.y, sec.s, params)
 
 
 class TestAgreement:

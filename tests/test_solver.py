@@ -313,8 +313,9 @@ class TestAudit:
 
     def test_a_standard_step_never_counts_dz_or_t(self):
         p, cfg, f, g, d, out = self.accepted_step(standard_wolfe)
+        assert out.z is None  # only the modified search builds z
         audit = AuditReport()
-        audit.check_wolfe(f, g, d, replace(out, z=0.0 * out.z, t=1e300), cfg, p.lipschitz_hint,
+        audit.check_wolfe(f, g, d, replace(out, z=0.0 * out.y, t=1e300), cfg, p.lipschitz_hint,
                           modified=False)
         assert audit.clean and (audit.steps, audit.t_bound_checks) == (1, 0)
 
