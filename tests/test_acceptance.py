@@ -27,8 +27,12 @@ from specgrad.solver import CONVERGED, LINESEARCH_FAILURE, RunResult, default_co
 from reference import check_points, gradient_check, hessian_error
 
 SUITE_SOLVERS = ["dk", "jian", "m2:m=3", "scgmmwls:m=3"]
-# Per-cell (solver, problem, status, ni, nf) of the n = 100 suite, 48 rows.
+# Per-cell (solver, problem, status, ni, nf, f_final, gnorm_inf) of a suite,
+# 48 rows, the two floats as float.hex so any change of a last bit shows.
 FINGERPRINT = Path(__file__).parent / "data" / "suite_n100_fingerprint.json"
+# The same rows at n = 1000 with a budget of 300 steps (about 2 s).
+FINGERPRINT_N1000 = Path(__file__).parent / "data" / "suite_n1000_fingerprint.json"
+N1000_MAX_ITER = 300
 
 
 @pytest.fixture(scope="module")
@@ -221,35 +225,60 @@ def test_criterion_9_determinism(suite, tmp_path_factory):
 
 
 def suite_fingerprint(table) -> list[list]:
-    return [[r.solver, r.problem, r.result.status, r.result.ni, r.result.nf] for r in table.rows]
+    return [
+        [
+            r.solver,
+            r.problem,
+            r.result.status,
+            r.result.ni,
+            r.result.nf,
+            float.hex(r.result.f_final),
+            float.hex(r.result.gnorm_inf_final),
+        ]
+        for r in table.rows
+    ]
 
 
-def write_fingerprint(rows) -> None:
-    FINGERPRINT.parent.mkdir(exist_ok=True)
-    FINGERPRINT.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+def suite_n1000():
+    return run_suite(SUITE_SOLVERS, "all", dims=[1000], epsilon=1e-8, max_iter=N1000_MAX_ITER)
 
 
-def test_criterion_10_suite_fingerprint(suite):
-    table, _ = suite
-    got, expected = suite_fingerprint(table), json.loads(FINGERPRINT.read_text())
+def write_fingerprint(path, rows) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+
+
+def assert_fingerprint(table, path, what) -> list[list]:
+    got, expected = suite_fingerprint(table), json.loads(path.read_text())
 
     def totals(rows):
         converged = sum(r[2] == CONVERGED for r in rows)
         return converged, sum(r[3] for r in rows), sum(r[4] for r in rows)
 
+    moved = [f"{e[0]}/{e[1]}" for g, e in zip(got, expected) if g != e]
     assert got == expected, (
-        f"the n = 100 suite moved: converged/NI/NF {totals(expected)} -> {totals(got)}. "
-        f"If the change is meant to move trajectories, regenerate {FINGERPRINT} with "
+        f"the {what} suite moved in {moved}: converged/NI/NF {totals(expected)} -> "
+        f"{totals(got)}. If the change is meant to move trajectories, regenerate {path} with "
         "`PYTHONPATH=src python tests/test_acceptance.py` and say in CHANGES.md why they moved."
     )
-    print(f"\nACCEPTANCE 10 PASS: {len(got)} cells match the committed fingerprint, "
-          f"converged/NI/NF = {totals(got)}")
+    return totals(got)
+
+
+def test_criterion_10_suite_fingerprint(suite):
+    table, _ = suite
+    totals = assert_fingerprint(table, FINGERPRINT, "n = 100")
+    print(f"\nACCEPTANCE 10 PASS: 48 cells match the committed fingerprint bit for bit, "
+          f"converged/NI/NF = {totals}")
+
+
+def test_criterion_11_suite_fingerprint_n1000():
+    totals = assert_fingerprint(suite_n1000(), FINGERPRINT_N1000, f"n = 1000 (budget {N1000_MAX_ITER})")
+    print(f"\nACCEPTANCE 11 PASS: 48 n = 1000 cells match the committed fingerprint bit for bit, "
+          f"converged/NI/NF = {totals}")
 
 
 if __name__ == "__main__":
-    write_fingerprint(
-        suite_fingerprint(
-            run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
-        )
-    )
-    print(f"wrote {FINGERPRINT}")
+    n100 = run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
+    for path, table in ((FINGERPRINT, n100), (FINGERPRINT_N1000, suite_n1000())):
+        write_fingerprint(path, suite_fingerprint(table))
+        print(f"wrote {path}")
