@@ -215,8 +215,9 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
 
 def load_results(prefix) -> ResultTable:
     """Rebuild a result table from the ``results.json`` of an emitted directory;
-    a field of the wrong JSON type, an unknown status, a negative count or a
-    repeated cell raises ``ValueError``."""
+    a field of the wrong JSON type, an unknown status, a negative count, a
+    ``dim`` below 2 (no family exists there), an ``nf`` or ``ng`` below 1 (every
+    run evaluates its start point) or a repeated cell raises ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
@@ -247,6 +248,10 @@ def load_results(prefix) -> ResultTable:
         raise ValueError(f"unknown status {', '.join(sorted(unknown))}")
     if any(min(r.result.ni, r.result.nf, r.result.ng) < 0 for r in rows):
         raise ValueError("negative ni, nf or ng")
+    if any(r.dim < 2 for r in rows):
+        raise ValueError("dim below 2")
+    if any(min(r.result.nf, r.result.ng) < 1 for r in rows):
+        raise ValueError("nf or ng below 1")
     cells = [(r.solver, r.problem, r.dim) for r in rows]
     if len(set(cells)) != len(cells):
         raise ValueError("repeated (solver, problem, dim) cell")

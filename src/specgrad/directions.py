@@ -97,7 +97,7 @@ class DirectionParams:
         return cls(method=name, m=m, **overrides)
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectionDiag:
     beta: float = 0.0
     theta: float = 1.0
@@ -117,7 +117,7 @@ def _restart(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]
     diag.beta = 0.0
     diag.theta = 1.0
     diag.restart = True
-    return -g_new.copy(), diag
+    return -g_new, diag
 
 
 def next_direction(

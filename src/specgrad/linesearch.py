@@ -89,7 +89,7 @@ class WolfeParams:
         return (self.sigma - self.rho) / (1.0 - 2.0 * self.rho + self.sigma)
 
 
-@dataclass
+@dataclass(slots=True)
 class LineSearchOutcome:
     """One search; ``f_new`` stays f(x) unless a step s = alpha d is accepted, which
     also carries y = g_new - g_old, g_old^T d, g_new^T d, d^T d and, from the
@@ -116,7 +116,7 @@ class LineSearchOutcome:
         return self.alpha * self.dd
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialPoint:
     """One evaluated trial step along the ray x + alpha d."""
 
@@ -127,10 +127,6 @@ class TrialPoint:
     curv_ok: bool
     payload: tuple | None = None
     underflow: bool = False
-
-    @property
-    def acceptable(self) -> bool:
-        return self.armijo_ok and self.curv_ok
 
 
 def _interpolate(lo_alpha, lo_f, lo_dphi, hi_alpha, hi_f) -> float:
@@ -179,7 +175,7 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
         trials += 1
         if t.underflow:
             return None, trials, MAX_TRIALS_EXCEEDED
-        if t.acceptable:
+        if t.armijo_ok and t.curv_ok:
             return t, trials, ACCEPTED
         if not t.armijo_ok or t.f >= lo[1] + ftol:
             hi = (t.alpha, t.f)

@@ -69,11 +69,12 @@ class Problem:
 
 def _arwhead(n: int) -> Problem:
     def fg(x):
-        t = x[:-1] ** 2 + x[-1] ** 2
-        g = np.empty_like(x)
-        g[:-1] = 4.0 * x[:-1] * t - 4.0
-        g[-1] = 4.0 * x[-1] * np.sum(t)
-        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0)), g
+        u, xn = x[:-1], x[-1]
+        t = u**2 + xn**2
+        g = np.empty(n)
+        g[:-1] = 4.0 * u * t - 4.0
+        g[-1] = 4.0 * xn * t.sum()
+        return float((t * t - 4.0 * u + 3.0).sum()), g
 
     return Problem("arwhead", n, fg, np.ones(n))
 
@@ -82,10 +83,10 @@ def _ext_rosenbrock(n: int) -> Problem:
     def fg(x):
         u, v = x[0::2], x[1::2]
         r, w = v - u * u, 1.0 - u
-        g = np.empty_like(x)
+        g = np.empty(n)
         g[0::2] = -400.0 * u * r - 2.0 * w
         g[1::2] = 200.0 * r
-        return float(np.sum(100.0 * r**2 + w**2)), g
+        return float((100.0 * r**2 + w**2).sum()), g
 
     start = np.ones(n)
     start[0::2] = -1.2
@@ -97,10 +98,10 @@ def _ext_white_holst(n: int) -> Problem:
         u, v = x[0::2], x[1::2]
         uu = u * u
         r, w = v - uu * u, 1.0 - u
-        g = np.empty_like(x)
+        g = np.empty(n)
         g[0::2] = -600.0 * uu * r - 2.0 * w
         g[1::2] = 200.0 * r
-        return float(np.sum(100.0 * r**2 + w**2)), g
+        return float((100.0 * r**2 + w**2).sum()), g
 
     start = np.ones(n)
     start[0::2] = -1.2
@@ -108,17 +109,28 @@ def _ext_white_holst(n: int) -> Problem:
 
 
 def _ext_beale(n: int) -> Problem:
+    # Row-wise constants of a = 1.5 - u w1, b = 2.25 - u w2, c = 2.625 - u w3
+    # and of the two gradient sums, so each sum is one 3-row operation.
+    offsets = np.array([[1.5], [2.25], [2.625]])
+    du_factors = np.array([[-2.0], [2.0], [2.0]])
+    dv_factors = np.array([[2.0], [4.0], [6.0]])
+
     def fg(x):
         u, v = x[0::2], x[1::2]
-        vv = v * v
-        w1, w2, w3 = 1.0 - v, 1.0 - vv, 1.0 - vv * v
-        a = 1.5 - u * w1
-        b = 2.25 - u * w2
-        c = 2.625 - u * w3
-        g = np.empty_like(x)
-        g[0::2] = -2.0 * a * w1 - 2.0 * b * w2 - 2.0 * c * w3
-        g[1::2] = 2.0 * a * u + 4.0 * b * u * v + 6.0 * c * u * vv
-        return float(np.sum(a * a + b * b + c * c)), g
+        p = np.empty((3, n // 2))  # rows v, v^2, v^3
+        p[0] = v
+        np.multiply(v, v, out=p[1])
+        np.multiply(p[1], v, out=p[2])
+        w = 1.0 - p
+        abc = offsets - u * w
+        g = np.empty(n)
+        t = du_factors * abc * w
+        g[0::2] = t[0] - t[1] - t[2]
+        t = dv_factors * abc * u
+        t[1:] *= p[:2]
+        g[1::2] = t[0] + t[1] + t[2]
+        q = abc * abc
+        return float((q[0] + q[1] + q[2]).sum()), g
 
     start = np.ones(n)
     start[1::2] = 0.8
@@ -130,7 +142,7 @@ def _diagonal1(n: int) -> Problem:
 
     def fg(x):
         e = np.exp(x)
-        return float(np.sum(e - idx * x)), e - idx
+        return float((e - idx * x).sum()), e - idx
 
     return Problem("diagonal1", n, fg, np.full(n, 1.0 / n))
 
@@ -140,43 +152,47 @@ def _raydan1(n: int) -> Problem:
 
     def fg(x):
         e = np.exp(x)
-        return float(np.sum(w * (e - x))), w * (e - 1.0)
+        return float((w * (e - x)).sum()), w * (e - 1.0)
 
     return Problem("raydan1", n, fg, np.ones(n))
 
 
 def _eg2(n: int) -> Problem:
     def fg(x):
-        arg = x[0] + x[:-1] ** 2 - 1.0
-        last = x[-1] ** 2
-        c = np.cos(arg)
-        g = np.zeros_like(x)
-        g[: n - 1] = 2.0 * x[: n - 1] * c
-        g[0] += np.sum(c)
-        g[-1] += x[-1] * np.cos(last)
-        return float(np.sum(np.sin(arg)) + 0.5 * np.sin(last)), g
+        u, xn = x[:-1], x[-1]
+        arg = np.empty(n)  # the n - 1 sine arguments, then x_n^2
+        arg[:-1] = x[0] + u**2 - 1.0
+        arg[-1] = xn**2
+        c, s = np.cos(arg), np.sin(arg)
+        g = np.zeros(n)
+        g[:-1] = 2.0 * u * c[:-1]
+        g[0] += c[:-1].sum()
+        g[-1] += xn * c[-1]
+        return float(s[:-1].sum() + 0.5 * s[-1]), g
 
     return Problem("eg2", n, fg, np.ones(n))
 
 
 def _engval1(n: int) -> Problem:
     def fg(x):
-        t = x[:-1] ** 2 + x[1:] ** 2
-        g = np.zeros_like(x)
-        g[:-1] += 4.0 * x[:-1] * t - 4.0
-        g[1:] += 4.0 * x[1:] * t
-        return float(np.sum(t * t - 4.0 * x[:-1] + 3.0)), g
+        u, v = x[:-1], x[1:]
+        t = u**2 + v**2
+        g = np.zeros(n)
+        g[:-1] += 4.0 * u * t - 4.0
+        g[1:] += 4.0 * v * t
+        return float((t * t - 4.0 * u + 3.0).sum()), g
 
     return Problem("engval1", n, fg, np.full(n, 2.0))
 
 
 def _fletchcr(n: int) -> Problem:
     def fg(x):
-        r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-        g = np.zeros_like(x)
-        g[:-1] += 200.0 * r * (-1.0 - 2.0 * x[:-1])
+        u = x[:-1]
+        r = x[1:] - u + 1.0 - u**2
+        g = np.zeros(n)
+        g[:-1] += 200.0 * r * (-1.0 - 2.0 * u)
         g[1:] += 200.0 * r
-        return float(100.0 * np.sum(r * r)), g
+        return float(100.0 * (r * r).sum()), g
 
     return Problem("fletchcr", n, fg, np.zeros(n))
 
@@ -187,15 +203,16 @@ def _nondquar(n: int) -> Problem:
         qq = q * q
         q3 = 4.0 * (qq * q)
         head, tail = x[0] - x[1], x[-2] + x[-1]
-        g = np.zeros_like(x)
-        g[: n - 2] += q3
-        g[1 : n - 1] += q3
-        g[-1] += np.sum(q3)
+        g = np.zeros(n)
+        lo, hi = g[: n - 2], g[1 : n - 1]  # views: += writes g without a setitem
+        lo += q3
+        hi += q3
+        g[-1] += q3.sum()
         g[0] += 2.0 * head
         g[1] -= 2.0 * head
         g[-2] += 2.0 * tail
         g[-1] += 2.0 * tail
-        return float(head**2 + tail**2 + np.sum(qq * qq)), g
+        return float(head**2 + tail**2 + (qq * qq).sum()), g
 
     start = np.ones(n)
     start[1::2] = -1.0
@@ -207,10 +224,10 @@ def _ext_himmelblau(n: int) -> Problem:
         u, v = x[0::2], x[1::2]
         a = u * u + v - 11.0
         b = u + v * v - 7.0
-        g = np.empty_like(x)
+        g = np.empty(n)
         g[0::2] = 4.0 * u * a + 2.0 * b
         g[1::2] = 2.0 * a + 4.0 * v * b
-        return float(np.sum(a * a + b * b)), g
+        return float((a * a + b * b).sum()), g
 
     return Problem("ext_himmelblau", n, fg, np.ones(n))
 
@@ -220,7 +237,7 @@ def _qf1(n: int) -> Problem:
 
     def fg(x):
         g = idx * x
-        return float(0.5 * np.sum(g * x)), g
+        return float(0.5 * (g * x).sum()), g
 
     # Hessian is diag(1..n), so the gradient Lipschitz constant is exactly n.
     return Problem("qf1", n, fg, np.ones(n), lipschitz_hint=float(n))

@@ -76,7 +76,7 @@ def default_config(
     return SolverConfig(WolfeParams(rho, sigma), direction, epsilon, max_iter, trace_level)
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     f: float
@@ -198,11 +198,11 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     except EvaluationError:
         return RunResult(EVAL_ERROR, 0, oracle.nf, oracle.ng, math.nan, math.nan, trace, audit)
 
-    d = -g.copy()
+    d = -g
+    gnorm = norm_inf(g)
     k = 0
     alpha_prev = gd_prev = 0.0
     while True:
-        gnorm = norm_inf(g)
         if gnorm <= config.epsilon:
             status = CONVERGED
             break
@@ -222,6 +222,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             audit.zoutendijk.append(gd * gd / outcome.dd)
 
         g_new = outcome.g_new
+        gnorm = norm_inf(g_new)
         d_new, diag = next_direction(d, outcome, config.direction)
         if spectral:
             audit.check_direction(g_new, d_new, diag, config.direction)
@@ -231,7 +232,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
                 IterationRecord(
                     k=k,
                     f=outcome.f_new,
-                    gnorm_inf=norm_inf(g_new),
+                    gnorm_inf=gnorm,
                     alpha=outcome.alpha,
                     mu=outcome.mu,
                     t=outcome.t,
@@ -245,5 +246,5 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         alpha_prev, gd_prev = outcome.alpha, gd
         k += 1
 
-    return RunResult(status, k, oracle.nf, oracle.ng, f, norm_inf(g), trace, audit)
+    return RunResult(status, k, oracle.nf, oracle.ng, f, gnorm, trace, audit)
 

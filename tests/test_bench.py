@@ -278,7 +278,7 @@ class TestEmit:
         assert float(rec["gnorm_inf"]) == 1e-9
 
     def test_float_fields_take_json_integers_and_nan(self, tmp_path):
-        rec = {"solver": "A", "problem": "p", "dim": 1, "status": "eval_error", "ni": 0, "nf": 1,
+        rec = {"solver": "A", "problem": "p", "dim": 2, "status": "eval_error", "ni": 0, "nf": 1,
                "ng": 1, "f_final": 3, "gnorm_inf": math.nan}
         (tmp_path / "results.json").write_text(json.dumps({"results": [rec]}))
         (back,) = load_results(tmp_path).rows

@@ -222,6 +222,16 @@ class TestBadArguments:
             ('{"results": [%s]}' % ROW.replace('"ni": 5', '"ni": -4'), "negative ni, nf or ng"),
             ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": -1'), "negative ni, nf or ng"),
             ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": -9'), "negative ni, nf or ng"),
+            ('{"results": [%s]}' % ROW.replace('"dim": 10', '"dim": -5'), "dim below 2"),
+            ('{"results": [%s]}' % ROW.replace('"dim": 10', '"dim": 1'), "dim below 2"),
+            (
+                '{"results": [%s, %s]}' % (
+                    ROW,
+                    ROW.replace('"dk"', '"jian"').replace('"ni": 5', '"ni": 0').replace('"nf": 9', '"nf": 0'),
+                ),
+                "nf or ng below 1",
+            ),
+            ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": 0'), "nf or ng below 1"),
             ('{"results": [%s]}' % ROW.replace('"ni": 5', '"ni": 3.7'), "not an integer"),
             ('{"results": [%s]}' % ROW.replace('"dim": 10', '"dim": true'), "not an integer"),
             ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": 9.0'), "not an integer"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,49 @@ class TestDot:
 class TestNormInf:
     def test_norm_inf(self):
         assert norm_inf(vec(1, -3, 2)) == 3.0
+
+    def test_empty(self):
+        with pytest.raises(ValueError):
+            norm_inf(vec())
+
+
+def _special_vectors(n: int, rng) -> list:
+    """Random vectors, then copies holding NaN, +inf, -inf and -0.0."""
+    base = [rng.standard_normal(n), rng.standard_normal(n) * 1e-200, rng.standard_normal(n) * 1e150]
+    special = []
+    for value in (math.nan, math.inf, -math.inf, -0.0):
+        u = rng.standard_normal(n)
+        u[rng.integers(n)] = value
+        special.append(u)
+    return base + special + [np.full(n, -0.0)]
+
+
+class TestMethodFormsBitExact:
+    """The ndarray-method forms in ``numkit`` equal the numpy wrappers bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 100, 10000])
+    def test_dot_matches_np_dot(self, n):
+        rng = np.random.default_rng(n)
+        vectors = _special_vectors(n, rng)
+        with np.errstate(all="ignore"):
+            for u in vectors:
+                for v in vectors:
+                    assert float.hex(dot(u, v)) == float.hex(float(np.dot(u, v)))
+
+    @pytest.mark.parametrize("n", [1, 100, 10000])
+    def test_norm_inf_matches_np_max_abs(self, n):
+        rng = np.random.default_rng(n)
+        for u in _special_vectors(n, rng):
+            assert float.hex(norm_inf(u)) == float.hex(float(np.max(np.abs(u))))
+
+    @pytest.mark.parametrize("n", [1, 100, 10000])
+    def test_nan_propagates(self, n):
+        u = np.random.default_rng(n).standard_normal(n)
+        u[n // 2] = math.nan
+        assert math.isnan(dot(u, np.ones(n))) and math.isnan(dot(np.ones(n), u))
+        assert math.isnan(norm_inf(u))
+        u[n // 2] = math.inf
+        assert norm_inf(u) == math.inf
 
 
 class TestFiniteDifference:

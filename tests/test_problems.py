@@ -4,7 +4,12 @@ import inspect
 import numpy as np
 import pytest
 
+import specgrad.directions
+import specgrad.linesearch
+import specgrad.numkit
 import specgrad.problems
+import specgrad.secant
+import specgrad.solver
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import EvaluationError, InstrumentedOracle, Problem, family_names, problem
 
@@ -485,3 +490,50 @@ class TestNoPowKernels:
     def test_guard_flags_other_exponents(self):
         source = "a = x**2\nb = x**4\nc = x**2.0\nd = x**n\nx **= 3\n"
         assert _non_square_powers(source) == [2, 3, 4, 5]
+
+
+# numpy functions that only wrap an ndarray method or a ufunc in Python-level
+# dispatch; the hot path calls the method itself (``a.sum()``, ``u.dot(v)``)
+# or allocates with ``np.zeros(n)``.
+_NUMPY_WRAPPERS = {"sum", "max", "min", "all", "any", "dot", "zeros_like"}
+HOT_PATH_MODULES = [
+    specgrad.problems,
+    specgrad.numkit,
+    specgrad.secant,
+    specgrad.linesearch,
+    specgrad.directions,
+    specgrad.solver,
+]
+
+
+def _numpy_wrapper_calls(source: str) -> list[int]:
+    """Line numbers of every call ``np.<f>(...)`` or ``numpy.<f>(...)`` with f a wrapper."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+            if node.func.attr in _NUMPY_WRAPPERS:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestNoNumpyWrappersOnHotPath:
+    @pytest.mark.parametrize("module", HOT_PATH_MODULES, ids=lambda m: m.__name__)
+    def test_module_calls_methods_not_wrappers(self, module):
+        assert _numpy_wrapper_calls(inspect.getsource(module)) == []
+
+    def test_guard_flags_each_wrapper(self):
+        source = (
+            "a = np.sum(x)\n"
+            "b = x.sum()\n"
+            "c = np.max(np.abs(x))\n"
+            "d = numpy.zeros_like(x)\n"
+            "e = np.zeros(n)\n"
+            "f = np.add.reduce(x)\n"
+            "g = np.dot(u, v) + np.min(x)\n"
+            "h = np.all(x) or np.any(x)\n"
+            "k = float(u.dot(v))\n"
+        )
+        assert _numpy_wrapper_calls(source) == [1, 3, 4, 7, 7, 8, 8]
