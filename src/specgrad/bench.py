@@ -232,14 +232,8 @@ def load_results(prefix) -> ResultTable:
             rec["solver"],
             rec["problem"],
             rec["dim"],
-            RunResult(
-                status=rec["status"],
-                ni=rec["ni"],
-                nf=rec["nf"],
-                ng=rec["ng"],
-                f_final=float(rec["f_final"]),
-                gnorm_inf_final=float(rec["gnorm_inf"]),
-            ),
+            RunResult(rec["status"], rec["ni"], rec["nf"], rec["ng"],
+                      float(rec["f_final"]), float(rec["gnorm_inf"])),
         )
         for rec in records
     ]

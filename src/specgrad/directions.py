@@ -134,7 +134,7 @@ def next_direction(
     else:
         w, c = step.y, 0.0
     g_new, gd_old, gd_new, dd = step.g_new, step.gd_old, step.gd_new, step.dd
-    dw = (gd_new - gd_old) + c * step.sd
+    dw = (gd_new - gd_old) + c * (step.alpha * dd)
     diag = DirectionDiag()
     ww = dot(w, w)
     if abs(dw) <= _DEGENERATE_REL * math.sqrt(dd) * math.sqrt(ww):

@@ -110,11 +110,6 @@ class LineSearchOutcome:
     gd_new: float = math.nan
     dd: float = math.nan
 
-    @property
-    def sd(self) -> float:
-        """s^T d, the expression the modified curvature test multiplies by min(t, 0)."""
-        return self.alpha * self.dd
-
 
 @dataclass(slots=True)
 class TrialPoint:
@@ -209,7 +204,7 @@ def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
             f_t, g_t = oracle.eval_fg(x_t)
         except EvaluationError:
             return TrialPoint(alpha, math.inf, math.nan, False, False)
-        sd = alpha * dd  # s^T d, as LineSearchOutcome.sd
+        sd = alpha * dd  # s^T d
         s_norm_sq = alpha * sd
         if not s_norm_sq > 0.0:
             return TrialPoint(alpha, f_t, math.nan, False, False, underflow=True)

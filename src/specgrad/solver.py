@@ -229,17 +229,8 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
 
         if trace is not None:
             trace.append(
-                IterationRecord(
-                    k=k,
-                    f=outcome.f_new,
-                    gnorm_inf=gnorm,
-                    alpha=outcome.alpha,
-                    mu=outcome.mu,
-                    t=outcome.t,
-                    beta=diag.beta,
-                    theta=diag.theta,
-                    restart=diag.restart,
-                )
+                IterationRecord(k, outcome.f_new, gnorm, outcome.alpha, outcome.mu, outcome.t,
+                                diag.beta, diag.theta, diag.restart)
             )
 
         x, f, g, d = outcome.x_new, outcome.f_new, g_new, d_new
