@@ -248,7 +248,7 @@ def write_fingerprint(path, rows) -> None:
     path.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
 
 
-def assert_fingerprint(table, path, what) -> list[list]:
+def assert_fingerprint(table, path, what) -> tuple[int, int, int]:
     got, expected = suite_fingerprint(table), json.loads(path.read_text())
 
     def totals(rows):

@@ -45,7 +45,7 @@ class TestNormInf:
 
 
 def _special_vectors(n: int, rng) -> list:
-    """Random vectors, then copies holding NaN, +inf, -inf and -0.0."""
+    """Random vectors at three scales, four holding one NaN, +inf, -inf or -0.0, and all -0.0."""
     base = [rng.standard_normal(n), rng.standard_normal(n) * 1e-200, rng.standard_normal(n) * 1e150]
     special = []
     for value in (math.nan, math.inf, -math.inf, -0.0):
