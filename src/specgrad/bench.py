@@ -215,9 +215,10 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
 
 def load_results(prefix) -> ResultTable:
     """Rebuild a result table from the ``results.json`` of an emitted directory;
-    a field of the wrong JSON type, an unknown status, a negative count, a
-    ``dim`` below 2 (no family exists there), an ``nf`` or ``ng`` below 1 (every
-    run evaluates its start point) or a repeated cell raises ``ValueError``."""
+    a field of the wrong JSON type or an integer beyond float range, an unknown
+    status, a negative count, a ``dim`` below 2 (no family exists there), an
+    ``nf`` or ``ng`` below 1 (every run evaluates its start point) or a
+    repeated cell raises ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
@@ -227,16 +228,19 @@ def load_results(prefix) -> ResultTable:
             # type(), not isinstance(): bool is an int subclass
             if type(rec[key]) is not kind and (kind, type(rec[key])) != (float, int):
                 raise ValueError(f"{key} is not {_TYPE_NAMES[kind]}: {rec[key]!r}")
-    rows = [
-        ResultRow(
-            rec["solver"],
-            rec["problem"],
-            rec["dim"],
-            RunResult(rec["status"], rec["ni"], rec["nf"], rec["ng"],
-                      float(rec["f_final"]), float(rec["gnorm_inf"])),
-        )
-        for rec in records
-    ]
+    try:
+        rows = [
+            ResultRow(
+                rec["solver"],
+                rec["problem"],
+                rec["dim"],
+                RunResult(rec["status"], rec["ni"], rec["nf"], rec["ng"],
+                          float(rec["f_final"]), float(rec["gnorm_inf"])),
+            )
+            for rec in records
+        ]
+    except OverflowError:  # float() of a JSON integer
+        raise ValueError("f_final or gnorm_inf is an integer beyond float range") from None
     unknown = {r.result.status for r in rows}.difference(STATUSES)
     if unknown:
         raise ValueError(f"unknown status {', '.join(sorted(unknown))}")

@@ -104,6 +104,7 @@ class DirectionDiag:
     truncated_theta: bool = False
     truncated_beta: bool = False
     restart: bool = False
+    gd: float = math.nan  # g_new^T d_new from the descent test; NaN on a restart
 
 
 def theta_bar(theta_t: float, params: DirectionParams) -> float:
@@ -123,8 +124,8 @@ def _restart(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]
 def next_direction(
     prev_d: Vector, step: LineSearchOutcome, params: DirectionParams
 ) -> tuple[Vector, DirectionDiag]:
-    """The configured method's direction after the accepted step s = alpha d,
-    with at most four dot products."""
+    """The direction after the accepted step s = alpha d, with at most four dot
+    products; ``diag.gd`` is g_new^T d_new (the next slope), NaN on a restart."""
     method = params.method
     if method == "scgmmwls":
         w, c = step.z, step.t
@@ -150,9 +151,11 @@ def next_direction(
     diag.beta = beta
     if method == "dk":
         d = -g_new + beta * prev_d
+        gd_next = dot(g_new, d)
         # Plain descent only; dk carries no eta-margin guarantee.
-        if dot(g_new, d) >= 0.0 and dot(g_new, g_new) > 0.0:
+        if gd_next >= 0.0 and dot(g_new, g_new) > 0.0:
             return _restart(g_new, diag)
+        diag.gd = gd_next
         return d, diag
     gg = dot(g_new, g_new)
     sg = step.alpha * gd_new
@@ -166,6 +169,8 @@ def next_direction(
     diag.theta = theta
     diag.truncated_theta = theta != theta_t
     d = -theta * g_new + beta * prev_d
-    if dot(g_new, d) <= -params.eta * gg:
+    gd_next = dot(g_new, d)
+    if gd_next <= -params.eta * gg:
+        diag.gd = gd_next
         return d, diag
     return _restart(g_new, diag)

@@ -25,16 +25,17 @@ bisection fallback.  Every trial evaluates f and g together (one nf plus one
 ng).
 
 Trials are scalar-only.  The step is s = alpha d, so with g^T d (taken once
-by the caller) and d^T d (taken once per search), one trial costs the point
-x + alpha d, one f+g evaluation and one dot product, g_t^T d:
+by the caller) and d^T d (taken once per search), one trial costs s, the
+point x + s, one f+g evaluation and one dot product, g_t^T d:
 
     mu    = 2 (f - f_t) + alpha (g^T d + g_t^T d)
     s^T d = alpha d^T d,        |s|^2 = alpha (alpha d^T d)
     t     = t_coefficient(mu, |s|^2),  modified curvature term min(t, 0) s^T d
 
-A trial builds no s, no g + g_t and no y.  The vectors s and y = g_t - g
-are built once, for the accepted trial; z = y + t s, from the trial's t, only
-by the modified search, the one whose direction (scgmmwls) and audit read it.
+The modified search takes mu and t on every trial, for its curvature term;
+the standard one only for the accepted trial.  A trial builds no g + g_t and
+no y.  The accepted trial keeps its s; y = g_t - g is built once, and z only
+by the modified search, whose direction (scgmmwls) and audit read it.
 :class:`LineSearchOutcome` is the one record of a step: it carries the
 point, the secant bundle and the search's dot products, so the direction
 update need not take them again.
@@ -120,7 +121,7 @@ class TrialPoint:
     dphi: float  # directional derivative g(x + alpha d)^T d
     armijo_ok: bool
     curv_ok: bool
-    payload: tuple | None = None
+    payload: tuple | None = None  # the accepted trial's vectors; a rejected one frees them
     underflow: bool = False
 
 
@@ -199,7 +200,8 @@ def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
     C = params.C
 
     def evaluate(alpha: float) -> TrialPoint:
-        x_t = x + alpha * d
+        s_t = alpha * d
+        x_t = x + s_t
         try:
             f_t, g_t = oracle.eval_fg(x_t)
         except EvaluationError:
@@ -209,23 +211,27 @@ def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
         if not s_norm_sq > 0.0:
             return TrialPoint(alpha, f_t, math.nan, False, False, underflow=True)
         dphi = dot(g_t, d)
-        mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
-        t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
+        curv_lhs, mu_t, t_t = dphi, None, None
+        if modified:
+            mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
+            t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
+            curv_lhs += min(t_t, 0.0) * sd
         armijo_ok = armijo_holds(f, gd0, alpha, f_t, params.rho)
-        curv_lhs = dphi + min(t_t, 0.0) * sd if modified else dphi
         curv_ok = curvature_holds(curv_lhs, gd0, params.sigma)
-        return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=(x_t, g_t, mu_t, t_t))
+        kept = (x_t, s_t, g_t, mu_t, t_t) if armijo_ok and curv_ok else None
+        return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=kept)
 
     best, trials, status = bracket_zoom(evaluate, f, gd0, alpha0)
     if status != ACCEPTED:
         return LineSearchOutcome(status, trials, f)
-    x_t, g_t, mu_t, t_t = best.payload
-    s = best.alpha * d
+    alpha, f_t, dphi = best.alpha, best.f, best.dphi
+    x_t, s, g_t, mu_t, t_t = best.payload
+    if not modified:  # a modified trial's operands, for the accepted trial only
+        mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
+        t_t = t_coefficient(mu_t, alpha * (alpha * dd), coefficient, C)
     y = g_t - g
     z = z_vector(y, s, t_t) if modified else None
-    return LineSearchOutcome(
-        ACCEPTED, trials, best.f, best.alpha, x_t, g_t, s, y, mu_t, t_t, z, gd0, best.dphi, dd
-    )
+    return LineSearchOutcome(ACCEPTED, trials, f_t, alpha, x_t, g_t, s, y, mu_t, t_t, z, gd0, dphi, dd)
 
 
 def standard_wolfe(

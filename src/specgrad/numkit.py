@@ -2,8 +2,9 @@
 
 Vectors are plain 1-D ``numpy.float64`` arrays throughout the package; the
 helpers here are the dot product and infinity norm the solvers use.  They
-call the ndarray methods, which run the same reductions as ``np.dot`` and
-``np.max`` bit for bit without their Python-level dispatch wrappers.
+run the reductions of ``np.dot`` and ``np.max`` bit for bit through C methods
+only (``abs(u).max()`` passes through ``numpy/_core/_methods.py``), and
+``argmax`` finds the first NaN, so a NaN still propagates.
 """
 
 from __future__ import annotations
@@ -19,4 +20,5 @@ def dot(u: Vector, v: Vector) -> float:
 
 
 def norm_inf(u: Vector) -> float:
-    return float(abs(u).max())
+    a = abs(u)
+    return float(a[a.argmax()])

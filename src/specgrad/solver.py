@@ -198,7 +198,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     except EvaluationError:
         return RunResult(EVAL_ERROR, 0, oracle.nf, oracle.ng, math.nan, math.nan, trace, audit)
 
-    d = -g
+    d, gd = -g, None  # g^T d is taken afresh only for a steepest-descent d
     gnorm = norm_inf(g)
     k = 0
     alpha_prev = gd_prev = 0.0
@@ -210,7 +210,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             status = ITER_LIMIT
             break
 
-        gd = dot(g, d)
+        gd = dot(g, d) if gd is None else gd
         alpha0 = _initial_alpha(k, gnorm, alpha_prev, gd_prev, gd)
         outcome = search(oracle, x, f, g, d, config.wolfe, coefficient, alpha0, gd)
         if outcome.status != ACCEPTED:
@@ -235,6 +235,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
 
         x, f, g, d = outcome.x_new, outcome.f_new, g_new, d_new
         alpha_prev, gd_prev = outcome.alpha, gd
+        gd = None if diag.restart else diag.gd
         k += 1
 
     return RunResult(status, k, oracle.nf, oracle.ng, f, gnorm, trace, audit)

@@ -248,6 +248,10 @@ class TestBadArguments:
              "f_final is not a number"),
             ('{"results": [%s]}' % ROW.replace('"gnorm_inf": 0.0', '"gnorm_inf": false'),
              "gnorm_inf is not a number"),
+            ('{"results": [%s]}' % ROW.replace('"f_final": 0.0', '"f_final": 1' + "0" * 400),
+             "f_final or gnorm_inf is an integer beyond float range"),
+            ('{"results": [%s]}' % ROW.replace('"gnorm_inf": 0.0', '"gnorm_inf": -1' + "0" * 400),
+             "f_final or gnorm_inf is an integer beyond float range"),
         ],
     )
     def test_profile_with_malformed_results_exits_2(self, tmp_path, capsys, text, message):

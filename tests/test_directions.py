@@ -308,6 +308,7 @@ class TestNextDirection:
         d, diag = next_direction(self.D, step, self.params(method))
         np.testing.assert_array_equal(d, -g_new)
         assert diag.restart and diag.beta == 0.0 and diag.theta == 1.0
+        assert math.isnan(diag.gd)  # the solver takes g^T d afresh after a restart
 
     @pytest.mark.parametrize("method", ["scgmmwls", "m2", "jian"])
     def test_degenerate_spectral_denominator_gives_theta_one(self, method):
@@ -348,6 +349,7 @@ class TestNextDirection:
             d, diag = direction()
             np.testing.assert_array_equal(d, -g_new)
             assert diag.restart and diag.beta == 0.0
+        assert math.isnan(diag.gd)  # the descent test's g_new^T d_new was 0, not kept
         assert beta_dk(g_new, prev_d, step.y) == 2.0**54
 
     def test_jian_truncates_theta(self):

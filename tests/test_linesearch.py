@@ -167,8 +167,8 @@ class TestAccounting:
 
 
 class TestAcceptedBundleOnly:
-    """The secant bundle is built once, for the accepted trial only; z only by
-    the modified search."""
+    """The secant bundle is built once, for the accepted trial only; z, and mu
+    and t on every trial, only by the modified search."""
 
     @pytest.fixture
     def z_calls(self, monkeypatch):
@@ -181,9 +181,20 @@ class TestAcceptedBundleOnly:
         monkeypatch.setattr(specgrad.linesearch, "z_vector", counted)
         return calls
 
+    @pytest.fixture
+    def t_calls(self, monkeypatch):
+        calls = []
+
+        def counted(mu_value, s_norm_sq, coefficient, C):
+            calls.append(mu_value)
+            return t_coefficient(mu_value, s_norm_sq, coefficient, C)
+
+        monkeypatch.setattr(specgrad.linesearch, "t_coefficient", counted)
+        return calls
+
     @pytest.mark.parametrize("name", ["ext_rosenbrock", "ext_beale"])
     @pytest.mark.parametrize("modified", [True, False])
-    def test_accepted_search_builds_one_bundle_equal_to_raw_rebuild(self, z_calls, name, modified):
+    def test_accepted_search_builds_one_bundle_equal_to_raw_rebuild(self, z_calls, t_calls, name, modified):
         p = problem(name, 10)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
@@ -192,6 +203,10 @@ class TestAcceptedBundleOnly:
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert len(z_calls) == int(modified)
+        # The standard curvature test reads g_t^T d only, so that search takes
+        # mu and t for the accepted trial alone; the modified test needs t on
+        # every trial.
+        assert len(t_calls) == (out.nf_used if modified else 1)
 
         alpha = out.alpha
         s = alpha * d
@@ -220,7 +235,7 @@ class TestAcceptedBundleOnly:
         assert audit.steps == 1 and audit.clean, audit
 
     @pytest.mark.parametrize("modified", [True, False])
-    def test_failed_search_builds_no_bundle(self, z_calls, modified):
+    def test_failed_search_builds_no_bundle(self, z_calls, t_calls, modified):
         oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
         search = modified_wolfe if modified else standard_wolfe
         out = search(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, COEF, 1.0, -1.0)
@@ -228,6 +243,7 @@ class TestAcceptedBundleOnly:
         assert out.nf_used > 1
         assert out.s is None and out.y is None and out.z is None
         assert z_calls == []
+        assert len(t_calls) == (out.nf_used if modified else 0)
 
 
 class TestVerifier:

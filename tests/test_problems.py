@@ -112,6 +112,46 @@ class TestInstrumented:
         assert err.value.problem_name == "bad"
         assert (oracle.nf, oracle.ng) == (1, 1)
 
+    @pytest.mark.parametrize("n", [1, 100, 10000])
+    def test_gradient_raises_exactly_when_an_entry_is_not_finite(self, n):
+        # eval_fg tests g^T g and falls back to the entrywise test only when
+        # that product is not finite; the raising inputs must be the same.
+        rng = np.random.default_rng(n)
+        grads = []
+        for _ in range(40):
+            g = rng.standard_normal(n)
+            bad = rng.integers(0, n, size=rng.integers(0, 4))  # empty: a finite g
+            g[bad] = rng.choice([np.inf, -np.inf, np.nan], size=bad.size)
+            grads.append(g)
+        grads.append(np.zeros(n))
+        served = iter(grads)
+        oracle = InstrumentedOracle(Problem("injected", n, lambda x: (1.0, next(served)), np.zeros(n)))
+        raised = 0
+        for k, g in enumerate(grads, start=1):
+            if np.isfinite(g).all():
+                assert oracle.eval_fg(np.zeros(n))[1] is g
+            else:
+                raised += 1
+                with pytest.raises(EvaluationError, match="gradient"):
+                    oracle.eval_fg(np.zeros(n))
+            assert (oracle.nf, oracle.ng) == (k, k)  # charged before each raise
+        assert 0 < raised < len(grads)
+
+    def test_finite_gradient_whose_square_overflows_is_returned(self):
+        """Entries of 1e200 are finite, but g^T g overflows to inf, so eval_fg
+        falls back to the entrywise test and returns g unchanged.  This is the
+        one input on which eval_fg can warn outside minimize, which mutes the
+        warning as this test does."""
+        grad = np.full(5, 1e200)
+        grad[2] = -1e200
+        oracle = InstrumentedOracle(Problem("huge", 5, lambda x: (1.0, grad), np.zeros(5)))
+        with np.errstate(over="ignore"):
+            f, g = oracle.eval_fg(np.zeros(5))
+        assert f == 1.0 and g is grad
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert oracle.eval_fg(np.zeros(5))[1] is grad
+        assert (oracle.nf, oracle.ng) == (2, 2)
+
 
 class TestGradientCheck:
     def test_qf1_passes(self):
@@ -493,9 +533,12 @@ class TestNoPowKernels:
 
 
 # numpy functions that only wrap an ndarray method or a ufunc in Python-level
-# dispatch; the hot path calls the method itself (``a.sum()``, ``u.dot(v)``)
-# or allocates with ``np.zeros(n)``.
+# dispatch, and the ndarray reduction methods that still run through
+# ``numpy/_core/_methods.py``; the hot path calls the C method itself
+# (``u.dot(v)``, ``a.argmax()``) or the ufunc (``np.add.reduce(a)``), and
+# allocates with ``np.zeros(n)``.
 _NUMPY_WRAPPERS = {"sum", "max", "min", "all", "any", "dot", "zeros_like"}
+_METHOD_WRAPPERS = {"sum", "prod", "max", "min", "all", "any", "mean"}
 HOT_PATH_MODULES = [
     specgrad.problems,
     specgrad.numkit,
@@ -507,15 +550,18 @@ HOT_PATH_MODULES = [
 
 
 def _numpy_wrapper_calls(source: str) -> list[int]:
-    """Line numbers of every call ``np.<f>(...)`` or ``numpy.<f>(...)`` with f a wrapper."""
+    """Line numbers of every call ``np.<f>(...)`` or ``numpy.<f>(...)`` with f a
+    wrapper, and of every reduction method call ``<expr>.<m>(...)``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        owner = node.func.value
+        owner, attr = node.func.value, node.func.attr
         if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
-            if node.func.attr in _NUMPY_WRAPPERS:
+            if attr in _NUMPY_WRAPPERS:
                 lines.append(node.lineno)
+        elif attr in _METHOD_WRAPPERS:
+            lines.append(node.lineno)
     return sorted(lines)
 
 
@@ -536,4 +582,23 @@ class TestNoNumpyWrappersOnHotPath:
             "h = np.all(x) or np.any(x)\n"
             "k = float(u.dot(v))\n"
         )
-        assert _numpy_wrapper_calls(source) == [1, 3, 4, 7, 7, 8, 8]
+        assert _numpy_wrapper_calls(source) == [1, 2, 3, 4, 7, 7, 8, 8]
+
+    @pytest.mark.parametrize("method", sorted(_METHOD_WRAPPERS))
+    def test_guard_flags_each_reduction_method(self, method):
+        source = (
+            f"a = x.{method}()\n"
+            f"b = abs(u - v).{method}(axis=0)\n"
+            f"c = x[1:].{method}() + 1.0\n"
+        )
+        assert _numpy_wrapper_calls(source) == [1, 2, 3]
+
+    def test_guard_passes_ufunc_reductions_and_c_methods(self):
+        source = (
+            "a = np.add.reduce(x)\n"
+            "b = np.logical_and.reduce(np.isfinite(g))\n"
+            "c = abs(u)\n"
+            "d = float(c[c.argmax()])\n"
+            "e = float(u.dot(v)) + min(a, b)\n"
+        )
+        assert _numpy_wrapper_calls(source) == []
