@@ -24,18 +24,23 @@ bracket forms, then shrinks it by safeguarded quadratic interpolation with
 bisection fallback.  Every trial evaluates f and g together (one nf plus one
 ng).
 
-Trials are scalar-only.  The step is s = alpha d, so with g^T d (taken once
-by the caller) and d^T d (taken once per search), one trial costs s, the
-point x + s, one f+g evaluation and one dot product, g_t^T d:
+Trials are scalar-only: the engine, :func:`bracket_zoom`, sees a trial as
+the tuple (f, dphi, armijo_ok, curv_ok), and only the search itself keeps
+the accepted trial's vectors.  The step is s = alpha d, so with g^T d (taken
+once by the caller) and d^T d (taken once per search), one trial costs s, the
+point x + s, one f+g evaluation and two dot products, g_t^T d in the search
+and g_t^T g_t in the oracle's finiteness test.  The scalars follow:
 
     mu    = 2 (f - f_t) + alpha (g^T d + g_t^T d)
     s^T d = alpha d^T d,        |s|^2 = alpha (alpha d^T d)
     t     = t_coefficient(mu, |s|^2),  modified curvature term min(t, 0) s^T d
 
-The modified search takes mu and t on every trial, for its curvature term;
-the standard one only for the accepted trial.  A trial builds no g + g_t and
-no y.  The accepted trial keeps its s; y = g_t - g is built once, and z only
-by the modified search, whose direction (scgmmwls) and audit read it.
+A trial whose |s|^2 underflows to 0 ends the search, so t always has a
+nonzero step.  The modified search takes mu and t on every trial, for its
+curvature term; the standard one only for the accepted trial.  A trial
+builds no g + g_t and no y.  The accepted trial keeps its s; y = g_t - g is
+built once, and z only by the modified search, whose direction (scgmmwls)
+and audit read it.
 :class:`LineSearchOutcome` is the one record of a step: it carries the
 point, the secant bundle and the search's dot products, so the direction
 update need not take them again.
@@ -112,19 +117,6 @@ class LineSearchOutcome:
     dd: float = math.nan
 
 
-@dataclass(slots=True)
-class TrialPoint:
-    """One evaluated trial step along the ray x + alpha d."""
-
-    alpha: float
-    f: float
-    dphi: float  # directional derivative g(x + alpha d)^T d
-    armijo_ok: bool
-    curv_ok: bool
-    payload: tuple | None = None  # the accepted trial's vectors; a rejected one frees them
-    underflow: bool = False
-
-
 def _interpolate(lo_alpha, lo_f, lo_dphi, hi_alpha, hi_f) -> float:
     """Quadratic-minimum step inside the bracket, safeguarded to shrink it >= 10%."""
     left, right = (lo_alpha, hi_alpha) if lo_alpha < hi_alpha else (hi_alpha, lo_alpha)
@@ -141,11 +133,13 @@ def _interpolate(lo_alpha, lo_f, lo_dphi, hi_alpha, hi_f) -> float:
 
 
 def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
-    """Find a trial point whose Armijo and curvature flags both hold.
+    """Find a trial step whose Armijo and curvature flags both hold.
 
-    ``evaluate(alpha)`` must return a :class:`TrialPoint`; ``f0`` and
-    ``slope0`` describe the ray at alpha = 0 with ``slope0 < 0``.  Returns
-    ``(trial_or_None, trials_used, status)``.
+    ``evaluate(alpha)`` returns ``(f, dphi, armijo_ok, curv_ok)`` of the trial
+    x + alpha d, with dphi = g(x + alpha d)^T d, or ``None`` when the step
+    underflowed to zero length; ``f0`` and ``slope0`` describe the ray at
+    alpha = 0 with ``slope0 < 0``.  Returns ``(alpha, trials_used, status)``,
+    with alpha ``None`` unless the status is ``ACCEPTED``.
 
     One trial loop keeps the bracket ``lo = (alpha, f, dphi)``, from alpha = 0,
     and ``hi = (alpha, f)``.  Until ``hi`` is set, an Armijo trial whose slope
@@ -167,24 +161,25 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     alpha = min(alpha0, ALPHA_MAX)
     trials = 0
     while trials < MAX_TRIALS:
-        t = evaluate(alpha)
+        trial = evaluate(alpha)
         trials += 1
-        if t.underflow:
+        if trial is None:
             return None, trials, MAX_TRIALS_EXCEEDED
-        if t.armijo_ok and t.curv_ok:
-            return t, trials, ACCEPTED
-        if not t.armijo_ok or t.f >= lo[1] + ftol:
-            hi = (t.alpha, t.f)
-        elif hi is None and not t.dphi >= 0.0:
+        f, dphi, armijo_ok, curv_ok = trial
+        if armijo_ok and curv_ok:
+            return alpha, trials, ACCEPTED
+        if not armijo_ok or f >= lo[1] + ftol:
+            hi = (alpha, f)
+        elif hi is None and not dphi >= 0.0:
             if alpha >= ALPHA_MAX:
                 return None, trials, MAX_TRIALS_EXCEEDED
-            lo = (t.alpha, t.f, t.dphi)
+            lo = (alpha, f, dphi)
             alpha = min(2.0 * alpha, ALPHA_MAX)
             continue
         else:
-            if hi is None or t.dphi * (hi[0] - lo[0]) >= 0.0:
+            if hi is None or dphi * (hi[0] - lo[0]) >= 0.0:
                 hi = lo[:2]  # the slope points away from hi: the old lo becomes hi
-            lo = (t.alpha, t.f, t.dphi)
+            lo = (alpha, f, dphi)
         alpha = _interpolate(*lo, *hi)
         if alpha == lo[0] or alpha == hi[0] or not alpha > 0.0:
             return None, trials, MAX_TRIALS_EXCEEDED
@@ -198,37 +193,38 @@ def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
         return LineSearchOutcome(DEGENERATE_DIRECTION, 0, f)
     dd = dot(d, d)
     C = params.C
+    accepted = None  # (x_t, s_t, g_t, f_t, dphi, mu, t) of the accepted trial only
 
-    def evaluate(alpha: float) -> TrialPoint:
+    def evaluate(alpha: float) -> tuple[float, float, bool, bool] | None:
+        nonlocal accepted
         s_t = alpha * d
         x_t = x + s_t
         try:
             f_t, g_t = oracle.eval_fg(x_t)
         except EvaluationError:
-            return TrialPoint(alpha, math.inf, math.nan, False, False)
+            return math.inf, math.nan, False, False
         sd = alpha * dd  # s^T d
         s_norm_sq = alpha * sd
         if not s_norm_sq > 0.0:
-            return TrialPoint(alpha, f_t, math.nan, False, False, underflow=True)
+            return None
         dphi = dot(g_t, d)
-        curv_lhs, mu_t, t_t = dphi, None, None
-        if modified:
+        armijo_ok = armijo_holds(f, gd0, alpha, f_t, params.rho)
+        # The standard curvature test reads dphi alone, so that search takes mu
+        # and t for the accepted trial only; the modified test needs t first.
+        curv_ok = not modified and curvature_holds(dphi, gd0, params.sigma)
+        if modified or (armijo_ok and curv_ok):
             mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
             t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
-            curv_lhs += min(t_t, 0.0) * sd
-        armijo_ok = armijo_holds(f, gd0, alpha, f_t, params.rho)
-        curv_ok = curvature_holds(curv_lhs, gd0, params.sigma)
-        kept = (x_t, s_t, g_t, mu_t, t_t) if armijo_ok and curv_ok else None
-        return TrialPoint(alpha, f_t, dphi, armijo_ok, curv_ok, payload=kept)
+            if modified:
+                curv_ok = curvature_holds(dphi + min(t_t, 0.0) * sd, gd0, params.sigma)
+            if armijo_ok and curv_ok:
+                accepted = x_t, s_t, g_t, f_t, dphi, mu_t, t_t
+        return f_t, dphi, armijo_ok, curv_ok
 
-    best, trials, status = bracket_zoom(evaluate, f, gd0, alpha0)
+    alpha, trials, status = bracket_zoom(evaluate, f, gd0, alpha0)
     if status != ACCEPTED:
         return LineSearchOutcome(status, trials, f)
-    alpha, f_t, dphi = best.alpha, best.f, best.dphi
-    x_t, s, g_t, mu_t, t_t = best.payload
-    if not modified:  # a modified trial's operands, for the accepted trial only
-        mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
-        t_t = t_coefficient(mu_t, alpha * (alpha * dd), coefficient, C)
+    x_t, s, g_t, f_t, dphi, mu_t, t_t = accepted
     y = g_t - g
     z = z_vector(y, s, t_t) if modified else None
     return LineSearchOutcome(ACCEPTED, trials, f_t, alpha, x_t, g_t, s, y, mu_t, t_t, z, gd0, dphi, dd)

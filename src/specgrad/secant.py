@@ -29,10 +29,6 @@ import math
 from .numkit import Vector, dot
 
 
-class DegenerateStepError(ValueError):
-    """Zero-length step; secant quantities are undefined."""
-
-
 def order_coefficient(m: float) -> float:
     """m/(m-2), extended with 1 at m = infinity."""
     if math.isinf(m):
@@ -49,10 +45,9 @@ def t_coefficient(mu_value: float, s_norm_sq: float, coefficient: float, C: floa
     """Safeguarded scaling of s in z = y + t*s, branching on the sign of mu.
 
     ``coefficient`` is m/(m-2) (:attr:`DirectionParams.coefficient`), ``C`` the
-    line-search constant (:attr:`specgrad.linesearch.WolfeParams.C`).
+    line-search constant (:attr:`specgrad.linesearch.WolfeParams.C`).  The
+    caller guarantees ``s_norm_sq > 0``.
     """
-    if not s_norm_sq > 0.0:
-        raise DegenerateStepError(f"step norm squared must be positive, got {s_norm_sq}")
     if mu_value > 0.0:
         return coefficient * mu_value / s_norm_sq
     return C * mu_value / s_norm_sq

@@ -7,6 +7,8 @@ tests take their inputs from them.
 
 ``m2_coefficient`` is the paper form of the M2 scaling c in v = y + c s; the
 solver reads c from the step's t instead, and the tests check the two agree.
+It and ``hessian_error`` raise :class:`DegenerateStepError` on a zero step;
+the solver never forms one, since its line search ends on a zero |s|^2.
 
 The verification oracles: central differences (``fd_gradient``,
 ``fd_hessian_action``), the gradient checker (``gradient_check`` at
@@ -32,7 +34,7 @@ from specgrad.directions import DirectionDiag, DirectionParams
 from specgrad.linesearch import ACCEPTED, LineSearchOutcome
 from specgrad.numkit import Vector, dot, norm_inf
 from specgrad.problems import Problem
-from specgrad.secant import DegenerateStepError, mu, order_coefficient, t_coefficient, z_vector
+from specgrad.secant import mu, order_coefficient, t_coefficient, z_vector
 
 ScalarField = Callable[[np.ndarray], float]
 
@@ -66,6 +68,10 @@ def accepted_step(g_old, g_new, d, alpha: float, mu: float = 0.0, t: float = 0.0
 
 class Degenerate(ArithmeticError):
     """A denominator of a direction formula vanished."""
+
+
+class DegenerateStepError(ValueError):
+    """Zero-length step; secant quantities are undefined."""
 
 
 def _denominator(u: Vector, v: Vector, name: str) -> float:

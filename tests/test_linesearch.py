@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from specgrad.linesearch import (
     DEGENERATE_DIRECTION,
     MAX_TRIALS,
     MAX_TRIALS_EXCEEDED,
-    TrialPoint,
     WolfeParams,
     bracket_zoom,
     modified_wolfe,
@@ -246,6 +247,63 @@ class TestAcceptedBundleOnly:
         assert len(t_calls) == (out.nf_used if modified else 0)
 
 
+class TestTrialVectorsFreed:
+    """A search keeps only the accepted trial's vectors; each rejected trial's
+    x, g and s are freed as soon as the engine moves on."""
+
+    @staticmethod
+    def watched(p):
+        """``p`` with an fg that records a weak reference to every x and g it sees."""
+        refs = []
+
+        def fg(x):
+            f, g = p.fg(x)
+            refs.extend((weakref.ref(x), weakref.ref(g)))
+            return f, g
+
+        return Problem(p.name, p.dim, fg, p.start), refs
+
+    @pytest.mark.parametrize("search", [standard_wolfe, modified_wolfe])
+    def test_only_the_accepted_x_and_g_outlive_the_search(self, search):
+        plain = problem("ext_rosenbrock", 10)
+        f, g = plain.fg(plain.start)
+        d = -g
+        p, refs = self.watched(plain)
+        out = search(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 1.0, dot(g, d))
+        assert out.status == ACCEPTED
+        assert out.nf_used >= 3 and len(refs) == 2 * out.nf_used
+        alive = [obj for obj in (r() for r in refs) if obj is not None]
+        assert len(alive) == 2 and alive[0] is out.x_new and alive[1] is out.g_new
+
+    @pytest.mark.parametrize("search", [standard_wolfe, modified_wolfe])
+    def test_failed_search_keeps_no_trial_vector(self, search):
+        p, refs = self.watched(problem_1d(lambda x: -x, lambda x: -1.0))
+        out = search(InstrumentedOracle(p), vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, COEF, 1.0, -1.0)
+        assert out.status == MAX_TRIALS_EXCEEDED
+        assert out.nf_used >= 3 and len(refs) == 2 * out.nf_used
+        assert all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("modified", [True, False])
+    def test_retained_memory_is_the_outcome_vectors(self, modified):
+        # x_new, g_new, s and y, plus z from the modified search; a kept s or
+        # x of any of the rejected trials would add one more vector each.
+        n = 10000
+        p = problem("ext_rosenbrock", n)
+        f, g = p.fg(p.start)
+        d = -g
+        search = modified_wolfe if modified else standard_wolfe
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = search(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 1.0, dot(g, d))
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.status == ACCEPTED and out.nf_used >= 3
+        vectors = 4 + int(modified)
+        assert vectors * 8 * n <= retained < (vectors + 0.5) * 8 * n
+
+
 class TestVerifier:
     """The solver's audit re-checks an accepted step from the raw vectors."""
 
@@ -279,29 +337,29 @@ class TestBracketZoom:
         def evaluate(alpha):
             f = (1.0 - 2.0 * alpha) ** 2
             dphi = -4.0 * (1.0 - 2.0 * alpha)
-            return TrialPoint(alpha, f, dphi, alpha <= 0.82, alpha >= 0.4)
+            return f, dphi, alpha <= 0.82, alpha >= 0.4
 
-        best, trials, status = bracket_zoom(evaluate, 1.0, -4.0, alpha0=1.0)
+        alpha, trials, status = bracket_zoom(evaluate, 1.0, -4.0, alpha0=1.0)
         assert status == ACCEPTED
-        assert 0.4 <= best.alpha <= 0.82
+        assert 0.4 <= alpha <= 0.82
         assert trials <= 10
 
     def test_unsatisfiable_predicate_exhausts_budget(self):
         def evaluate(alpha):
-            return TrialPoint(alpha, 1.0 + alpha, 1.0, False, False)
+            return 1.0 + alpha, 1.0, False, False
 
-        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=1.0)
-        assert best is None
+        alpha, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=1.0)
+        assert alpha is None
         assert status == MAX_TRIALS_EXCEEDED
         assert trials <= MAX_TRIALS
 
     def test_acceptable_alpha0_takes_one_trial(self):
         def evaluate(alpha):
-            return TrialPoint(alpha, 0.5, -0.1, True, True)
+            return 0.5, -0.1, True, True
 
-        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=0.7)
+        alpha, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=0.7)
         assert status == ACCEPTED
-        assert best.alpha == 0.7
+        assert alpha == 0.7
         assert trials == 1
 
     def test_alpha0_capped_at_alpha_max(self):
@@ -309,18 +367,19 @@ class TestBracketZoom:
 
         def evaluate(alpha):
             seen.append(alpha)
-            return TrialPoint(alpha, 0.0, -0.1, True, True)
+            return 0.0, -0.1, True, True
 
-        best, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=10.0 * ALPHA_MAX)
+        alpha, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=10.0 * ALPHA_MAX)
         assert (status, trials, seen) == (ACCEPTED, 1, [ALPHA_MAX])
+        assert alpha == ALPHA_MAX
 
     def test_nonpositive_alpha0_rejected(self):
         with pytest.raises(ValueError):
             bracket_zoom(lambda a: None, 1.0, -1.0, alpha0=0.0)
 
     def test_nonpositive_slope_rejected_without_trials(self):
-        best, trials, status = bracket_zoom(lambda a: None, 1.0, 0.0, alpha0=1.0)
-        assert (best, trials, status) == (None, 0, DEGENERATE_DIRECTION)
+        alpha, trials, status = bracket_zoom(lambda a: None, 1.0, 0.0, alpha0=1.0)
+        assert (alpha, trials, status) == (None, 0, DEGENERATE_DIRECTION)
 
     def test_trial_sequence_expands_past_a_nan_slope_brackets_and_zooms(self):
         # phi = (alpha - 2.7)^4 from alpha0 = 0.25.  The Armijo-ok trial at
@@ -336,11 +395,11 @@ class TestBracketZoom:
             f = (alpha - 2.7) ** 4
             dphi = math.nan if alpha == 0.5 else 4.0 * (alpha - 2.7) ** 3
             armijo_ok = f <= f0 + 0.1 * alpha * slope0
-            return TrialPoint(alpha, f, dphi, armijo_ok, abs(dphi) <= 1e-4)
+            return f, dphi, armijo_ok, abs(dphi) <= 1e-4
 
-        best, trials, status = bracket_zoom(evaluate, f0, slope0, alpha0=0.25)
+        alpha, trials, status = bracket_zoom(evaluate, f0, slope0, alpha0=0.25)
         assert seen == [
             0.25, 0.5, 1.0, 2.0, 4.0,
             2.5119402985074633, 2.660746268656717, 2.7946716417910453, 2.6804068387515887,
         ]
-        assert (status, trials, best.alpha) == (ACCEPTED, 9, seen[-1])
+        assert (status, trials, alpha) == (ACCEPTED, 9, seen[-1])
