@@ -11,8 +11,8 @@ Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
 solver id, option, problem name or dimension no run could use, a cell named
 twice, an ``--out`` that cannot be made a directory, a negative
 ``trace --iters``, or a ``profile --in`` directory without a readable,
-well-formed and nonempty ``results.json``), found before any run starts or
-any file is written.
+well-formed and nonempty ``results.json``), found before any run or write,
+and for an output file that cannot be written, found after the run.
 """
 
 from __future__ import annotations
@@ -63,8 +63,11 @@ def _cmd_run(args, parser) -> int:
     except OSError as exc:
         parser.error(str(exc))
     table = run_suite(solvers, names, dims, **options)
-    emit(table, None, "csv", args.out)
-    emit(table, None, "json", args.out)
+    try:
+        emit(table, None, "csv", args.out)
+        emit(table, None, "json", args.out)
+    except OSError as exc:  # found after the run, so no usage line
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     for row in table.rows:
         r = row.result
         print(
@@ -99,10 +102,13 @@ def _cmd_profile(args, parser) -> int:
             print(f"[{metric}] rho(1) {c.solver} = {c.points[0][1]:.3f}")
     # excluded.csv is written even when empty, and the profiles of metrics not
     # computed are removed, so a reused --out never keeps an earlier run's files.
-    for metric in set(METRICS).difference(metrics):
-        (Path(args.out) / f"profile_{metric.upper()}.csv").unlink(missing_ok=True)
-    emit(table, curves, "csv", args.out, excluded=excluded)
-    emit(table, curves, "json", args.out)
+    try:
+        for metric in set(METRICS).difference(metrics):
+            (Path(args.out) / f"profile_{metric.upper()}.csv").unlink(missing_ok=True)
+        emit(table, curves, "csv", args.out, excluded=excluded)
+        emit(table, curves, "json", args.out)
+    except OSError as exc:  # found after the profiles are computed, so no usage line
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"wrote exclusion report ({len(excluded)} entries) to {Path(args.out) / 'excluded.csv'}")
     print(f"wrote profiles for metrics {', '.join(m.upper() for m in metrics)} to {args.out}")
     return 1 if had_eval_error(table) else 0

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .linesearch import LineSearchOutcome
 from .numkit import Vector, dot
-from .secant import order_coefficient, v_vector_m2
+from .secant import v_vector_m2
 
 METHODS = ("scgmmwls", "dk", "jian", "m2")
 # The methods whose solver id carries a secant order (``scgmmwls:m=3``).
@@ -69,8 +69,8 @@ class DirectionParams:
 
     @property
     def coefficient(self) -> float:
-        """m/(m-2), the factor of a positive mu in the secant scaling t."""
-        return order_coefficient(self.m)
+        """m/(m-2), 1 at m = infinity: the factor of a positive mu in the secant scaling t."""
+        return 1.0 if math.isinf(self.m) else self.m / (self.m - 2.0)
 
     @property
     def label(self) -> str:

@@ -1,4 +1,4 @@
-"""Standard and modified Wolfe line searches over one bracketing engine.
+"""One Wolfe line search, standard or modified by a bound flag, over one bracketing engine.
 
 Both searches accept a step iff the Armijo condition
 
@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .numkit import Vector, dot
-from .problems import EvaluationError, InstrumentedOracle
+from .problems import EvaluationError
 from .secant import t_coefficient, z_vector
 from .secant import mu  # noqa: F401  (no caller here; perfbench's tracer patches this name)
 
@@ -186,10 +187,13 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     return None, trials, MAX_TRIALS_EXCEEDED
 
 
-def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
+def _search(modified, oracle, x, f, g, d, params, coefficient, alpha0, gd):
+    """Wolfe search along d from x; ``modified`` adds min(t, 0) s^T d to the
+    curvature test and builds z.  ``coefficient`` is m/(m-2) of t
+    (:attr:`DirectionParams.coefficient`), ``gd`` the caller's g^T d."""
     # A slope of -inf (g^T d overflowed) puts Armijo's right side at -inf: no
     # trial could pass, so the search ends here like an ascent direction.
-    if not -math.inf < gd0 < 0.0:
+    if not -math.inf < gd < 0.0:
         return LineSearchOutcome(DEGENERATE_DIRECTION, 0, f)
     dd = dot(d, d)
     C = params.C
@@ -208,63 +212,26 @@ def _search(oracle, x, f, g, d, params, coefficient, alpha0, gd0, modified):
         if not s_norm_sq > 0.0:
             return None
         dphi = dot(g_t, d)
-        armijo_ok = armijo_holds(f, gd0, alpha, f_t, params.rho)
-        # The standard curvature test reads dphi alone, so that search takes mu
-        # and t for the accepted trial only; the modified test needs t first.
-        curv_ok = not modified and curvature_holds(dphi, gd0, params.sigma)
+        armijo_ok = armijo_holds(f, gd, alpha, f_t, params.rho)
+        curv_ok = not modified and curvature_holds(dphi, gd, params.sigma)
         if modified or (armijo_ok and curv_ok):
-            mu_t = 2.0 * (f - f_t) + alpha * (gd0 + dphi)
+            mu_t = 2.0 * (f - f_t) + alpha * (gd + dphi)
             t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
             if modified:
-                curv_ok = curvature_holds(dphi + min(t_t, 0.0) * sd, gd0, params.sigma)
+                curv_ok = curvature_holds(dphi + min(t_t, 0.0) * sd, gd, params.sigma)
             if armijo_ok and curv_ok:
                 accepted = x_t, s_t, g_t, f_t, dphi, mu_t, t_t
         return f_t, dphi, armijo_ok, curv_ok
 
-    alpha, trials, status = bracket_zoom(evaluate, f, gd0, alpha0)
+    alpha, trials, status = bracket_zoom(evaluate, f, gd, alpha0)
     if status != ACCEPTED:
         return LineSearchOutcome(status, trials, f)
     x_t, s, g_t, f_t, dphi, mu_t, t_t = accepted
     y = g_t - g
     z = z_vector(y, s, t_t) if modified else None
-    return LineSearchOutcome(ACCEPTED, trials, f_t, alpha, x_t, g_t, s, y, mu_t, t_t, z, gd0, dphi, dd)
+    return LineSearchOutcome(ACCEPTED, trials, f_t, alpha, x_t, g_t, s, y, mu_t, t_t, z, gd, dphi, dd)
 
 
-def standard_wolfe(
-    oracle: InstrumentedOracle,
-    x: Vector,
-    f: float,
-    g: Vector,
-    d: Vector,
-    params: WolfeParams,
-    coefficient: float,
-    alpha0: float,
-    gd: float,
-) -> LineSearchOutcome:
-    """Weak-Wolfe search; the secant bundle, without z, is still computed for
-    direction updates.
-
-    ``coefficient`` is the order factor m/(m-2) of t
-    (:attr:`specgrad.directions.DirectionParams.coefficient`); ``gd`` is g^T d,
-    which the caller has already taken.
-    """
-    return _search(oracle, x, f, g, d, params, coefficient, alpha0, gd, False)
-
-
-def modified_wolfe(
-    oracle: InstrumentedOracle,
-    x: Vector,
-    f: float,
-    g: Vector,
-    d: Vector,
-    params: WolfeParams,
-    coefficient: float,
-    alpha0: float,
-    gd: float,
-) -> LineSearchOutcome:
-    """Wolfe search with the min(t, 0) s correction inside the curvature test.
-
-    Same signature as :func:`standard_wolfe`.
-    """
-    return _search(oracle, x, f, g, d, params, coefficient, alpha0, gd, True)
-
+# A partial adds no Python frame; a flag bound by keyword would merge a dict per call.
+standard_wolfe = partial(_search, False)
+modified_wolfe = partial(_search, True)

@@ -24,16 +24,7 @@ which is t when mu > 0, so the direction update takes c from the step's t.
 
 from __future__ import annotations
 
-import math
-
 from .numkit import Vector, dot
-
-
-def order_coefficient(m: float) -> float:
-    """m/(m-2), extended with 1 at m = infinity."""
-    if math.isinf(m):
-        return 1.0
-    return m / (m - 2.0)
 
 
 def mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> float:

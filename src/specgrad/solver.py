@@ -12,7 +12,7 @@ benchmark-wide audits need no second pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,6 +87,7 @@ class IterationRecord:
     beta: float
     theta: float
     restart: bool
+    zoutendijk: float  # (g^T d)^2 / |d|^2 of the step's search direction
 
 
 @dataclass
@@ -102,7 +103,6 @@ class AuditReport:
     descent_checks: int = 0
     descent_violations: int = 0
     theta_violations: int = 0
-    zoutendijk: list[float] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -218,8 +218,6 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             break
 
         audit.check_wolfe(f, g, d, outcome, config, problem.lipschitz_hint, modified)
-        if trace is not None:
-            audit.zoutendijk.append(gd * gd / outcome.dd)
 
         g_new = outcome.g_new
         gnorm = norm_inf(g_new)
@@ -230,7 +228,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         if trace is not None:
             trace.append(
                 IterationRecord(k, outcome.f_new, gnorm, outcome.alpha, outcome.mu, outcome.t,
-                                diag.beta, diag.theta, diag.restart)
+                                diag.beta, diag.theta, diag.restart, gd * gd / outcome.dd)
             )
 
         x, f, g, d = outcome.x_new, outcome.f_new, g_new, d_new

@@ -34,7 +34,7 @@ from specgrad.directions import DirectionDiag, DirectionParams
 from specgrad.linesearch import ACCEPTED, LineSearchOutcome
 from specgrad.numkit import Vector, dot, norm_inf
 from specgrad.problems import Problem
-from specgrad.secant import mu, order_coefficient, t_coefficient, z_vector
+from specgrad.secant import mu, t_coefficient, z_vector
 
 ScalarField = Callable[[np.ndarray], float]
 
@@ -189,13 +189,18 @@ def next_direction_jian(
     return _spectral_step(g_new, prev_d, diag.beta, theta_raw, params, diag)
 
 
+def _order_factor(m: float) -> float:
+    """The paper's m/(m-2), taken as 1 at m = infinity."""
+    return 1.0 if math.isinf(m) else m / (m - 2.0)
+
+
 def m2_coefficient(mu_value: float, s_norm_sq: float, m: float) -> float:
     """(m/(m-2)) max(mu, 0)/|s|^2, the scaling of s in the M2 vector v = y + c s."""
     if not s_norm_sq > 0.0:
         raise DegenerateStepError("zero step in the M2 secant vector")
     if mu_value <= 0.0:
         return 0.0
-    return order_coefficient(m) * mu_value / s_norm_sq
+    return _order_factor(m) * mu_value / s_norm_sq
 
 
 @dataclass(frozen=True)
@@ -294,6 +299,6 @@ def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1
     if not s_norm_sq > 0.0:
         raise DegenerateStepError("zero step in hessian_error")
     mu_value = mu(f_old, f_new, g_old, g_new, s)
-    z = g_new - g_old + (order_coefficient(m) * mu_value / s_norm_sq) * s
+    z = g_new - g_old + (_order_factor(m) * mu_value / s_norm_sq) * s
     curvature = fd_hessian_action(prob.objective, x_new, s, FiniteDifferenceSpec(h=fd_step))
     return curvature - dot(s, z)

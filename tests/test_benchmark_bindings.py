@@ -50,3 +50,6 @@ def test_tracer_counts_match_the_run(tmp_path, monkeypatch, capsys):
     for span in ("solver.audit", "bench.emit", "bench.load", "bench.profile"):
         assert tracer.calls[span] > 0, span
         assert tracer.self_s[span] > 0.0, span
+    for span in ("numkit.dot", "secant.t_coefficient", "secant.v_vector_m2", "bench.run_suite",
+                 "cli.main"):
+        assert tracer.calls[span] > 0, span

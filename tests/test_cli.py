@@ -291,3 +291,27 @@ class TestBadArguments:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize(
+        "argv,blocked",
+        [
+            (["run", "--solvers", "dk", "--problems", "qf1", "--dims", "10"], "results.csv"),
+            (["profile", "--in", "RUN"], "excluded.csv"),
+            (["profile", "--metric", "ni", "--in", "RUN"], "profile_NF.csv"),
+        ],
+    )
+    def test_output_file_that_cannot_be_written_exits_2_after_the_run(
+        self, tmp_path, capsys, argv, blocked
+    ):
+        run_dir, out = tmp_path / "run", tmp_path / "out"
+        main(["run", "--solvers", "dk", "--problems", "qf1", "--dims", "10", "--out", str(run_dir)])
+        capsys.readouterr()
+        (out / blocked / "keep").mkdir(parents=True)
+        argv = [str(run_dir) if a == "RUN" else a for a in argv] + ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith(f"bench {argv[0]}: error:")
+        assert blocked in err_lines[0]
+        assert (out / blocked / "keep").is_dir()

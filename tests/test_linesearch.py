@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import specgrad.linesearch
+from specgrad.directions import DirectionParams
 from specgrad.linesearch import (
     ACCEPTED,
     ALPHA_MAX,
@@ -19,7 +20,7 @@ from specgrad.linesearch import (
 )
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import InstrumentedOracle, Problem, problem
-from specgrad.secant import mu, order_coefficient, t_coefficient, z_vector
+from specgrad.secant import mu, t_coefficient, z_vector
 from specgrad.solver import AuditReport, default_config
 
 
@@ -32,7 +33,7 @@ def problem_1d(f, g, name="p1d"):
 
 
 PARAMS = WolfeParams(rho=0.18, sigma=0.2)
-COEF = order_coefficient(3)
+COEF = DirectionParams(m=3).coefficient
 CONFIG = default_config("scgmmwls:m=3")  # the audit's config: PARAMS and COEF
 
 

@@ -16,11 +16,11 @@ import pytest
 import specgrad.directions
 import specgrad.linesearch
 import specgrad.solver
-from specgrad.directions import next_direction
+from specgrad.directions import DirectionParams, next_direction
 from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import InstrumentedOracle, Problem, problem
-from specgrad.secant import mu, order_coefficient
+from specgrad.secant import mu
 from specgrad.solver import LINESEARCH_FAILURE, default_config, minimize
 
 from reference import (
@@ -135,7 +135,7 @@ class TestDotCounts:
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
         gd = dot(g, d)
-        coef = order_coefficient(3)
+        coef = DirectionParams(m=3).coefficient
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
             out = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, coef, 1.0, gd=gd)
@@ -156,7 +156,7 @@ class TestDotCounts:
             np.ones(1),
         )
         x, g, d = np.ones(1), np.array([2.0]), np.array([-2.0])
-        coef = order_coefficient(3)
+        coef = DirectionParams(m=3).coefficient
         params = WolfeParams(rho=0.18, sigma=0.2)
         if modified:
             out = modified_wolfe(InstrumentedOracle(prob), x, 1.0, g, d, params, coef, 2.0, gd=-4.0)

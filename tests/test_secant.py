@@ -9,7 +9,6 @@ from specgrad.linesearch import WolfeParams
 from specgrad.problems import Problem
 from specgrad.secant import (
     mu,
-    order_coefficient,
     t_coefficient,
     v_vector_m2,
     z_vector,
@@ -44,12 +43,12 @@ class TestParams:
         assert 0.0 < p.C < 1.0
 
     def test_infinity_coefficient_is_one(self):
-        assert order_coefficient(math.inf) == 1.0
+        assert DirectionParams.parse("scgmmwls:m=inf").coefficient == 1.0
         assert DirectionParams(m=math.inf).coefficient == 1.0
 
     def test_finite_coefficients(self):
-        assert order_coefficient(3) == 3.0
-        assert order_coefficient(4) == 2.0
+        assert DirectionParams(m=3).coefficient == 3.0
+        assert DirectionParams(m=4).coefficient == 2.0
 
     @pytest.mark.parametrize("m", [2, 1, 3.5, -1, -math.inf, math.nan])
     def test_rejects_bad_orders(self, m):
@@ -97,16 +96,15 @@ class TestMu:
 
 class TestTCoefficient:
     def test_positive_mu_order_3(self):
-        assert t_coefficient(0.125, 0.25, order_coefficient(3), C_DEFAULT) == pytest.approx(
-            1.5
-        )
+        coef = DirectionParams(m=3).coefficient
+        assert t_coefficient(0.125, 0.25, coef, C_DEFAULT) == pytest.approx(1.5)
 
     def test_negative_mu_uses_c(self):
-        coef = order_coefficient(3)
+        coef = DirectionParams(m=3).coefficient
         assert t_coefficient(-0.84, 1.0, coef, C_DEFAULT) == pytest.approx(-0.02, abs=1e-15)
 
     def test_zero_mu_gives_zero(self):
-        assert t_coefficient(0.0, 0.7, order_coefficient(5), C_DEFAULT) == 0.0
+        assert t_coefficient(0.0, 0.7, DirectionParams(m=5).coefficient, C_DEFAULT) == 0.0
 
 
 class TestZandV:
@@ -145,7 +143,7 @@ class TestZandV:
             m2_coefficient(1.0, 0.0, 3)
 
     def test_make_secant_bundle(self):
-        sec = make_secant(vec(0.5), vec(2.25), 0.125, order_coefficient(3), C_DEFAULT)
+        sec = make_secant(vec(0.5), vec(2.25), 0.125, DirectionParams(m=3).coefficient, C_DEFAULT)
         assert sec.t == pytest.approx(1.5)
         assert sec.z[0] == pytest.approx(3.0)
 
