@@ -1,7 +1,7 @@
 """Spectral conjugate-gradient solvers with a modified Wolfe line search."""
 
 from .bench import (
-    ProfileCurve,
+    Profile,
     ResultRow,
     ResultTable,
     emit,
@@ -22,7 +22,7 @@ __all__ = [
     "InstrumentedOracle",
     "LineSearchOutcome",
     "Problem",
-    "ProfileCurve",
+    "Profile",
     "ResultRow",
     "ResultTable",
     "RunResult",

@@ -3,13 +3,14 @@
 A suite run produces one row per (solver, problem, dimension) cell, failures
 included.  Per metric (NI/NF/NG), each cell's cost is divided by the best
 successful cost on that problem; failed runs receive a penalty ratio of twice
-the largest finite ratio in the table.  Profiles are the cumulative fraction
-of problems solved within a factor tau of the best solver, evaluated on a
-shared tau grid.
+the largest finite ratio in the table.  A metric's :class:`Profile` holds,
+on one tau grid, each solver's cumulative fraction of problems solved within
+a factor tau of the best solver.
 
-One :func:`emit` call per format writes the files of a command: the results,
-profile and exclusion tables as CSV (floats at 17 significant digits), or
-their JSON mirror under the keys ``results`` and ``profiles``.
+One :func:`emit` call per format writes the files of a command: the results
+table, one profile table per metric and the exclusion table as CSV (floats at
+17 significant digits), or their JSON mirror under the keys ``results`` and
+``profiles``.
 Cells run one after another in sorted (solver, problem, dim) order; a thread
 pool only made suites slower, since the solver holds the GIL.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,10 +50,17 @@ class ResultTable:
 
 
 @dataclass
-class ProfileCurve:
-    solver: str
+class Profile:
+    """One metric's profile: ``rho[solver][i]`` is the fraction of problems the
+    solver solves within a factor ``tau[i]`` of the best."""
+
     metric: str
-    points: list[tuple[float, float]]
+    tau: list[float]
+    rho: dict[str, list[float]]
+
+    def __post_init__(self) -> None:
+        if any(len(values) != len(self.tau) for values in self.rho.values()):
+            raise ValueError("each solver's rho needs one value per tau")
 
 
 @dataclass
@@ -99,32 +108,26 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
         raise ValueError("empty result table")
 
     solvers = sorted({r.solver for r in table.rows})
-    keys = sorted({(r.problem, r.dim) for r in table.rows})
-    cells = {(r.solver, r.problem, r.dim): r for r in table.rows}
+    solved: dict[tuple[str, int], dict[str, int]] = {}  # converged costs per problem
+    for r in table.rows:
+        costs = solved.setdefault((r.problem, r.dim), {})
+        if r.result.status == CONVERGED:
+            costs[r.solver] = getattr(r.result, metric)
 
     included: list[str] = []
     excluded: list[str] = []
     raw: dict[tuple[str, str], float | None] = {}
-    for name, dim in keys:
+    for (name, dim), costs in sorted(solved.items()):
         key = f"{name}:{dim}"
-        best = None
-        for s in solvers:
-            row = cells.get((s, name, dim))
-            if row is not None and row.result.status == CONVERGED:
-                value = getattr(row.result, metric)
-                best = value if best is None else min(best, value)
-        if best is None:
+        if not costs:
             excluded.append(key)
             continue
         included.append(key)
+        best = min(costs.values())
         for s in solvers:
-            row = cells.get((s, name, dim))
-            if row is None or row.result.status != CONVERGED:
-                raw[(s, key)] = None
-            else:
-                value = getattr(row.result, metric)
-                ratio = 1.0 if value == best else (value / best if best else math.inf)
-                raw[(s, key)] = ratio if math.isfinite(ratio) else None
+            value = costs.get(s, math.inf)  # a failed run has no finite ratio
+            ratio = 1.0 if value == best else (value / best if best else math.inf)
+            raw[(s, key)] = ratio if math.isfinite(ratio) else None
 
     finite = [v for v in raw.values() if v is not None]
     r_fail = 2.0 * max(finite) if finite else 2.0
@@ -132,29 +135,20 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
     return RatioSet(metric, solvers, included, excluded, ratios, r_fail)
 
 
-def default_grid(r_fail: float, points: int = 200) -> list[float]:
-    if r_fail <= 1.0:
-        return [1.0]
-    return [float(t) for t in np.geomspace(1.0, r_fail, points)]
-
-
-def performance_profile(ratio_set: RatioSet, grid=None) -> list[ProfileCurve]:
-    """Cumulative distribution of the ratios on a shared tau grid."""
+def performance_profile(ratio_set: RatioSet, grid=None) -> Profile:
+    """Cumulative distribution of the ratios on one tau grid, by default 200
+    points spaced geometrically from 1 to the failure ratio."""
     if grid is None:
-        grid = default_grid(ratio_set.r_fail)
-    grid = [float(t) for t in grid]
-    if not grid or grid[0] != 1.0 or any(a > b for a, b in zip(grid, grid[1:])):
+        grid = np.geomspace(1.0, ratio_set.r_fail, 200)
+    tau = [float(t) for t in grid]
+    if not tau or tau[0] != 1.0 or any(a > b for a, b in zip(tau, tau[1:])):
         raise ValueError("grid must be sorted ascending and start at 1")
     n_p = len(ratio_set.problems)
-    curves = []
+    rho = {}
     for s in ratio_set.solvers:
         values = sorted(ratio_set.ratios[(s, p)] for p in ratio_set.problems)
-        points = []
-        for tau in grid:
-            count = sum(1 for v in values if v <= tau)
-            points.append((tau, count / n_p if n_p else 0.0))
-        curves.append(ProfileCurve(solver=s, metric=ratio_set.metric, points=points))
-    return curves
+        rho[s] = [bisect_right(values, t) / n_p if n_p else 0.0 for t in tau]
+    return Profile(ratio_set.metric, tau, rho)
 
 
 def _csv_line(values) -> str:
@@ -169,15 +163,15 @@ def _result_record(row: ResultRow) -> dict:
     return dict(zip(RESULT_FIELDS, values))
 
 
-def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list[Path]:
+def emit(table: ResultTable, profiles, fmt: str, prefix, *, excluded=None) -> list[Path]:
     """Write the files of one format under ``prefix``.
 
-    ``fmt="csv"`` writes ``results.csv``; ``curves``, the :class:`ProfileCurve`
-    list of every profiled metric, adds one ``profile_<METRIC>.csv`` per metric,
-    and ``excluded``, a list of ``(METRIC, problem)`` pairs, adds
-    ``excluded.csv``, header-only when the list is empty.  ``fmt="json"``
-    writes ``results.json`` with the same tables under ``results`` and
-    ``profiles``.  ``curves`` is ``None`` to emit results only.
+    ``fmt="csv"`` writes ``results.csv``; ``profiles``, one :class:`Profile`
+    per metric, adds one ``profile_<METRIC>.csv`` each, and ``excluded``, a
+    list of ``(METRIC, problem)`` pairs, adds ``excluded.csv``, header-only
+    when the list is empty.  ``fmt="json"`` writes ``results.json`` with the
+    same tables under ``results`` and ``profiles``.  ``profiles`` is ``None``
+    to emit results only.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got '{fmt}'")
@@ -186,22 +180,17 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
     prefix = Path(prefix)
     records = [_result_record(row) for row in table.rows]
     tables = {"results": (RESULT_FIELDS, [r.values() for r in records])}
-    grouped: dict[str, list[ProfileCurve]] = {}
-    for c in curves or ():
-        grouped.setdefault(c.metric.upper(), []).append(c)
-    profiles = {}
-    for metric, mc in sorted(grouped.items()):
-        tau = [p[0] for p in mc[0].points]
-        solvers = {c.solver: [p[1] for p in c.points] for c in mc}
-        profiles[metric] = {"tau": tau, "solvers": solvers}
-        tables[f"profile_{metric}"] = (["tau", *solvers], zip(tau, *solvers.values()))
+    profiles = sorted(profiles or (), key=lambda p: p.metric.upper())
+    docs = {p.metric.upper(): {"tau": p.tau, "solvers": p.rho} for p in profiles}
+    for p in profiles:
+        tables[f"profile_{p.metric.upper()}"] = (["tau", *p.rho], zip(p.tau, *p.rho.values()))
     if excluded is not None:
         tables["excluded"] = (("metric", "problem"), excluded)
     try:
         prefix.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
             path = prefix / "results.json"
-            path.write_text(json.dumps({"results": records, "profiles": profiles}, indent=1) + "\n")
+            path.write_text(json.dumps({"results": records, "profiles": docs}, indent=1) + "\n")
             return [path]
         written = []
         for name, (header, rows) in tables.items():
@@ -215,14 +204,18 @@ def emit(table: ResultTable, curves, fmt: str, prefix, *, excluded=None) -> list
 
 def load_results(prefix) -> ResultTable:
     """Rebuild a result table from the ``results.json`` of an emitted directory;
-    a field of the wrong JSON type or an integer beyond float range, an unknown
-    status, a negative count, a ``dim`` below 2 (no family exists there), an
-    ``nf`` or ``ng`` below 1 (every run evaluates its start point) or a
-    repeated cell raises ``ValueError``."""
+    JSON nested too deeply to parse, a field of the wrong JSON type, a float
+    field or count beyond float range, an unknown status, a negative count, a
+    ``dim`` below 2 (no family exists there), an ``nf`` or ``ng`` below 1
+    (every run evaluates its start point) or a repeated cell raises
+    ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
-    records = json.loads(json_path.read_text())["results"]
+    try:
+        records = json.loads(json_path.read_text())["results"]
+    except RecursionError:
+        raise ValueError("results.json is nested too deeply") from None
     for rec in records:
         for key, kind in _FIELD_TYPES.items():
             # type(), not isinstance(): bool is an int subclass
@@ -230,13 +223,9 @@ def load_results(prefix) -> ResultTable:
                 raise ValueError(f"{key} is not {_TYPE_NAMES[kind]}: {rec[key]!r}")
     try:
         rows = [
-            ResultRow(
-                rec["solver"],
-                rec["problem"],
-                rec["dim"],
-                RunResult(rec["status"], rec["ni"], rec["nf"], rec["ng"],
-                          float(rec["f_final"]), float(rec["gnorm_inf"])),
-            )
+            ResultRow(rec["solver"], rec["problem"], rec["dim"],
+                      RunResult(rec["status"], rec["ni"], rec["nf"], rec["ng"],
+                                float(rec["f_final"]), float(rec["gnorm_inf"])))
             for rec in records
         ]
     except OverflowError:  # float() of a JSON integer
@@ -246,6 +235,10 @@ def load_results(prefix) -> ResultTable:
         raise ValueError(f"unknown status {', '.join(sorted(unknown))}")
     if any(min(r.result.ni, r.result.nf, r.result.ng) < 0 for r in rows):
         raise ValueError("negative ni, nf or ng")
+    try:  # the profile divides the counts as floats
+        [float(n) for r in rows for n in (r.result.ni, r.result.nf, r.result.ng)]
+    except OverflowError:
+        raise ValueError("ni, nf or ng is an integer beyond float range") from None
     if any(r.dim < 2 for r in rows):
         raise ValueError("dim below 2")
     if any(min(r.result.nf, r.result.ng) < 1 for r in rows):

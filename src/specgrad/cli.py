@@ -89,24 +89,24 @@ def _cmd_profile(args, parser) -> int:
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a result table
         parser.error(f"malformed results.json in '{args.in_dir}': {exc!r}")
     metrics = list(METRICS) if args.metric == "all" else [args.metric]
-    curves, excluded = [], []
+    profiles, excluded = [], []
     for metric in metrics:
         ratio_set = performance_ratios(table, metric)
-        metric_curves = performance_profile(ratio_set)
-        curves.extend(metric_curves)
+        profile = performance_profile(ratio_set)
+        profiles.append(profile)
         if ratio_set.excluded:
             print(f"[{metric}] excluded (no solver succeeded): {', '.join(ratio_set.excluded)}")
             excluded.extend((metric.upper(), p) for p in ratio_set.excluded)
         # Every profile grid starts at tau = 1, so point 0 is rho(1).
-        for c in metric_curves:
-            print(f"[{metric}] rho(1) {c.solver} = {c.points[0][1]:.3f}")
+        for solver, rho in profile.rho.items():
+            print(f"[{metric}] rho(1) {solver} = {rho[0]:.3f}")
     # excluded.csv is written even when empty, and the profiles of metrics not
     # computed are removed, so a reused --out never keeps an earlier run's files.
     try:
         for metric in set(METRICS).difference(metrics):
             (Path(args.out) / f"profile_{metric.upper()}.csv").unlink(missing_ok=True)
-        emit(table, curves, "csv", args.out, excluded=excluded)
-        emit(table, curves, "json", args.out)
+        emit(table, profiles, "csv", args.out, excluded=excluded)
+        emit(table, profiles, "json", args.out)
     except OSError as exc:  # found after the profiles are computed, so no usage line
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"wrote exclusion report ({len(excluded)} entries) to {Path(args.out) / 'excluded.csv'}")

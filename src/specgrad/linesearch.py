@@ -81,7 +81,8 @@ def curvature_holds(curv_lhs: float, gd0: float, sigma: float) -> bool:
 
 @dataclass(frozen=True)
 class WolfeParams:
-    """The (rho, sigma) pair of the search; the only copy a configuration holds."""
+    """The (rho, sigma) pair of the search, the only copy a configuration holds;
+    the defaults are the paper's scgmmwls pair."""
 
     rho: float = 0.18
     sigma: float = 0.2

@@ -68,12 +68,12 @@ def default_config(
     trace_level: str = "none",
 ) -> SolverConfig:
     """Paper-default configuration of a solver id (:meth:`DirectionParams.parse`):
-    (rho, sigma) = (0.18, 0.2) for scgmmwls, (0.1, 0.9) for the dk/jian/m2
-    baselines.  A custom pair is set in one place,
+    ``WolfeParams()``'s (rho, sigma) for scgmmwls, (0.1, 0.9) for the
+    dk/jian/m2 baselines.  A custom pair is set in one place,
     ``SolverConfig(WolfeParams(rho, sigma), ...)``."""
     direction = DirectionParams.parse(solver, eta=eta, tau=tau)
-    rho, sigma = (0.18, 0.2) if direction.method == "scgmmwls" else (0.1, 0.9)
-    return SolverConfig(WolfeParams(rho, sigma), direction, epsilon, max_iter, trace_level)
+    wolfe = WolfeParams() if direction.method == "scgmmwls" else WolfeParams(0.1, 0.9)
+    return SolverConfig(wolfe, direction, epsilon, max_iter, trace_level)
 
 
 @dataclass(slots=True)
@@ -103,17 +103,6 @@ class AuditReport:
     descent_checks: int = 0
     descent_violations: int = 0
     theta_violations: int = 0
-
-    @property
-    def clean(self) -> bool:
-        return (
-            self.armijo_violations
-            + self.curvature_violations
-            + self.dz_curvature_violations
-            + self.t_bound_violations
-            + self.descent_violations
-            + self.theta_violations
-        ) == 0
 
     def check_wolfe(
         self,

@@ -22,10 +22,14 @@ vanishing denominator themselves.  They share no code with
 :mod:`specgrad.directions`, whose ``next_direction`` takes its scalars from
 the line search instead; the tests check the two agree.  ``accepted_step``
 builds the step record of s = alpha d that ``next_direction`` reads.
+
+``violations`` sums every ``*_violations`` tally of an audit report, so a
+tally added to :class:`specgrad.solver.AuditReport` is counted without a
+change here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -187,6 +191,11 @@ def next_direction_jian(
     except Degenerate:
         theta_raw = math.nan
     return _spectral_step(g_new, prev_d, diag.beta, theta_raw, params, diag)
+
+
+def violations(audit) -> int:
+    """The sum of every ``*_violations`` field of an :class:`AuditReport`."""
+    return sum(getattr(audit, f.name) for f in fields(audit) if f.name.endswith("_violations"))
 
 
 def _order_factor(m: float) -> float:

@@ -155,15 +155,15 @@ def test_criterion_6_convergence_at_desk_scale(suite, tmp_path_factory):
     )
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
     out = tmp_path_factory.mktemp("profiles")
-    curves = []
+    profiles = []
     shares = {}
     for metric in ("ni", "nf", "ng"):
         ratio_set = performance_ratios(table, metric)
-        curves.extend(performance_profile(ratio_set))
+        profiles.append(performance_profile(ratio_set))
         if metric == "ni":
-            for c in performance_profile(ratio_set, grid=[1.0]):
-                shares[c.solver] = c.points[0][1]
-    paths = emit(table, curves, "csv", out)
+            for solver, rho in performance_profile(ratio_set, grid=[1.0]).rho.items():
+                shares[solver] = rho[0]
+    paths = emit(table, profiles, "csv", out)
     assert any(p.name == "profile_NI.csv" for p in paths)
     print(f"\nACCEPTANCE 6 PASS: {len(converged)}/12 converged in {elapsed:.1f}s; "
           f"profiles emitted to {out}")
@@ -204,9 +204,10 @@ def test_criterion_8_dolan_more_unit_oracle():
     assert rs.ratios[("A", "q:1")] == 4.0 / 3.0
     assert rs.ratios[("B", "p:1")] == 1.5
     assert rs.ratios[("B", "q:1")] == 1.0
-    curves = {c.solver: c for c in performance_profile(rs, grid=[1.0, 1.4, 2.0])}
-    assert curves["A"].points[:2] == [(1.0, 0.5), (1.4, 1.0)]
-    assert curves["B"].points[:2] == [(1.0, 0.5), (1.4, 0.5)]
+    profile = performance_profile(rs, grid=[1.0, 1.4, 2.0])
+    assert profile.tau[:2] == [1.0, 1.4]
+    assert profile.rho["A"][:2] == [0.5, 1.0]
+    assert profile.rho["B"][:2] == [0.5, 0.5]
     print("\nACCEPTANCE 8 PASS: ratio/profile oracle reproduced exactly")
 
 

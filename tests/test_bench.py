@@ -7,7 +7,7 @@ import pytest
 
 import specgrad.bench
 from specgrad.bench import (
-    ProfileCurve,
+    Profile,
     ResultRow,
     ResultTable,
     emit,
@@ -19,6 +19,8 @@ from specgrad.bench import (
     suite_cells,
 )
 from specgrad.solver import RunResult
+
+from reference import violations
 
 
 def row(solver, name, dim, status="converged", ni=1, nf=2, ng=2, f=0.0, gn=0.0):
@@ -52,7 +54,7 @@ class TestRunSuite:
     def test_scgmmwls_and_m2_both_pass_their_own_checks(self):
         table = run_suite(["scgmmwls:m=3", "m2:m=3"], ["qf1"], dims=[10])
         assert all(r.result.status == "converged" for r in table.rows)
-        assert all(r.result.audit.clean for r in table.rows)
+        assert all(violations(r.result.audit) == 0 for r in table.rows)
 
     def test_empty_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -157,15 +159,15 @@ class TestRatios:
 class TestProfiles:
     def test_hand_example_points(self):
         rs = performance_ratios(example_2x2(), "ni")
-        curves = {c.solver: c for c in performance_profile(rs, grid=[1.0, 1.4, 2.0])}
-        assert curves["A"].points == [(1.0, 0.5), (1.4, 1.0), (2.0, 1.0)]
-        assert curves["B"].points == [(1.0, 0.5), (1.4, 0.5), (2.0, 1.0)]
+        profile = performance_profile(rs, grid=[1.0, 1.4, 2.0])
+        assert profile.metric == "ni" and profile.tau == [1.0, 1.4, 2.0]
+        assert profile.rho == {"A": [0.5, 1.0, 1.0], "B": [0.5, 0.5, 1.0]}
 
     def test_single_solver_constant_one(self):
         table = ResultTable([row("A", "p", 1, ni=7), row("A", "q", 1, ni=9)])
         rs = performance_ratios(table, "ni")
-        (curve,) = performance_profile(rs, grid=[1.0, 1.5, 2.0])
-        assert all(v == 1.0 for _, v in curve.points)
+        profile = performance_profile(rs, grid=[1.0, 1.5, 2.0])
+        assert profile.rho == {"A": [1.0, 1.0, 1.0]}
 
     def test_all_fail_solver_zero_until_penalty(self):
         table = ResultTable(
@@ -177,16 +179,16 @@ class TestProfiles:
             ]
         )
         rs = performance_ratios(table, "ni")
-        curves = {c.solver: c for c in performance_profile(rs, grid=[1.0, rs.r_fail])}
-        assert [v for _, v in curves["B"].points] == [0.0, 1.0]
+        assert performance_profile(rs, grid=[1.0, rs.r_fail]).rho["B"] == [0.0, 1.0]
 
     def test_profiles_monotone_and_bounded(self):
         rs = performance_ratios(example_2x2(), "ni")
-        for curve in performance_profile(rs):
-            vals = [v for _, v in curve.points]
+        profile = performance_profile(rs)
+        assert len(profile.tau) == 200 and profile.tau[0] == 1.0
+        for vals in profile.rho.values():
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(a <= b for a, b in zip(vals, vals[1:]))
-            assert curve.points[-1][1] == 1.0
+            assert vals[-1] == 1.0
 
     def test_final_point_is_success_fraction_below_penalty(self):
         table = ResultTable(
@@ -198,8 +200,8 @@ class TestProfiles:
             ]
         )
         rs = performance_ratios(table, "ni")
-        curves = {c.solver: c for c in performance_profile(rs, grid=[1.0, 4.0])}
-        assert curves["B"].points[-1][1] == 0.5  # grid top 4 < r_fail 6
+        profile = performance_profile(rs, grid=[1.0, 4.0])
+        assert profile.rho["B"][-1] == 0.5  # grid top 4 < r_fail 6
 
     def test_grid_validation(self):
         rs = performance_ratios(example_2x2(), "ni")
@@ -213,14 +215,14 @@ class TestEmit:
     def test_profile_csv_hand_rows(self, tmp_path):
         table = example_2x2()
         rs = performance_ratios(table, "ni")
-        curves = performance_profile(rs, grid=[1.0, 1.4, 2.0])
-        emit(table, curves, "csv", tmp_path)
+        profile = performance_profile(rs, grid=[1.0, 1.4, 2.0])
+        emit(table, [profile], "csv", tmp_path)
         lines = (tmp_path / "profile_NI.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,A,B"
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert parsed == [(1.0, 0.5, 0.5), (1.4, 1.0, 0.5), (2.0, 1.0, 1.0)]
 
-    def test_no_curves_write_results_only(self, tmp_path):
+    def test_no_profiles_write_results_only(self, tmp_path):
         for fmt in ("csv", "json"):
             written = emit(example_2x2(), None, fmt, tmp_path / fmt)
             assert [p.name for p in written] == [f"results.{fmt}"]
@@ -229,16 +231,17 @@ class TestEmit:
     @pytest.mark.parametrize("excluded", [[], [("NI", "q:1"), ("NF", "q:1")]])
     def test_each_format_writes_every_profile_file_in_one_call(self, tmp_path, excluded):
         table = example_2x2()
-        curves = []
-        for metric in ("ni", "nf"):
-            curves.extend(performance_profile(performance_ratios(table, metric), grid=[1.0, 2.0]))
-        written = emit(table, curves, "csv", tmp_path, excluded=excluded)
+        profiles = [
+            performance_profile(performance_ratios(table, metric), grid=[1.0, 2.0])
+            for metric in ("ni", "nf")
+        ]
+        written = emit(table, profiles, "csv", tmp_path, excluded=excluded)
         names = ["results.csv", "profile_NF.csv", "profile_NI.csv", "excluded.csv"]
         assert [p.name for p in written] == names
         assert (tmp_path / "excluded.csv").read_text() == "".join(
             f"{m},{p}\n" for m, p in [("metric", "problem"), *excluded]
         )
-        assert [p.name for p in emit(table, curves, "json", tmp_path)] == ["results.json"]
+        assert [p.name for p in emit(table, profiles, "json", tmp_path)] == ["results.json"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["results.json"])
         doc = json.loads((tmp_path / "results.json").read_text())
         assert sorted(doc["profiles"]) == ["NF", "NI"]
@@ -299,7 +302,12 @@ class TestEmit:
         assert had_eval_error(ResultTable([row("A", "p", 1, status="eval_error")]))
 
 
-class TestProfileCurveType:
+class TestProfileType:
     def test_fields(self):
-        c = ProfileCurve(solver="A", metric="NI", points=[(1.0, 0.5)])
-        assert c.solver == "A" and c.points[0] == (1.0, 0.5)
+        p = Profile(metric="NI", tau=[1.0, 2.0], rho={"A": [0.5, 1.0], "B": [0.0, 1.0]})
+        assert p.metric == "NI" and p.tau[0] == 1.0 and p.rho["A"] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("rho", [{"A": [0.5]}, {"A": [0.5, 1.0], "B": [0.0, 0.5, 1.0]}])
+    def test_every_rho_list_must_match_tau(self, rho):
+        with pytest.raises(ValueError, match="one value per tau"):
+            Profile(metric="NI", tau=[1.0, 2.0], rho=rho)

@@ -7,10 +7,15 @@ benchmark's per-layer metrics silently read zero; this test runs a small
 layer's count matches what the run reports.
 """
 
+from dataclasses import fields
 from pathlib import Path
 
+import specgrad.bench
 import specgrad.cli
-from specgrad.bench import load_results
+from specgrad.bench import load_results, run_suite
+from specgrad.solver import CONVERGED, AuditReport, RunResult
+
+from reference import violations
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SOLVERS = "scgmmwls:m=3,dk,jian,m2:m=3"
@@ -53,3 +58,23 @@ def test_tracer_counts_match_the_run(tmp_path, monkeypatch, capsys):
     for span in ("numkit.dot", "secant.t_coefficient", "secant.v_vector_m2", "bench.run_suite",
                  "cli.main"):
         assert tracer.calls[span] > 0, span
+
+
+def test_tracer_sums_every_audit_violation_tally(monkeypatch):
+    """The tracer's ``solver.audit.violations`` adds up every ``*_violations``
+    field of the audit, each set here to a distinct power of two."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    names = [f.name for f in fields(AuditReport) if f.name.endswith("_violations")]
+    audit = AuditReport(**{name: 2**i for i, name in enumerate(names)})
+    result = RunResult(CONVERGED, 1, 2, 2, 0.0, 0.0, audit=audit)
+    monkeypatch.setattr(specgrad.bench, "minimize", lambda prob, cfg: result)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        run_suite(["dk"], ["qf1"], dims=[10])
+    finally:
+        tracer.restore()
+    assert tracer.calls["solver.minimize"] == 1
+    assert tracer.counts["solver.audit.violations"] == violations(audit) == 2 ** len(names) - 1

@@ -252,6 +252,16 @@ class TestBadArguments:
              "f_final or gnorm_inf is an integer beyond float range"),
             ('{"results": [%s]}' % ROW.replace('"gnorm_inf": 0.0', '"gnorm_inf": -1' + "0" * 400),
              "f_final or gnorm_inf is an integer beyond float range"),
+            (
+                '{"results": [%s, %s]}' % (
+                    ROW, ROW.replace('"dk"', '"jian"').replace('"ni": 5', '"ni": 1' + "0" * 400)
+                ),
+                "ni, nf or ng is an integer beyond float range",
+            ),
+            ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": 9' + "0" * 400),
+             "ni, nf or ng is an integer beyond float range"),
+            pytest.param("[" * 100000 + "]" * 100000, "results.json is nested too deeply",
+                         id="nested-100000-deep"),
         ],
     )
     def test_profile_with_malformed_results_exits_2(self, tmp_path, capsys, text, message):

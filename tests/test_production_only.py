@@ -1,15 +1,15 @@
-"""Only production code in ``src/``: every top-level name there has a caller.
+"""Only production code in ``src/``: every name defined there has a caller.
 
-Each top-level def, class and constant of ``src/specgrad/*.py`` must be
-referenced from production code: another module of the package, its own
-module outside its own definition, or the benchmark scripts
-``perfbench/*.py``.  ``__init__.py`` only re-exports, so it neither defines
-nor references anything here.  A reference is a name, an attribute or a
-string equal to the defined name; an import alone is none.  References made
-inside a definition count only while that definition is itself referenced,
-so the check iterates to a fixpoint: a helper used only by another unused
-helper is caught too.  Code that only the tests use belongs in
-``tests/reference.py``.
+Each top-level def, class and constant of ``src/specgrad/*.py``, and each
+method and property of a class there other than a dunder, must be referenced
+from production code: another module of the package, its own module outside
+its own definition, or the benchmark scripts ``perfbench/*.py``.
+``__init__.py`` only re-exports, so it neither defines nor references
+anything here.  A reference is a name, an attribute or a string equal to the
+defined name; an import alone is none.  References made inside a definition
+count only while that definition is itself referenced, so the check iterates
+to a fixpoint: a helper used only by another unused helper is caught too.
+Code that only the tests use belongs in ``tests/reference.py``.
 
 The other way round, no test may use a private (underscore) name of
 ``specgrad``: tests, and the reference forms in ``tests/reference.py`` above
@@ -21,19 +21,32 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef, ast.Assign, ast.AnnAssign)
 
 
-def references(node: ast.AST) -> set[str]:
-    refs = set()
-    for sub in ast.walk(node):
+def references(node: ast.AST, skip=()) -> set[str]:
+    """Names, attributes and strings under ``node``, outside the subtrees in ``skip``."""
+    refs, todo = set(), [node]
+    while todo:
+        sub = todo.pop()
+        if any(sub is s for s in skip):
+            continue
         if isinstance(sub, ast.Name):
             refs.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             refs.add(sub.attr)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             refs.add(sub.value)
+        todo.extend(ast.iter_child_nodes(sub))
     return refs
+
+
+def members(stmt: ast.stmt) -> list[ast.stmt]:
+    """The methods and properties of a class statement, dunders left out."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [m for m in stmt.body if isinstance(m, FUNCTIONS) and not is_dunder(m.name)]
 
 
 def defined_names(stmt: ast.stmt) -> list[str]:
@@ -44,8 +57,9 @@ def defined_names(stmt: ast.stmt) -> list[str]:
 
 
 def unreferenced(package: Path, callers: list[Path]) -> set[str]:
-    """``module.name`` of every top-level definition of ``package`` that no
-    live definition, no other top-level code and no caller file references."""
+    """``module.name`` of every top-level definition, and ``module.Class.name``
+    of every class member, of ``package`` that no live definition, no other
+    top-level code and no caller file references."""
     bodies: dict[tuple[str, str], set[str]] = {}
     roots: set[str] = set()
     for path in callers:
@@ -58,11 +72,14 @@ def unreferenced(package: Path, callers: list[Path]) -> set[str]:
             if not names:
                 roots |= references(stmt)
             for name in names:
-                bodies[(path.stem, name)] = references(stmt) - {name}
+                bodies[(path.stem, name)] = references(stmt, skip=members(stmt)) - {name}
+            for member in members(stmt):
+                key = (path.stem, f"{stmt.name}.{member.name}")
+                bodies[key] = references(member) - {member.name}
     live = set(bodies)
     while True:
         used = roots.union(*(bodies[key] for key in live))
-        still = {key for key in live if key[1] in used}
+        still = {key for key in live if key[1].rpartition(".")[2] in used}
         if still == live:
             return {f"{module}.{name}" for module, name in set(bodies) - live}
         live = still
@@ -93,8 +110,32 @@ def test_a_helper_used_only_by_another_unused_helper_is_caught(tmp_path):
     assert unreferenced(package, [caller]) == {"mod.dead", "mod.helper"}
 
 
+def test_an_unused_method_or_property_is_caught(tmp_path):
+    package, caller = tmp_path / "pkg", tmp_path / "caller.py"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import Box\n")
+    (package / "mod.py").write_text(
+        "class Box:\n"
+        "    size = 2\n"
+        "    def __init__(self):\n        self.v = self.size\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return self.v\n"
+        "    def dead(self):\n        return self.chained() + self.dead()\n"
+        "    def chained(self):\n        return 1\n"
+        "    @property\n    def shown(self):\n        return self.v\n"
+        "    @property\n    def hidden(self):\n        return self.dead()\n"
+        "    @staticmethod\n    def patched():\n        pass\n"
+    )
+    caller.write_text("from pkg.mod import Box\nBox().used()\nBox().shown\nx = 'patched'\n")
+    assert unreferenced(package, [caller]) == {"mod.Box.dead", "mod.Box.chained", "mod.Box.hidden"}
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def is_private(name: str) -> bool:
-    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    return name.startswith("_") and not is_dunder(name)
 
 
 def root_name(node: ast.AST) -> str | None:
