@@ -5,14 +5,15 @@ Subcommands:
 * ``bench run``      run solvers x problems x dims, emit results.csv/.json
 * ``bench profile``  compute performance profiles from an emitted run, plus
   ``excluded.csv`` (the problems no solver solved; header-only if none)
-* ``bench trace``    print the per-iteration mu table for one run
+* ``bench trace``    print the first ``TRACE_ROWS`` rows of the
+  per-iteration mu table for one run
 
 Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
 solver id, option, problem name or dimension no run could use, a cell named
-twice, an ``--out`` that cannot be made a directory, a negative
-``trace --iters``, or a ``profile --in`` directory without a readable,
-well-formed and nonempty ``results.json``), found before any run or write,
-and for an output file that cannot be written, found after the run.
+twice, an ``--out`` that cannot be made a directory, or a ``profile --in``
+directory without a readable, well-formed and nonempty ``results.json``),
+found before any run or write, and for an output file that cannot be
+written, found after the run.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .bench import (
 from .problems import family_names, problem
 from .solver import EVAL_ERROR, default_config, minimize
 
+TRACE_ROWS = 24  # rows of the mu table ``bench trace`` prints
+
 
 def _parse_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
@@ -42,12 +45,10 @@ def _parse_list(text: str) -> list[str]:
 def _add_solver_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=1e-8, help="gradient tolerance (inf-norm)")
     p.add_argument("--max-iter", type=int, default=10000, help="iteration budget")
-    p.add_argument("--eta", type=float, default=1e-3, help="sufficient-descent margin")
-    p.add_argument("--tau", type=float, default=10.0, help="spectral upper bound")
 
 
 def _solver_options(args) -> dict:
-    return {"epsilon": args.eps, "max_iter": args.max_iter, "eta": args.eta, "tau": args.tau}
+    return {"epsilon": args.eps, "max_iter": args.max_iter}
 
 
 def _cmd_run(args, parser) -> int:
@@ -88,9 +89,8 @@ def _cmd_profile(args, parser) -> int:
         parser.error(str(exc))
     except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not a result table
         parser.error(f"malformed results.json in '{args.in_dir}': {exc!r}")
-    metrics = list(METRICS) if args.metric == "all" else [args.metric]
     profiles, excluded = [], []
-    for metric in metrics:
+    for metric in METRICS:
         ratio_set = performance_ratios(table, metric)
         profile = performance_profile(ratio_set)
         profiles.append(profile)
@@ -100,30 +100,26 @@ def _cmd_profile(args, parser) -> int:
         # Every profile grid starts at tau = 1, so point 0 is rho(1).
         for solver, rho in profile.rho.items():
             print(f"[{metric}] rho(1) {solver} = {rho[0]:.3f}")
-    # excluded.csv is written even when empty, and the profiles of metrics not
-    # computed are removed, so a reused --out never keeps an earlier run's files.
+    # excluded.csv is written even when empty, so a reused --out never keeps
+    # an earlier run's exclusions.
     try:
-        for metric in set(METRICS).difference(metrics):
-            (Path(args.out) / f"profile_{metric.upper()}.csv").unlink(missing_ok=True)
         emit(table, profiles, "csv", args.out, excluded=excluded)
         emit(table, profiles, "json", args.out)
     except OSError as exc:  # found after the profiles are computed, so no usage line
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     print(f"wrote exclusion report ({len(excluded)} entries) to {Path(args.out) / 'excluded.csv'}")
-    print(f"wrote profiles for metrics {', '.join(m.upper() for m in metrics)} to {args.out}")
+    print(f"wrote profiles for metrics {', '.join(m.upper() for m in METRICS)} to {args.out}")
     return 1 if had_eval_error(table) else 0
 
 
 def _cmd_trace(args, parser) -> int:
-    if args.iters < 0:
-        parser.error(f"--iters must be nonnegative, got {args.iters}")
     try:
         cfg = default_config(args.solver, **_solver_options(args), trace_level="full")
         prob = problem(args.problem, args.dim)
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0])
     result = minimize(prob, cfg)
-    records = (result.trace or [])[: args.iters]
+    records = (result.trace or [])[:TRACE_ROWS]
     print(f"{'iteration':>10} {'mu':>14} {'t':>14} {'alpha':>12} {'f':>14}")
     for rec in records:
         print(f"{rec.k + 1:>10} {rec.mu:>14.3E} {rec.t:>14.3E} {rec.alpha:>12.3E} {rec.f:>14.6E}")
@@ -154,7 +150,6 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_prof = sub.add_parser("profile", help="compute Dolan-More profiles from a finished run")
-    p_prof.add_argument("--metric", choices=[*METRICS, "all"], default="all")
     p_prof.add_argument("--in", dest="in_dir", required=True, help="directory written by 'run'")
     p_prof.add_argument("--out", required=True, help="output directory")
     p_prof.set_defaults(func=_cmd_profile)
@@ -163,7 +158,6 @@ def main(argv=None) -> int:
     p_trace.add_argument("--problem", required=True)
     p_trace.add_argument("--dim", type=int, default=1000)
     p_trace.add_argument("--solver", default="scgmmwls:m=3")
-    p_trace.add_argument("--iters", type=int, default=24, help="rows to print")
     _add_solver_options(p_trace)
     p_trace.set_defaults(func=_cmd_trace)
 

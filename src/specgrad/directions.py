@@ -6,7 +6,7 @@ mu > 0, else 0 (m2), or y (dk, jian; c = 0).  Only the rules for beta and
 theta differ:
 
 * ``scgmmwls``, ``m2``  beta is max(beta_L, beta_R), theta the
-  quasi-Newton-motivated quotient theta~, truncated into [1/4 + eta, tau]
+  quasi-Newton-motivated quotient theta~, truncated into [1/4 + ETA, TAU]
   with fallback 1 (:func:`theta_bar`).
 * ``dk``                theta = 1 and the curvature-corrected beta_DK.
 * ``jian``              beta_DK with Jian's spectral theta+, truncated alike.
@@ -42,6 +42,11 @@ METHODS = ("scgmmwls", "dk", "jian", "m2")
 # The methods whose solver id carries a secant order (``scgmmwls:m=3``).
 ORDER_METHODS = ("scgmmwls", "m2")
 
+# The paper's spectral bounds: theta is kept in [1/4 + ETA, TAU], and a
+# spectral direction must satisfy g^T d <= -ETA |g|^2.
+ETA = 1e-3
+TAU = 10.0
+
 # Denominators smaller than this (relative to the factor norms) are treated as
 # degenerate rather than divided through.
 _DEGENERATE_REL = 1e-300
@@ -49,12 +54,10 @@ _DEGENERATE_REL = 1e-300
 
 @dataclass(frozen=True)
 class DirectionParams:
-    """One solver: the direction method, its spectral bounds eta and tau, and
-    the secant order m (>= 3 or infinity; only scgmmwls and m2 read it)."""
+    """One solver: the direction method and the secant order m (>= 3 or
+    infinity; only scgmmwls and m2 read it)."""
 
     method: str = "scgmmwls"
-    eta: float = 1e-3
-    tau: float = 10.0
     m: float = 3
 
     def __post_init__(self) -> None:
@@ -62,10 +65,6 @@ class DirectionParams:
             raise ValueError(f"order m must be an integer >= 3 or infinity, got {self.m}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'; known: {', '.join(METHODS)}")
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
-        if not 0.25 + self.eta < self.tau:
-            raise ValueError(f"need 1/4 + eta < tau, got eta={self.eta}, tau={self.tau}")
 
     @property
     def coefficient(self) -> float:
@@ -78,9 +77,9 @@ class DirectionParams:
         return f"{self.method}:m={self.m:g}" if self.method in ORDER_METHODS else self.method
 
     @classmethod
-    def parse(cls, text: str, **overrides) -> DirectionParams:
+    def parse(cls, text: str) -> DirectionParams:
         """Parse ids like ``dk``, ``jian``, ``scgmmwls:m=3`` or ``m2:m=inf`` (m
-        defaults to 3); ``overrides`` set the other fields."""
+        defaults to 3)."""
         name, _, opts = text.strip().partition(":")
         name = name.strip().lower()
         m = 3
@@ -94,7 +93,7 @@ class DirectionParams:
             m = math.inf if value.strip() in ("inf", "infinity") else float(value)
             if math.isfinite(m) and m == int(m):
                 m = int(m)
-        return cls(method=name, m=m, **overrides)
+        return cls(method=name, m=m)
 
 
 @dataclass(slots=True)
@@ -107,9 +106,9 @@ class DirectionDiag:
     gd: float = math.nan  # g_new^T d_new from the descent test; NaN on a restart
 
 
-def theta_bar(theta_t: float, params: DirectionParams) -> float:
-    """Identity on [1/4 + eta, tau]; everything else (non-finite included) maps to 1."""
-    if 0.25 + params.eta <= theta_t <= params.tau:
+def theta_bar(theta_t: float) -> float:
+    """Identity on [1/4 + ETA, TAU]; everything else (non-finite included) maps to 1."""
+    if 0.25 + ETA <= theta_t <= TAU:
         return theta_t
     return 1.0
 
@@ -152,7 +151,7 @@ def next_direction(
     if method == "dk":
         d = -g_new + beta * prev_d
         gd_next = dot(g_new, d)
-        # Plain descent only; dk carries no eta-margin guarantee.
+        # Plain descent only; dk carries no ETA-margin guarantee.
         if gd_next >= 0.0 and dot(g_new, g_new) > 0.0:
             return _restart(g_new, diag)
         diag.gd = gd_next
@@ -165,12 +164,12 @@ def next_direction(
     else:
         degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(ww) * math.sqrt(gg)
         theta_t = math.nan if degenerate else 1.0 - (ww * gd_new / dw - sg) / gw
-    theta = theta_bar(theta_t, params)
+    theta = theta_bar(theta_t)
     diag.theta = theta
     diag.truncated_theta = theta != theta_t
     d = -theta * g_new + beta * prev_d
     gd_next = dot(g_new, d)
-    if gd_next <= -params.eta * gg:
+    if gd_next <= -ETA * gg:
         diag.gd = gd_next
         return d, diag
     return _restart(g_new, diag)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import DirectionDiag, DirectionParams, next_direction
+from .directions import ETA, TAU, DirectionDiag, DirectionParams, next_direction
 from .linesearch import (
     ACCEPTED,
     ALPHA_MAX,
@@ -63,15 +63,13 @@ def default_config(
     *,
     epsilon: float = 1e-8,
     max_iter: int = 10000,
-    eta: float = 1e-3,
-    tau: float = 10.0,
     trace_level: str = "none",
 ) -> SolverConfig:
     """Paper-default configuration of a solver id (:meth:`DirectionParams.parse`):
     ``WolfeParams()``'s (rho, sigma) for scgmmwls, (0.1, 0.9) for the
     dk/jian/m2 baselines.  A custom pair is set in one place,
     ``SolverConfig(WolfeParams(rho, sigma), ...)``."""
-    direction = DirectionParams.parse(solver, eta=eta, tau=tau)
+    direction = DirectionParams.parse(solver)
     wolfe = WolfeParams() if direction.method == "scgmmwls" else WolfeParams(0.1, 0.9)
     return SolverConfig(wolfe, direction, epsilon, max_iter, trace_level)
 
@@ -135,14 +133,12 @@ class AuditReport:
             self.t_bound_checks += 1
             self.t_bound_violations += not -params.C * lipschitz - eps <= outcome.t <= t_max
 
-    def check_direction(
-        self, g_new: Vector, d_new: Vector, diag: DirectionDiag, params: DirectionParams
-    ) -> None:
+    def check_direction(self, g_new: Vector, d_new: Vector, diag: DirectionDiag) -> None:
         gg = dot(g_new, g_new)
         self.descent_checks += 1
-        if not dot(g_new, d_new) <= (-params.eta + DESCENT_TOL_REL) * gg:
+        if not dot(g_new, d_new) <= (-ETA + DESCENT_TOL_REL) * gg:
             self.descent_violations += 1
-        in_range = 0.25 + params.eta <= diag.theta <= params.tau
+        in_range = 0.25 + ETA <= diag.theta <= TAU
         if not (diag.theta == 1.0 or in_range):
             self.theta_violations += 1
 
@@ -212,7 +208,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         gnorm = norm_inf(g_new)
         d_new, diag = next_direction(d, outcome, config.direction)
         if spectral:
-            audit.check_direction(g_new, d_new, diag, config.direction)
+            audit.check_direction(g_new, d_new, diag)
 
         if trace is not None:
             trace.append(

@@ -49,6 +49,11 @@ CHECK_POINT_SEED = 20240117
 # degenerate: the formula that divides by it is undefined.
 DEGENERATE_REL = 1e-300
 
+# The paper's spectral bounds, written out here rather than read from
+# specgrad.directions, so that the vector forms stay independent of it.
+ETA = 1e-3
+TAU = 10.0
+
 
 def secant_step(s, y, mu: float, t: float, z) -> LineSearchOutcome:
     """An accepted step record that carries only the secant bundle (s, y, mu, t, z)."""
@@ -115,19 +120,19 @@ def _restarted(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDia
     return -g_new, diag
 
 
-def _spectral_step(g_new, prev_d, beta, theta_raw, params, diag):
-    """-theta g_new + beta d with theta_raw truncated into [1/4 + eta, tau]
-    (else 1); restarts unless g_new^T d <= -eta |g_new|^2."""
-    in_range = 0.25 + params.eta <= theta_raw <= params.tau
+def _spectral_step(g_new, prev_d, beta, theta_raw, diag):
+    """-theta g_new + beta d with theta_raw truncated into [1/4 + ETA, TAU]
+    (else 1); restarts unless g_new^T d <= -ETA |g_new|^2."""
+    in_range = 0.25 + ETA <= theta_raw <= TAU
     diag.theta = theta_raw if in_range else 1.0
     diag.truncated_theta = not in_range
     d = -diag.theta * g_new + beta * prev_d
-    if float(g_new @ d) <= -params.eta * float(g_new @ g_new):
+    if float(g_new @ d) <= -ETA * float(g_new @ g_new):
         return d, diag
     return _restarted(g_new, diag)
 
 
-def _max_form_direction(g_new, prev_d, prev_g, s, w, params):
+def _max_form_direction(g_new, prev_d, prev_g, s, w):
     diag = DirectionDiag()
     try:
         diag.beta, diag.truncated_beta = beta_m(g_new, prev_g, prev_d, w)
@@ -137,7 +142,7 @@ def _max_form_direction(g_new, prev_d, prev_g, s, w, params):
         theta_raw = theta_tilde(g_new, s, prev_d, w, diag.beta)
     except Degenerate:
         theta_raw = math.nan
-    return _spectral_step(g_new, prev_d, diag.beta, theta_raw, params, diag)
+    return _spectral_step(g_new, prev_d, diag.beta, theta_raw, diag)
 
 
 def next_direction_scgmmwls(
@@ -145,9 +150,8 @@ def next_direction_scgmmwls(
     prev_d: Vector,
     prev_g: Vector,
     secant: LineSearchOutcome,
-    params: DirectionParams,
 ) -> tuple[Vector, DirectionDiag]:
-    return _max_form_direction(g_new, prev_d, prev_g, secant.s, secant.z, params)
+    return _max_form_direction(g_new, prev_d, prev_g, secant.s, secant.z)
 
 
 def next_direction_m2(
@@ -159,7 +163,7 @@ def next_direction_m2(
 ) -> tuple[Vector, DirectionDiag]:
     s = secant.s
     v = secant.y + m2_coefficient(secant.mu, float(s @ s), params.m) * s
-    return _max_form_direction(g_new, prev_d, prev_g, s, v, params)
+    return _max_form_direction(g_new, prev_d, prev_g, s, v)
 
 
 def next_direction_dk(g_new: Vector, prev_d: Vector, y: Vector) -> tuple[Vector, DirectionDiag]:
@@ -176,7 +180,7 @@ def next_direction_dk(g_new: Vector, prev_d: Vector, y: Vector) -> tuple[Vector,
 
 
 def next_direction_jian(
-    g_new: Vector, prev_d: Vector, y: Vector, s: Vector, params: DirectionParams
+    g_new: Vector, prev_d: Vector, y: Vector, s: Vector
 ) -> tuple[Vector, DirectionDiag]:
     """beta_DK with theta+ = 1 - (|y|^2 d^T g_new / d^T y - s^T g_new) / y^T g_new."""
     diag = DirectionDiag()
@@ -190,7 +194,7 @@ def next_direction_jian(
         theta_raw = 1.0 - (float(y @ y) * float(prev_d @ g_new) / dy - float(s @ g_new)) / yg
     except Degenerate:
         theta_raw = math.nan
-    return _spectral_step(g_new, prev_d, diag.beta, theta_raw, params, diag)
+    return _spectral_step(g_new, prev_d, diag.beta, theta_raw, diag)
 
 
 def violations(audit) -> int:

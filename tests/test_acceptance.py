@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion PASS lines and the informational profile summary).
 """
 
+import ctypes
 import json
 import math
 import time
@@ -42,6 +43,12 @@ def suite():
     table = run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
     elapsed = time.perf_counter() - t0
     return table, elapsed
+
+
+@pytest.fixture(scope="module")
+def suite_1000():
+    """The same suite at n = 1000 with a budget of ``N1000_MAX_ITER`` steps."""
+    return suite_n1000()
 
 
 def test_criterion_1_gradient_correctness():
@@ -211,9 +218,10 @@ def test_criterion_8_dolan_more_unit_oracle():
     print("\nACCEPTANCE 8 PASS: ratio/profile oracle reproduced exactly")
 
 
-def test_criterion_9_determinism(suite, tmp_path_factory):
-    table_a, _ = suite
-    table_b = run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
+def test_criterion_9_determinism(suite_1000, tmp_path_factory):
+    # Criterion 10 pins every n = 100 cell bit for bit on each run, so a
+    # second run of the shorter n = 1000 suite checks run-to-run determinism.
+    table_a, table_b = suite_1000, suite_n1000()
     dir_a = tmp_path_factory.mktemp("run_a")
     dir_b = tmp_path_factory.mktemp("run_b")
     emit(table_a, None, "csv", dir_a)
@@ -221,7 +229,7 @@ def test_criterion_9_determinism(suite, tmp_path_factory):
     bytes_a = (dir_a / "results.csv").read_bytes()
     bytes_b = (dir_b / "results.csv").read_bytes()
     assert bytes_a == bytes_b
-    print(f"\nACCEPTANCE 9 PASS: consecutive full-suite runs byte-identical "
+    print(f"\nACCEPTANCE 9 PASS: consecutive n = 1000 suite runs byte-identical "
           f"({len(bytes_a)} bytes)")
 
 
@@ -249,6 +257,37 @@ def write_fingerprint(path, rows) -> None:
     path.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
 
 
+def numeric_platform() -> dict:
+    """The numeric kernels this process runs: the OpenBLAS core and thread count
+    bundled with numpy, numpy's AVX512_SKX dispatch and its version.  A piece
+    the build lacks is ``None``."""
+    core = threads = None
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        get_core = getattr(lib, "scipy_openblas_get_corename64_", None)
+        get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if get_core is not None:
+            get_core.restype, get_core.argtypes = ctypes.c_char_p, []
+            core = get_core().decode()
+        if get_threads is not None:
+            get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+            threads = get_threads()
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        __cpu_features__ = {}
+    return {
+        "openblas_core": core,
+        "openblas_threads": threads,
+        "avx512_skx": __cpu_features__.get("AVX512_SKX"),
+        "numpy": np.__version__,
+    }
+
+
 def assert_fingerprint(table, path, what) -> tuple[int, int, int]:
     got, expected = suite_fingerprint(table), json.loads(path.read_text())
 
@@ -260,22 +299,43 @@ def assert_fingerprint(table, path, what) -> tuple[int, int, int]:
     assert got == expected, (
         f"the {what} suite moved in {moved}: converged/NI/NF {totals(expected)} -> "
         f"{totals(got)}. If the change is meant to move trajectories, regenerate {path} with "
-        "`PYTHONPATH=src python tests/test_acceptance.py` and say in CHANGES.md why they moved."
+        "`PYTHONPATH=src python tests/test_acceptance.py` and say in CHANGES.md why they moved. "
+        f"Numeric platform: {numeric_platform()}."
     )
     return totals(got)
 
 
 def test_criterion_10_suite_fingerprint(suite):
     table, _ = suite
+    assert all(r.result.ng == r.result.nf for r in table.rows)
     totals = assert_fingerprint(table, FINGERPRINT, "n = 100")
     print(f"\nACCEPTANCE 10 PASS: 48 cells match the committed fingerprint bit for bit, "
           f"converged/NI/NF = {totals}")
 
 
-def test_criterion_11_suite_fingerprint_n1000():
-    totals = assert_fingerprint(suite_n1000(), FINGERPRINT_N1000, f"n = 1000 (budget {N1000_MAX_ITER})")
+def test_criterion_11_suite_fingerprint_n1000(suite_1000):
+    totals = assert_fingerprint(suite_1000, FINGERPRINT_N1000, f"n = 1000 (budget {N1000_MAX_ITER})")
     print(f"\nACCEPTANCE 11 PASS: 48 n = 1000 cells match the committed fingerprint bit for bit, "
           f"converged/NI/NF = {totals}")
+
+
+def test_numeric_platform_reports_each_kernel():
+    platform = numeric_platform()
+    assert list(platform) == ["openblas_core", "openblas_threads", "avx512_skx", "numpy"]
+    assert platform["numpy"] == np.__version__
+    assert platform["openblas_core"] is None or isinstance(platform["openblas_core"], str)
+    assert platform["openblas_threads"] is None or platform["openblas_threads"] >= 1
+    assert platform["avx512_skx"] in (None, True, False)
+
+
+def test_a_moved_fingerprint_names_the_openblas_core(tmp_path):
+    table = ResultTable([ResultRow("dk", "qf1", 10, RunResult(CONVERGED, 3, 5, 5, 0.0, 0.0))])
+    path = tmp_path / "fingerprint.json"
+    write_fingerprint(path, [["dk", "qf1", CONVERGED, 4, 5, "0x0.0p+0", "0x0.0p+0"]])
+    with pytest.raises(AssertionError) as exc:
+        assert_fingerprint(table, path, "one-cell")
+    assert "moved in ['dk/qf1']" in str(exc.value)
+    assert f"'openblas_core': {numeric_platform()['openblas_core']!r}" in str(exc.value)
 
 
 if __name__ == "__main__":

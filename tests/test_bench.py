@@ -288,6 +288,13 @@ class TestEmit:
         assert type(back.result.f_final) is float and back.result.f_final == 3.0
         assert math.isnan(back.result.gnorm_inf_final)
 
+    def test_counts_up_to_2_53_load_and_profile_on_a_finite_grid(self, tmp_path):
+        emit(ResultTable([row("A", "p", 10, ni=1), row("B", "p", 10, ni=2**53)]), None, "json",
+             tmp_path)
+        ratio_set = performance_ratios(load_results(tmp_path), "ni")
+        assert ratio_set.r_fail == 2.0**54
+        assert performance_profile(ratio_set).tau[-1] == pytest.approx(2.0**54)
+
     def test_load_results_reads_json_only(self, tmp_path):
         emit(example_2x2(), None, "csv", tmp_path)
         with pytest.raises(FileNotFoundError):

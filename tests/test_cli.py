@@ -1,9 +1,8 @@
 import csv
-import json
 
 import pytest
 
-from specgrad.cli import main
+from specgrad.cli import TRACE_ROWS, main
 
 RUN_ARGS = [
     "run",
@@ -59,8 +58,7 @@ class TestProfile:
     def test_profile_from_run_directory(self, tmp_path, capsys):
         main(RUN_ARGS + ["--out", str(tmp_path / "res")])
         code = main(
-            ["profile", "--metric", "all", "--in", str(tmp_path / "res"),
-             "--out", str(tmp_path / "prof")]
+            ["profile", "--in", str(tmp_path / "res"), "--out", str(tmp_path / "prof")]
         )
         assert code == 0
         for metric in ("NI", "NF", "NG"):
@@ -102,19 +100,6 @@ class TestProfile:
         main(["profile", "--in", str(tmp_path / "r2"), "--out", str(tmp_path / "p")])
         assert excluded.read_text() == "metric,problem\n"
 
-    def test_reused_out_dir_drops_the_profiles_of_metrics_not_computed(self, tmp_path):
-        main(RUN_ARGS + ["--out", str(tmp_path / "res")])
-        prof = tmp_path / "prof"
-        main(["profile", "--in", str(tmp_path / "res"), "--out", str(prof)])
-        other = prof / "other.csv"
-        other.write_text("keep\n")
-        main(["profile", "--metric", "ni", "--in", str(tmp_path / "res"), "--out", str(prof)])
-        assert sorted(p.name for p in prof.iterdir()) == [
-            "excluded.csv", "other.csv", "profile_NI.csv", "results.csv", "results.json"
-        ]
-        assert other.read_text() == "keep\n"
-        assert list(json.loads((prof / "results.json").read_text())["profiles"]) == ["NI"]
-
     def test_zero_best_count_profiles_and_exits_0(self, tmp_path, capsys):
         # Two converged qf1 rows: dk with ni = 0, jian with ni = 3.
         jian = ROW.replace('"dk"', '"jian"').replace('"ni": 5', '"ni": 3')
@@ -123,19 +108,10 @@ class TestProfile:
         (in_dir / "results.json").write_text(
             '{"results": [%s, %s]}' % (ROW.replace('"ni": 5', '"ni": 0'), jian)
         )
-        code = main(["profile", "--metric", "ni", "--in", str(in_dir), "--out", str(tmp_path / "p")])
+        code = main(["profile", "--in", str(in_dir), "--out", str(tmp_path / "p")])
         assert code == 0
         out = capsys.readouterr().out
         assert "[ni] rho(1) dk = 1.000" in out and "[ni] rho(1) jian = 0.000" in out
-
-    def test_single_metric(self, tmp_path):
-        main(RUN_ARGS + ["--out", str(tmp_path / "res")])
-        code = main(
-            ["profile", "--metric", "ni", "--in", str(tmp_path / "res"),
-             "--out", str(tmp_path / "prof")]
-        )
-        assert code == 0
-        assert (tmp_path / "prof" / "profile_NI.csv").exists()
 
 
 class TestTrace:
@@ -147,16 +123,11 @@ class TestTrace:
         assert "status=converged" in out
 
     def test_trace_row_limit(self, capsys):
-        main(["trace", "--problem", "qf1", "--dim", "10", "--iters", "3"])
-        out = capsys.readouterr().out
-        table_rows = [line for line in out.splitlines() if line.strip() and line.split()[0].isdigit()]
-        assert len(table_rows) == 3
-
-    def test_zero_iters_prints_the_header_and_status_only(self, capsys):
-        code = main(["trace", "--problem", "qf1", "--dim", "10", "--iters", "0"])
+        main(["trace", "--problem", "qf1", "--dim", "10"])
         lines = capsys.readouterr().out.splitlines()
-        assert code == 0 and len(lines) == 2
-        assert lines[0].split()[0] == "iteration" and lines[1].startswith("status=converged")
+        table_rows = [line for line in lines if line.strip() and line.split()[0].isdigit()]
+        assert TRACE_ROWS == 24 and int(lines[-1].split()[1].removeprefix("ni=")) > TRACE_ROWS
+        assert [int(row.split()[0]) for row in table_rows] == list(range(1, TRACE_ROWS + 1))
 
 
 ROW = ('{"solver": "dk", "problem": "qf1", "dim": 10, "status": "converged", "ni": 5, "nf": 9, '
@@ -178,7 +149,6 @@ class TestBadArguments:
             (["run", "--solvers", "dk", "--problems", "qf1,QF1", "--dims", "10"],
              "duplicate (solver, problem, dim) cells"),
             (["trace", "--problem", "nosuch"], "unknown problem 'nosuch'"),
-            (["trace", "--problem", "qf1", "--iters", "-2"], "--iters must be nonnegative"),
         ],
     )
     def test_exits_2_with_the_message_and_writes_nothing(self, tmp_path, capsys, argv, message):
@@ -194,6 +164,30 @@ class TestBadArguments:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.exists() and list(tmp_path.glob("**/results.*")) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--eta", "0.01", "--out", "OUT"],
+            ["run", "--tau", "5", "--out", "OUT"],
+            ["trace", "--problem", "qf1", "--eta", "0.01"],
+            ["trace", "--problem", "qf1", "--iters", "3"],
+            ["profile", "--in", "RUN", "--metric", "ni", "--out", "OUT"],
+        ],
+    )
+    def test_removed_options_are_unrecognized(self, tmp_path, capsys, argv):
+        run_dir, out = tmp_path / "run", tmp_path / "out"
+        main(["run", "--solvers", "dk", "--problems", "qf1", "--dims", "10", "--out", str(run_dir)])
+        capsys.readouterr()
+        argv = [{"RUN": str(run_dir), "OUT": str(out)}.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err.strip().splitlines()[-1]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("make_input", [lambda d: None, lambda d: (d / "results.json").mkdir()])
     def test_profile_without_readable_results_exits_2(self, tmp_path, capsys, make_input):
@@ -256,10 +250,19 @@ class TestBadArguments:
                 '{"results": [%s, %s]}' % (
                     ROW, ROW.replace('"dk"', '"jian"').replace('"ni": 5', '"ni": 1' + "0" * 400)
                 ),
-                "ni, nf or ng is an integer beyond float range",
+                "ni, nf or ng above 2**53",
             ),
             ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": 9' + "0" * 400),
-             "ni, nf or ng is an integer beyond float range"),
+             "ni, nf or ng above 2**53"),
+            (
+                '{"results": [%s, %s]}' % (
+                    ROW.replace('"ni": 5', '"ni": 1'),
+                    ROW.replace('"dk"', '"jian"').replace('"ni": 5', '"ni": 1' + "0" * 308),
+                ),
+                "ni, nf or ng above 2**53",
+            ),
+            ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": %d' % (2**53 + 1)),
+             "ni, nf or ng above 2**53"),
             pytest.param("[" * 100000 + "]" * 100000, "results.json is nested too deeply",
                          id="nested-100000-deep"),
         ],
@@ -307,7 +310,7 @@ class TestBadArguments:
         [
             (["run", "--solvers", "dk", "--problems", "qf1", "--dims", "10"], "results.csv"),
             (["profile", "--in", "RUN"], "excluded.csv"),
-            (["profile", "--metric", "ni", "--in", "RUN"], "profile_NF.csv"),
+            (["profile", "--in", "RUN"], "profile_NF.csv"),
         ],
     )
     def test_output_file_that_cannot_be_written_exits_2_after_the_run(

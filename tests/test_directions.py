@@ -10,6 +10,7 @@ from specgrad.directions import DirectionParams, next_direction, theta_bar
 from specgrad.linesearch import WolfeParams
 
 from reference import (
+    ETA,
     Degenerate,
     accepted_step,
     beta_dk,
@@ -23,7 +24,7 @@ from reference import (
     theta_tilde,
 )
 
-PARAMS = DirectionParams(method="scgmmwls", eta=1e-3, tau=10.0)
+PARAMS = DirectionParams(method="scgmmwls")
 C_DEFAULT = WolfeParams().C  # 1/42, from the default (rho, sigma) = (0.18, 0.2)
 
 
@@ -39,10 +40,6 @@ CUBIC = dict(g_new=vec(0.75), g_old=vec(3.0), d=vec(-1.0), s=vec(-0.5), z=vec(Z_
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DirectionParams(method="scgmmwls", eta=0.0)
-        with pytest.raises(ValueError):
-            DirectionParams(method="scgmmwls", eta=0.1, tau=0.3)
         with pytest.raises(ValueError):
             DirectionParams(method="bfgs")
 
@@ -86,10 +83,6 @@ class TestSolverId:
     )
     def test_label_parses_back_to_the_same_params(self, params):
         assert DirectionParams.parse(params.label) == params
-
-    def test_overrides_set_eta_and_tau(self):
-        params = DirectionParams.parse("m2:m=4", eta=0.01, tau=5.0)
-        assert params == DirectionParams("m2", eta=0.01, tau=5.0, m=4)
 
 
 class TestBetaM:
@@ -145,13 +138,13 @@ class TestTheta:
         ],
     )
     def test_theta_bar_truncation(self, value, expected):
-        assert theta_bar(value, PARAMS) == expected
+        assert theta_bar(value) == expected
 
 
 class TestScgmmwls:
     def test_cubic_state_composes_to_steepest_descent(self):
         sec = secant_step(s=CUBIC["s"], y=vec(-2.25), mu=-0.125, t=T_CUBIC, z=CUBIC["z"])
-        d, diag = next_direction_scgmmwls(CUBIC["g_new"], CUBIC["d"], CUBIC["g_old"], sec, PARAMS)
+        d, diag = next_direction_scgmmwls(CUBIC["g_new"], CUBIC["d"], CUBIC["g_old"], sec)
         assert d[0] == pytest.approx(-0.75, abs=1e-12)
         assert diag.theta == 1.0
         assert diag.truncated_theta
@@ -159,14 +152,14 @@ class TestScgmmwls:
 
     def test_zero_gradient_yields_zero_direction(self):
         sec = secant_step(s=vec(0.5, 0), y=vec(1, 1), mu=0.0, t=0.0, z=vec(1, 1))
-        d, diag = next_direction_scgmmwls(vec(0, 0), vec(-1, -1), vec(2, 2), sec, PARAMS)
+        d, diag = next_direction_scgmmwls(vec(0, 0), vec(-1, -1), vec(2, 2), sec)
         np.testing.assert_array_equal(d, vec(0, 0))
         assert not diag.restart
 
     def test_degenerate_curvature_restarts(self):
         sec = secant_step(s=vec(1, 0), y=vec(0, 1), mu=0.0, t=0.0, z=vec(0, 1))
         g_new = vec(0.3, -0.2)
-        d, diag = next_direction_scgmmwls(g_new, vec(1, 0), vec(-1, 0), sec, PARAMS)
+        d, diag = next_direction_scgmmwls(g_new, vec(1, 0), vec(-1, 0), sec)
         np.testing.assert_array_equal(d, -g_new)
         assert diag.restart and diag.beta == 0.0 and diag.theta == 1.0
 
@@ -180,9 +173,9 @@ class TestScgmmwls:
             s = 0.05 * rng.standard_normal(n)
             y = g_new - g_old
             sec = make_secant(s, y, float(rng.standard_normal()), PARAMS.coefficient, C_DEFAULT)
-            d, diag = next_direction_scgmmwls(g_new, d_prev, g_old, sec, PARAMS)
+            d, diag = next_direction_scgmmwls(g_new, d_prev, g_old, sec)
             gg = float(g_new @ g_new)
-            assert float(g_new @ d) <= -PARAMS.eta * gg + 1e-12 * gg
+            assert float(g_new @ d) <= -ETA * gg + 1e-12 * gg
             assert diag.theta == 1.0 or 0.251 <= diag.theta <= 10.0
 
     def test_beta_m_never_below_beta_r(self):
@@ -237,7 +230,7 @@ class TestJian:
     def test_truncates_theta_outside_range(self):
         g_new = vec(1.0, 1.0)
         y = vec(1e-8, 0.0)
-        d, diag = next_direction_jian(g_new, vec(-1, -1), y, vec(-0.1, -0.1), PARAMS)
+        d, diag = next_direction_jian(g_new, vec(-1, -1), y, vec(-0.1, -0.1))
         assert diag.theta == 1.0
         assert diag.truncated_theta
 
@@ -256,7 +249,7 @@ class TestJian:
         theta_plus = 1.0 - (yy * dg / dy - sg) / yg
         theta_ref = theta_plus if 0.251 <= theta_plus <= 10.0 else 1.0
         d_ref = -theta_ref * g_new + beta_ref * d_prev
-        d, diag = next_direction_jian(g_new, d_prev, y, s, PARAMS)
+        d, diag = next_direction_jian(g_new, d_prev, y, s)
         if not diag.restart:
             assert diag.beta == pytest.approx(beta_ref, rel=1e-12)
             assert diag.theta == pytest.approx(theta_ref, rel=1e-12)
@@ -270,7 +263,7 @@ class TestM2:
         sec_m2 = secant_step(s=s, y=y, mu=-0.5, t=-0.1, z=y - 0.1 * s)
         sec_ref = secant_step(s=s, y=y, mu=-0.5, t=0.0, z=y)
         d_a, diag_a = next_direction_m2(g_new, d_prev, g_old, sec_m2, PARAMS)
-        d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec_ref, PARAMS)
+        d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec_ref)
         np.testing.assert_array_equal(d_a, d_b)
         assert diag_a == diag_b
 
@@ -279,7 +272,7 @@ class TestM2:
         g_new, d_prev, g_old = vec(0.2, -0.9), vec(-1.0, 0.3), vec(1.1, -0.4)
         sec = make_secant(s, y, 0.7, PARAMS.coefficient, C_DEFAULT)
         d_a, diag_a = next_direction_m2(g_new, d_prev, g_old, sec, PARAMS)
-        d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec, PARAMS)
+        d_b, diag_b = next_direction_scgmmwls(g_new, d_prev, g_old, sec)
         np.testing.assert_array_equal(d_a, d_b)
         assert diag_a == diag_b
 
@@ -291,7 +284,7 @@ class TestNextDirection:
 
     @staticmethod
     def params(method):
-        return DirectionParams(method, eta=1e-3, tau=10.0)
+        return DirectionParams(method)
 
     def test_beta_r_branch_wins(self):
         # z = (1, 2), d^T z = 1: beta_L = 6 - 5 * 2 = -4 < beta_R = g_old^T d = -1.
@@ -387,5 +380,5 @@ class TestNextDirection:
             step = accepted_step(g_old, g_new, prev_d, 0.05, mu=t, t=t)
             d, diag = next_direction(prev_d, step, params)
             gg = float(g_new @ g_new)
-            assert float(g_new @ d) <= -params.eta * gg + 1e-12 * gg
+            assert float(g_new @ d) <= -ETA * gg + 1e-12 * gg
             assert diag.theta == 1.0 or 0.251 <= diag.theta <= 10.0

@@ -60,12 +60,12 @@ def accepted_steps(name, n, solver, steps=5):
 
 def vector_direction(method, g_new, d, g, sec, params):
     if method == "scgmmwls":
-        return next_direction_scgmmwls(g_new, d, g, sec, params)
+        return next_direction_scgmmwls(g_new, d, g, sec)
     if method == "m2":
         return next_direction_m2(g_new, d, g, sec, params)
     if method == "dk":
         return next_direction_dk(g_new, d, sec.y)
-    return next_direction_jian(g_new, d, sec.y, sec.s, params)
+    return next_direction_jian(g_new, d, sec.y, sec.s)
 
 
 class TestAgreement:

@@ -62,7 +62,7 @@ class TestParams:
     def test_direction_params_hold_no_rho_or_sigma(self):
         # rho and sigma live in WolfeParams alone, so no config holds two pairs.
         names = [f.name for f in dataclasses.fields(DirectionParams)]
-        assert names == ["method", "eta", "tau", "m"]
+        assert names == ["method", "m"]
 
 
 class TestMu:
