@@ -19,10 +19,11 @@ accepted step from the raw vectors with the same :func:`armijo_holds` and
 
 A trial point with non-finite objective or gradient is treated as a rejected
 (Armijo-fail) trial so the bracket can recover; it still charges the
-evaluation counters.  The engine expands the trial step geometrically until a
-bracket forms, then shrinks it by safeguarded quadratic interpolation with
-bisection fallback.  Every trial evaluates f and g together (one nf plus one
-ng).
+evaluation counters.  The engine expands the trial step until a bracket
+forms, toward the zero of the secant of phi' through the last two points,
+kept within 2 to 4 times the step (doubling where phi' did not rise), then
+shrinks it by safeguarded quadratic interpolation with bisection fallback.
+Every trial evaluates f and g together (one nf plus one ng).
 
 Trials are scalar-only: the engine, :func:`bracket_zoom`, sees a trial as
 the tuple (f, dphi, armijo_ok, curv_ok), and only the search itself keeps
@@ -145,10 +146,12 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
 
     One trial loop keeps the bracket ``lo = (alpha, f, dphi)``, from alpha = 0,
     and ``hi = (alpha, f)``.  Until ``hi`` is set, an Armijo trial whose slope
-    is not >= 0 (NaN included) becomes ``lo`` and the step doubles up to
-    ``ALPHA_MAX``; any other trial updates the bracket by the zoom rule, and
-    the next step is the safeguarded interpolant of ``lo`` and ``hi``; the
-    search fails when that interpolant lands on either end.
+    is not >= 0 (NaN included) becomes ``lo``, and the next step, capped at
+    ``ALPHA_MAX``, is the zero of the secant of phi' through the old ``lo``
+    and this trial, clipped to [2 alpha, 4 alpha]; where phi' did not rise
+    (a NaN included) the step doubles.  Any other trial updates the bracket by
+    the zoom rule, and the next step is the safeguarded interpolant of ``lo``
+    and ``hi``; the search fails when that interpolant lands on either end.
     """
     if not slope0 < 0.0:
         return None, 0, DEGENERATE_DIRECTION
@@ -175,8 +178,11 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
         elif hi is None and not dphi >= 0.0:
             if alpha >= ALPHA_MAX:
                 return None, trials, MAX_TRIALS_EXCEEDED
+            step = 2.0 * alpha
+            if dphi > lo[2]:  # phi' rose from lo: the zero of its secant, kept in [2, 4] alpha
+                step = min(max(alpha - dphi * (alpha - lo[0]) / (dphi - lo[2]), step), 4.0 * alpha)
             lo = (alpha, f, dphi)
-            alpha = min(2.0 * alpha, ALPHA_MAX)
+            alpha = min(step, ALPHA_MAX)
             continue
         else:
             if hi is None or dphi * (hi[0] - lo[0]) >= 0.0:

@@ -17,9 +17,9 @@ At n = 100 call overhead outweighs arithmetic, so reductions call the ufunc
 and allocations take the length (``np.add.reduce(a)`` 1.0 us, ``a.sum()``
 1.1 us, ``np.sum(a)`` 2.9 us; ``np.zeros(n)`` 0.26 us, ``np.zeros_like(x)``
 1.4 us), and a test rejects numpy's Python-level wrappers and reduction
-methods here and in the solver modules.  A scalar square (``x[-1] ** 2``)
-stays a numpy scalar: it is libm ``pow``, off from ``x * x`` in the last bit
-for about 1 value in 1300, and a Python float's ``**`` raises on overflow.
+methods here and in the solver modules.  A scalar square is a product too
+(``xn * xn``): numpy's scalar ``**`` calls libm ``pow``, which misses the
+correctly rounded ``x * x`` in the last bit for about 1 value in 1300.
 
 Families (standard starts in parentheses):
 
@@ -77,7 +77,7 @@ class Problem:
 def _arwhead(n: int) -> Problem:
     def fg(x):
         u, xn = x[:-1], x[-1]
-        t = u**2 + xn**2
+        t = u**2 + xn * xn
         g = np.empty(n)
         g[:-1] = 4.0 * u * t - 4.0
         g[-1] = 4.0 * xn * np.add.reduce(t)
@@ -158,7 +158,7 @@ def _eg2(n: int) -> Problem:
         u, xn = x[:-1], x[-1]
         arg = np.empty(n)  # the n - 1 sine arguments, then x_n^2
         arg[:-1] = x[0] + u**2 - 1.0
-        arg[-1] = xn**2
+        arg[-1] = xn * xn
         c, s = np.cos(arg), np.sin(arg)
         g = np.zeros(n)
         g[:-1] = 2.0 * u * c[:-1]
@@ -208,7 +208,7 @@ def _nondquar(n: int) -> Problem:
         g[1] -= 2.0 * head
         g[-2] += 2.0 * tail
         g[-1] += 2.0 * tail
-        return float(head**2 + tail**2 + np.add.reduce(qq * qq)), g
+        return float(head * head + tail * tail + np.add.reduce(qq * qq)), g
 
     start = np.ones(n)
     start[1::2] = -1.0

@@ -288,21 +288,36 @@ def numeric_platform() -> dict:
     }
 
 
+def fingerprint_totals(rows) -> tuple[int, int, int]:
+    """Converged cells, total NI and total NF of fingerprint rows."""
+    converged = sum(r[2] == CONVERGED for r in rows)
+    return converged, sum(r[3] for r in rows), sum(r[4] for r in rows)
+
+
+def fingerprint_moves(old, new) -> list[str]:
+    """What regenerating a fingerprint changed: the converged/NI/NF totals
+    before -> after, then one line per moved cell with its (status, ni, nf)."""
+    if old is None:
+        return [f"new file, converged/NI/NF {fingerprint_totals(new)}"]
+    moved = [(o, n) for o, n in zip(old, new) if o != n]
+    lines = [f"converged/NI/NF {fingerprint_totals(old)} -> {fingerprint_totals(new)}, "
+             f"{len(moved)} of {len(new)} cells moved"]
+    for o, n in moved:
+        lines.append(f"  {n[0]}/{n[1]}: {o[2]} {o[3]}/{o[4]} -> {n[2]} {n[3]}/{n[4]}"
+                     + ("" if o[2:5] != n[2:5] else " (last bits of f or |g| only)"))
+    return lines
+
+
 def assert_fingerprint(table, path, what) -> tuple[int, int, int]:
     got, expected = suite_fingerprint(table), json.loads(path.read_text())
-
-    def totals(rows):
-        converged = sum(r[2] == CONVERGED for r in rows)
-        return converged, sum(r[3] for r in rows), sum(r[4] for r in rows)
-
     moved = [f"{e[0]}/{e[1]}" for g, e in zip(got, expected) if g != e]
     assert got == expected, (
-        f"the {what} suite moved in {moved}: converged/NI/NF {totals(expected)} -> "
-        f"{totals(got)}. If the change is meant to move trajectories, regenerate {path} with "
+        f"the {what} suite moved in {moved}: converged/NI/NF {fingerprint_totals(expected)} -> "
+        f"{fingerprint_totals(got)}. If the change is meant to move trajectories, regenerate {path} with "
         "`PYTHONPATH=src python tests/test_acceptance.py` and say in CHANGES.md why they moved. "
         f"Numeric platform: {numeric_platform()}."
     )
-    return totals(got)
+    return fingerprint_totals(got)
 
 
 def test_criterion_10_suite_fingerprint(suite):
@@ -338,8 +353,24 @@ def test_a_moved_fingerprint_names_the_openblas_core(tmp_path):
     assert f"'openblas_core': {numeric_platform()['openblas_core']!r}" in str(exc.value)
 
 
+def test_regeneration_reports_the_totals_and_each_moved_cell():
+    old = [["dk", "qf1", CONVERGED, 4, 5, "0x1.0p+0", "0x0.0p+0"],
+           ["m2", "qf1", "iter_limit", 9, 12, "0x1.0p+0", "0x0.0p+0"],
+           ["dk", "eg2", CONVERGED, 7, 9, "0x1.0p+0", "0x0.0p+0"]]
+    new = [old[0], ["m2", "qf1", CONVERGED, 6, 8, "0x1.0p+0", "0x0.0p+0"],
+           ["dk", "eg2", CONVERGED, 7, 9, "0x1.0p+1", "0x0.0p+0"]]
+    assert fingerprint_moves(old, new) == [
+        "converged/NI/NF (2, 20, 26) -> (3, 17, 22), 2 of 3 cells moved",
+        "  m2/qf1: iter_limit 9/12 -> converged 6/8",
+        "  dk/eg2: converged 7/9 -> converged 7/9 (last bits of f or |g| only)",
+    ]
+    assert fingerprint_moves(None, new) == ["new file, converged/NI/NF (3, 17, 22)"]
+
+
 if __name__ == "__main__":
     n100 = run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
     for path, table in ((FINGERPRINT, n100), (FINGERPRINT_N1000, suite_n1000())):
-        write_fingerprint(path, suite_fingerprint(table))
-        print(f"wrote {path}")
+        old = json.loads(path.read_text()) if path.exists() else None
+        rows = suite_fingerprint(table)
+        write_fingerprint(path, rows)
+        print(f"wrote {path}: " + "\n".join(fingerprint_moves(old, rows)))

@@ -384,25 +384,54 @@ class TestBracketZoom:
         alpha, trials, status = bracket_zoom(lambda a: None, 1.0, 0.0, alpha0=1.0)
         assert (alpha, trials, status) == (None, 0, DEGENERATE_DIRECTION)
 
+    def test_secant_expansion_lands_on_the_quadratic_minimizer(self):
+        # phi = (alpha - 1)^2 from alpha0 = 1/64: the secant of phi' through
+        # lo and each short trial has its zero at 1, so the steps grow by the
+        # cap of 4 until 1 is within reach (doubling needs 7 trials).
+        seen = []
+
+        def evaluate(alpha):
+            seen.append(alpha)
+            return (alpha - 1.0) ** 2, 2.0 * (alpha - 1.0), alpha <= 1.5, alpha >= 0.9
+
+        alpha, trials, status = bracket_zoom(evaluate, 1.0, -2.0, alpha0=1.0 / 64.0)
+        assert seen == [1.0 / 64.0, 1.0 / 16.0, 0.25, 1.0]
+        assert (status, trials, alpha) == (ACCEPTED, 4, 1.0)
+
+    def test_secant_zero_below_twice_alpha_still_doubles(self):
+        # phi' rises from -1 to -0.01 over [0, 1]: its secant vanishes at
+        # 1 + 1/99 < 2, and the next trial is the floor 2 alpha.
+        seen = []
+
+        def evaluate(alpha):
+            seen.append(alpha)
+            return 1.0 - alpha, -0.01, True, alpha >= 2.0
+
+        alpha, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=1.0)
+        assert seen == [1.0, 2.0]
+        assert (status, trials, alpha) == (ACCEPTED, 2, 2.0)
+
     def test_trial_sequence_expands_past_a_nan_slope_brackets_and_zooms(self):
-        # phi = (alpha - 2.7)^4 from alpha0 = 0.25.  The Armijo-ok trial at
-        # 0.5 reports a NaN slope, which keeps the expansion going; 4.0 rises
-        # above f(2.0) and closes the bracket; the zoom then moves both ends
-        # until |phi'| <= 1e-4.  The alphas are those of the two-loop engine
-        # this one loop replaced.
+        # phi = (alpha - 2.7)^4 from alpha0 = 0.25.  The secant of phi' sends
+        # the second trial to 0.9887.  That Armijo-ok trial reports a NaN
+        # slope, so the expansion goes on by doubling: no secant runs through
+        # a NaN, neither from it nor from the next trial, 1.98, whose lo it
+        # is.  3.95 rises above f(1.98) and closes the bracket; the zoom then
+        # moves lo until |phi'| <= 1e-4.
         f0, slope0 = 2.7**4, -4.0 * 2.7**3
         seen = []
 
         def evaluate(alpha):
             seen.append(alpha)
             f = (alpha - 2.7) ** 4
-            dphi = math.nan if alpha == 0.5 else 4.0 * (alpha - 2.7) ** 3
+            dphi = math.nan if len(seen) == 2 else 4.0 * (alpha - 2.7) ** 3
             armijo_ok = f <= f0 + 0.1 * alpha * slope0
             return f, dphi, armijo_ok, abs(dphi) <= 1e-4
 
         alpha, trials, status = bracket_zoom(evaluate, f0, slope0, alpha0=0.25)
+        assert seen[2] == 2.0 * seen[1]
         assert seen == [
-            0.25, 0.5, 1.0, 2.0, 4.0,
-            2.5119402985074633, 2.660746268656717, 2.7946716417910453, 2.6804068387515887,
+            0.25, 0.9887228431495669, 1.9774456862991339, 3.9548913725982677,
+            2.545761679489554, 2.6866746488004254,
         ]
-        assert (status, trials, alpha) == (ACCEPTED, 9, seen[-1])
+        assert (status, trials, alpha) == (ACCEPTED, 6, seen[-1])

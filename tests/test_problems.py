@@ -532,6 +532,33 @@ class TestNoPowKernels:
         assert _non_square_powers(source) == [2, 3, 4, 5]
 
 
+# At this x, numpy's scalar ``x**2`` (libm ``pow``) is 0x1.0cffa18a75b34p-3, one
+# ulp below the correctly rounded x * x = 0x1.0cffa18a75b35p-3.
+SQUARE_X = np.float64(0.3624182010806754)
+GOLDEN = 0.6180339887498949  # GOLDEN + GOLDEN**2 - 1.0 == 0.0, so eg2's other sine is 0
+# (family, point, an output carrying one scalar square of SQUARE_X, that output
+# rebuilt with the square ``sq``); every other term of the output is exact there.
+SCALAR_SQUARE_CASES = [
+    pytest.param("arwhead", [0.0, SQUARE_X], lambda f, g: g[-1],
+                 lambda sq: 4.0 * SQUARE_X * sq(SQUARE_X), id="arwhead"),
+    pytest.param("eg2", [GOLDEN, SQUARE_X], lambda f, g: f,
+                 lambda sq: float(0.5 * np.sin(np.array([sq(SQUARE_X)]))[0]), id="eg2"),
+    pytest.param("nondquar", [SQUARE_X, 0.0, SQUARE_X, -SQUARE_X], lambda f, g: f,
+                 lambda sq: float(sq(SQUARE_X)), id="nondquar-head"),
+    pytest.param("nondquar", [-SQUARE_X, -SQUARE_X, -SQUARE_X, 2.0 * SQUARE_X], lambda f, g: f,
+                 lambda sq: float(sq(SQUARE_X)), id="nondquar-tail"),
+]
+
+
+class TestScalarSquares:
+    @pytest.mark.parametrize("name, point, output, rebuilt", SCALAR_SQUARE_CASES)
+    def test_scalar_square_is_the_correctly_rounded_product(self, name, point, output, rebuilt):
+        x = np.array(point)
+        got = output(*problem(name, x.size).fg(x))
+        assert got == rebuilt(lambda a: a * a)
+        assert got != rebuilt(lambda a: a**2)  # the case tells product from pow
+
+
 # numpy functions that only wrap an ndarray method or a ufunc in Python-level
 # dispatch, and the ndarray reduction methods that still run through
 # ``numpy/_core/_methods.py``; the hot path calls the C method itself
