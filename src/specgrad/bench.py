@@ -73,12 +73,12 @@ class RatioSet:
     r_fail: float
 
 
-def suite_cells(solvers, problems=None, dims=(100,), **config_overrides) -> list[tuple]:
+def suite_cells(solvers, problems, dims, **config_overrides) -> list[tuple]:
     """The sorted (label, problem, dim, config) cells of a suite, checked before
     any run: each solver id's config is built and each (problem, dim)
     instantiated once and dropped, so bad input raises ``ValueError``/``KeyError``
     here.  Cells are keyed by ``config.direction.label`` and ``Problem.name``."""
-    names = family_names() if problems in (None, "all") else list(problems)
+    names = family_names() if problems == "all" else list(problems)
     if not solvers or not names or not dims:
         raise ValueError("solvers, problems and dims must all be nonempty")
     configs = [default_config(s, **config_overrides) for s in solvers]
@@ -90,7 +90,7 @@ def suite_cells(solvers, problems=None, dims=(100,), **config_overrides) -> list
     return [(label, name, dim, by_label[label]) for label, name, dim in cells]
 
 
-def run_suite(solvers, problems=None, dims=(100,), **config_overrides) -> ResultTable:
+def run_suite(solvers, problems, dims, **config_overrides) -> ResultTable:
     """One run per (solver, problem, dim); failures are recorded, never dropped."""
     rows = [
         ResultRow(label, name, dim, minimize(problem(name, dim), cfg))
@@ -116,7 +116,7 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
 
     included: list[str] = []
     excluded: list[str] = []
-    raw: dict[tuple[str, str], float | None] = {}
+    raw: dict[tuple[str, str], float] = {}
     for (name, dim), costs in sorted(solved.items()):
         key = f"{name}:{dim}"
         if not costs:
@@ -126,12 +126,11 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
         best = min(costs.values())
         for s in solvers:
             value = costs.get(s, math.inf)  # a failed run has no finite ratio
-            ratio = 1.0 if value == best else (value / best if best else math.inf)
-            raw[(s, key)] = ratio if math.isfinite(ratio) else None
+            raw[(s, key)] = 1.0 if value == best else (value / best if best else math.inf)
 
-    finite = [v for v in raw.values() if v is not None]
+    finite = [v for v in raw.values() if math.isfinite(v)]
     r_fail = 2.0 * max(finite) if finite else 2.0
-    ratios = {k: (v if v is not None else r_fail) for k, v in raw.items()}
+    ratios = {k: (v if math.isfinite(v) else r_fail) for k, v in raw.items()}
     return RatioSet(metric, solvers, included, excluded, ratios, r_fail)
 
 
@@ -205,10 +204,11 @@ def emit(table: ResultTable, profiles, fmt: str, prefix, *, excluded=None) -> li
 def load_results(prefix) -> ResultTable:
     """Rebuild a result table from the ``results.json`` of an emitted directory;
     JSON nested too deeply to parse, a field of the wrong JSON type, a float
-    field beyond float range, an unknown status, a count below 0 or above 2**53, a
-    ``dim`` below 2 (no family exists there), an ``nf`` or ``ng`` below 1
-    (every run evaluates its start point) or a repeated cell raises
-    ``ValueError``."""
+    field beyond float range, a solver or problem holding a comma, a double
+    quote or a line break (the CSV tables quote nothing), an unknown status, a
+    count below 0 or above 2**53, a ``dim`` below 2 (no family exists there), an
+    ``nf`` or ``ng`` below 1 (every run evaluates its start point) or a repeated
+    cell raises ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
@@ -221,6 +221,9 @@ def load_results(prefix) -> ResultTable:
             # type(), not isinstance(): bool is an int subclass
             if type(rec[key]) is not kind and (kind, type(rec[key])) != (float, int):
                 raise ValueError(f"{key} is not {_TYPE_NAMES[kind]}: {rec[key]!r}")
+        for key in ("solver", "problem"):
+            if any(ch in rec[key] for ch in ',"\r\n'):
+                raise ValueError(f"{key} holds a comma, a double quote or a line break: {rec[key]!r}")
     try:
         rows = [
             ResultRow(rec["solver"], rec["problem"], rec["dim"],

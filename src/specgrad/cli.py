@@ -33,7 +33,7 @@ from .bench import (
     suite_cells,
 )
 from .problems import family_names, problem
-from .solver import EVAL_ERROR, default_config, minimize
+from .solver import EVAL_ERROR, SolverConfig, default_config, minimize
 
 TRACE_ROWS = 24  # rows of the mu table ``bench trace`` prints
 
@@ -43,8 +43,8 @@ def _parse_list(text: str) -> list[str]:
 
 
 def _add_solver_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=1e-8, help="gradient tolerance (inf-norm)")
-    p.add_argument("--max-iter", type=int, default=10000, help="iteration budget")
+    p.add_argument("--eps", type=float, default=SolverConfig.epsilon, help="gradient tolerance (inf-norm)")
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, help="iteration budget")
 
 
 def _solver_options(args) -> dict:

@@ -164,10 +164,8 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     ftol = ARMIJO_TOL_REL * (1.0 + abs(f0))
     lo, hi = (0.0, f0, slope0), None
     alpha = min(alpha0, ALPHA_MAX)
-    trials = 0
-    while trials < MAX_TRIALS:
+    for trials in range(1, MAX_TRIALS + 1):
         trial = evaluate(alpha)
-        trials += 1
         if trial is None:
             return None, trials, MAX_TRIALS_EXCEEDED
         f, dphi, armijo_ok, curv_ok = trial
@@ -191,7 +189,7 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
         alpha = _interpolate(*lo, *hi)
         if alpha == lo[0] or alpha == hi[0] or not alpha > 0.0:
             return None, trials, MAX_TRIALS_EXCEEDED
-    return None, trials, MAX_TRIALS_EXCEEDED
+    return None, MAX_TRIALS, MAX_TRIALS_EXCEEDED
 
 
 def _search(modified, oracle, x, f, g, d, params, coefficient, alpha0, gd):

@@ -19,7 +19,6 @@ import numpy as np
 from .directions import ETA, TAU, DirectionDiag, DirectionParams, next_direction
 from .linesearch import (
     ACCEPTED,
-    ALPHA_MAX,
     CURVATURE_TOL_REL,
     LineSearchOutcome,
     WolfeParams,
@@ -58,20 +57,14 @@ class SolverConfig:
             raise ValueError(f"unknown trace_level '{self.trace_level}'")
 
 
-def default_config(
-    solver: str = "scgmmwls",
-    *,
-    epsilon: float = 1e-8,
-    max_iter: int = 10000,
-    trace_level: str = "none",
-) -> SolverConfig:
+def default_config(solver: str = "scgmmwls", **options) -> SolverConfig:
     """Paper-default configuration of a solver id (:meth:`DirectionParams.parse`):
-    ``WolfeParams()``'s (rho, sigma) for scgmmwls, (0.1, 0.9) for the
-    dk/jian/m2 baselines.  A custom pair is set in one place,
-    ``SolverConfig(WolfeParams(rho, sigma), ...)``."""
+    ``WolfeParams()``'s (rho, sigma) for scgmmwls, (0.1, 0.9) for dk/jian/m2;
+    ``options`` are :class:`SolverConfig`'s ``epsilon``, ``max_iter`` and
+    ``trace_level``.  A custom pair is ``SolverConfig(WolfeParams(rho, sigma), ...)``."""
     direction = DirectionParams.parse(solver)
     wolfe = WolfeParams() if direction.method == "scgmmwls" else WolfeParams(0.1, 0.9)
-    return SolverConfig(wolfe, direction, epsilon, max_iter, trace_level)
+    return SolverConfig(wolfe, direction, **options)
 
 
 @dataclass(slots=True)
@@ -157,11 +150,11 @@ class RunResult:
 
 def _initial_alpha(k, gnorm_inf, alpha_prev, gd_prev, gd) -> float:
     if k == 0:
-        return min(1.0 / gnorm_inf, ALPHA_MAX)
+        return 1.0 / gnorm_inf
     val = alpha_prev * (gd_prev / gd)
     if not math.isfinite(val) or val <= 0.0:
         val = 1.0
-    return min(max(val, 1e-10), ALPHA_MAX)
+    return max(val, 1e-10)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -174,7 +167,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     method = config.direction.method
     modified = method == "scgmmwls"
     search = modified_wolfe if modified else standard_wolfe
-    spectral = method in ("scgmmwls", "m2", "jian")
+    spectral = method != "dk"  # dk alone has theta = 1 and no ETA margin
     coefficient = config.direction.coefficient
 
     x = problem.start.copy()

@@ -263,6 +263,15 @@ class TestBadArguments:
             ),
             ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": %d' % (2**53 + 1)),
              "ni, nf or ng above 2**53"),
+            # Each of these would split a column or a row of every CSV the profile writes.
+            ('{"results": [%s]}' % ROW.replace('"dk"', '"a,b"'),
+             "solver holds a comma, a double quote or a line break"),
+            ('{"results": [%s]}' % ROW.replace('"dk"', '"a\\"b"'),
+             "solver holds a comma, a double quote or a line break"),
+            ('{"results": [%s]}' % ROW.replace('"qf1"', '"x\\ny"'),
+             "problem holds a comma, a double quote or a line break"),
+            ('{"results": [%s]}' % ROW.replace('"qf1"', '"x\\ry"'),
+             "problem holds a comma, a double quote or a line break"),
             pytest.param("[" * 100000 + "]" * 100000, "results.json is nested too deeply",
                          id="nested-100000-deep"),
         ],

@@ -354,7 +354,7 @@ class TestBracketZoom:
         alpha, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=1.0)
         assert alpha is None
         assert status == MAX_TRIALS_EXCEEDED
-        assert trials <= MAX_TRIALS
+        assert trials == MAX_TRIALS
 
     def test_acceptable_alpha0_takes_one_trial(self):
         def evaluate(alpha):

@@ -243,17 +243,17 @@ KERNEL_RTOL = 1e-13
 
 
 # The split kernels: each family's objective and gradient as the two separate
-# closures ``fg`` replaced, copied unchanged.  ``fg`` only shares their common
-# terms, so it must reproduce them bit for bit.
+# closures ``fg`` replaced, with a scalar squared as a product, as ``fg`` squares
+# it.  ``fg`` only shares their common terms, so it must reproduce them bit for bit.
 
 
 def _split_arwhead(n):
     def f(x):
-        t = x[:-1] ** 2 + x[-1] ** 2
+        t = x[:-1] ** 2 + x[-1] * x[-1]
         return float(np.sum(t * t - 4.0 * x[:-1] + 3.0))
 
     def g(x):
-        t = x[:-1] ** 2 + x[-1] ** 2
+        t = x[:-1] ** 2 + x[-1] * x[-1]
         out = np.empty_like(x)
         out[:-1] = 4.0 * x[:-1] * t - 4.0
         out[-1] = 4.0 * x[-1] * np.sum(t)
@@ -345,14 +345,14 @@ def _split_raydan1(n):
 
 def _split_eg2(n):
     def f(x):
-        return float(np.sum(np.sin(x[0] + x[:-1] ** 2 - 1.0)) + 0.5 * np.sin(x[-1] ** 2))
+        return float(np.sum(np.sin(x[0] + x[:-1] ** 2 - 1.0)) + 0.5 * np.sin(x[-1] * x[-1]))
 
     def g(x):
         c = np.cos(x[0] + x[:-1] ** 2 - 1.0)
         out = np.zeros_like(x)
         out[: n - 1] = 2.0 * x[: n - 1] * c
         out[0] += np.sum(c)
-        out[-1] += x[-1] * np.cos(x[-1] ** 2)
+        out[-1] += x[-1] * np.cos(x[-1] * x[-1])
         return out
 
     return f, g
@@ -392,7 +392,8 @@ def _split_nondquar(n):
     def f(x):
         q = x[: n - 2] + x[1 : n - 1] + x[-1]
         qq = q * q
-        return float((x[0] - x[1]) ** 2 + (x[-2] + x[-1]) ** 2 + np.sum(qq * qq))
+        head, tail = x[0] - x[1], x[-2] + x[-1]
+        return float(head * head + tail * tail + np.sum(qq * qq))
 
     def g(x):
         q = x[: n - 2] + x[1 : n - 1] + x[-1]
@@ -457,16 +458,48 @@ SPLIT_KERNELS = {
 }
 
 
+# At this x, numpy's scalar ``x**2`` (libm ``pow``) is 0x1.0cffa18a75b34p-3, one
+# ulp below the correctly rounded x * x = 0x1.0cffa18a75b35p-3.
+SQUARE_X = np.float64(0.3624182010806754)
+GOLDEN = 0.6180339887498949  # GOLDEN + GOLDEN**2 - 1.0 == 0.0, so eg2's other sine is 0
+# (family, point, an output carrying one scalar square of SQUARE_X, that output
+# rebuilt with the square ``sq``); every other term of the output is exact there.
+SCALAR_SQUARE_CASES = [
+    pytest.param("arwhead", [0.0, SQUARE_X], lambda f, g: g[-1],
+                 lambda sq: 4.0 * SQUARE_X * sq(SQUARE_X), id="arwhead"),
+    pytest.param("eg2", [GOLDEN, SQUARE_X], lambda f, g: f,
+                 lambda sq: float(0.5 * np.sin(np.array([sq(SQUARE_X)]))[0]), id="eg2"),
+    pytest.param("nondquar", [SQUARE_X, 0.0, SQUARE_X, -SQUARE_X], lambda f, g: f,
+                 lambda sq: float(sq(SQUARE_X)), id="nondquar-head"),
+    pytest.param("nondquar", [-SQUARE_X, -SQUARE_X, -SQUARE_X, 2.0 * SQUARE_X], lambda f, g: f,
+                 lambda sq: float(sq(SQUARE_X)), id="nondquar-tail"),
+]
+
+
+# (family, point) where a scalar's pow square and its product give the split
+# kernels different outputs: each scalar-square case's point, and two points for
+# the outputs those leave blind, arwhead's f and eg2's g.
+SQUARE_POINTS = [(case.values[0], case.values[1]) for case in SCALAR_SQUARE_CASES] + [
+    ("arwhead", [1.0, SQUARE_X]),
+    ("eg2", [GOLDEN, 0.9701113437864923]),
+]
+# The cells of the bit-for-bit comparison: every family at n = 10 and 1000, and
+# each square point's family at the size of the point.
+FUSED_CELLS = [(name, dim) for dim in (10, 1000) for name in ALL_NAMES] + sorted(
+    {(name, len(point)) for name, point in SQUARE_POINTS}
+)
+
+
 class TestFusedKernels:
     def test_every_family_has_a_split_reference(self):
         assert sorted(SPLIT_KERNELS) == sorted(ALL_NAMES)
 
-    @pytest.mark.parametrize("dim", [10, 1000])
-    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("name, dim", FUSED_CELLS)
     def test_fg_equals_the_split_kernels_bit_for_bit(self, name, dim):
         p = problem(name, dim)
         f_ref, g_ref = SPLIT_KERNELS[name](dim)
-        for x in check_points(p):
+        squares = [np.array(pt) for fam, pt in SQUARE_POINTS if (fam, len(pt)) == (name, dim)]
+        for x in check_points(p) + squares:
             f, g = p.fg(x)
             assert type(f) is float
             assert f == f_ref(x)
@@ -530,24 +563,6 @@ class TestNoPowKernels:
     def test_guard_flags_other_exponents(self):
         source = "a = x**2\nb = x**4\nc = x**2.0\nd = x**n\nx **= 3\n"
         assert _non_square_powers(source) == [2, 3, 4, 5]
-
-
-# At this x, numpy's scalar ``x**2`` (libm ``pow``) is 0x1.0cffa18a75b34p-3, one
-# ulp below the correctly rounded x * x = 0x1.0cffa18a75b35p-3.
-SQUARE_X = np.float64(0.3624182010806754)
-GOLDEN = 0.6180339887498949  # GOLDEN + GOLDEN**2 - 1.0 == 0.0, so eg2's other sine is 0
-# (family, point, an output carrying one scalar square of SQUARE_X, that output
-# rebuilt with the square ``sq``); every other term of the output is exact there.
-SCALAR_SQUARE_CASES = [
-    pytest.param("arwhead", [0.0, SQUARE_X], lambda f, g: g[-1],
-                 lambda sq: 4.0 * SQUARE_X * sq(SQUARE_X), id="arwhead"),
-    pytest.param("eg2", [GOLDEN, SQUARE_X], lambda f, g: f,
-                 lambda sq: float(0.5 * np.sin(np.array([sq(SQUARE_X)]))[0]), id="eg2"),
-    pytest.param("nondquar", [SQUARE_X, 0.0, SQUARE_X, -SQUARE_X], lambda f, g: f,
-                 lambda sq: float(sq(SQUARE_X)), id="nondquar-head"),
-    pytest.param("nondquar", [-SQUARE_X, -SQUARE_X, -SQUARE_X, 2.0 * SQUARE_X], lambda f, g: f,
-                 lambda sq: float(sq(SQUARE_X)), id="nondquar-tail"),
-]
 
 
 class TestScalarSquares:

@@ -192,3 +192,31 @@ def test_private_imports_and_attribute_reads_are_caught(tmp_path):
         "specgrad.directions._beta_m",
         "sv._initial_alpha",
     ]
+
+
+# The run defaults (epsilon, max_iter) and the trial-step cap, each a decision
+# that must live in one place: SolverConfig's fields and linesearch.ALPHA_MAX.
+WRITTEN_ONCE = (1e-8, 10000, 1e6)
+
+
+def numeric_literals(source: str) -> list[float]:
+    """Every int or float constant of ``source``'s code; docstrings, comments
+    and other strings are not numbers, so they never count."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float)
+    ]
+
+
+def test_each_run_default_and_the_step_cap_is_written_once():
+    found = []
+    for path in sorted((ROOT / "src" / "specgrad").glob("*.py")):
+        found += numeric_literals(path.read_text())
+    counts = {value: sum(v == value for v in found) for value in WRITTEN_ONCE}
+    assert counts == {value: 1 for value in WRITTEN_ONCE}
+
+
+def test_numeric_literals_skip_docstrings_and_comments():
+    source = '"""Tolerance 1e-8."""\nEPS = 1e-8  # not 10000\nN = 10_000\nflag = True\n'
+    assert numeric_literals(source) == [1e-8, 10000]

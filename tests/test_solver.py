@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
+from specgrad.linesearch import ACCEPTED, ALPHA_MAX, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot
 from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.solver import (
@@ -93,6 +93,8 @@ class TestConfig:
             default_config("dk", rho=0.05)
         with pytest.raises(TypeError):
             default_config("scgmmwls", sigma=0.5)
+        with pytest.raises(TypeError):
+            default_config("dk", wolfe=WolfeParams())
 
     def test_validation(self):
         cfg = default_config("scgmmwls")
@@ -150,6 +152,22 @@ class TestMinimize:
         res = minimize(Problem("steep", 1, fg, np.array([-0.3])), default_config(method))
         assert res.status == LINESEARCH_FAILURE
         assert (res.ni, res.nf, res.ng) == (0, 1, 1)
+
+    @pytest.mark.parametrize("method", ["scgmmwls", "dk"])
+    def test_first_trial_step_is_capped_at_alpha_max(self, method):
+        # f = 0.5e-7 |x|^2 from x = 1: 1/|g0|_inf = 1e7 exceeds ALPHA_MAX, so the
+        # first trial is x0 - ALPHA_MAX g0 = 0.9, not x0 - g0/|g0|_inf = 0.
+        points = []
+
+        def fg(x):
+            points.append(x.copy())
+            return float(0.5e-7 * (x @ x)), 1e-7 * x
+
+        start = np.ones(2)
+        minimize(Problem("flat", 2, fg, start), default_config(method, max_iter=1))
+        g0 = 1e-7 * start
+        assert 1.0 / np.max(np.abs(g0)) > ALPHA_MAX
+        assert np.array_equal(points[1], start - ALPHA_MAX * g0)
 
     def test_first_direction_is_steepest_descent(self):
         p = problem("ext_himmelblau", 4)
