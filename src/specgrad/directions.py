@@ -74,7 +74,7 @@ class DirectionParams:
     @property
     def label(self) -> str:
         """The solver id: ``dk``, ``jian`` or ``<method>:m=<order>``."""
-        return f"{self.method}:m={self.m:g}" if self.method in ORDER_METHODS else self.method
+        return f"{self.method}:m={self.m:.17g}" if self.method in ORDER_METHODS else self.method
 
     @classmethod
     def parse(cls, text: str) -> DirectionParams:
@@ -158,11 +158,10 @@ def next_direction(
         return d, diag
     gg = dot(g_new, g_new)
     sg = step.alpha * gd_new
+    degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww)
     if method in ORDER_METHODS:
-        degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww)
         theta_t = math.nan if degenerate else (sg + beta * dw) / gw
     else:
-        degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(ww) * math.sqrt(gg)
         theta_t = math.nan if degenerate else 1.0 - (ww * gd_new / dw - sg) / gw
     theta = theta_bar(theta_t)
     diag.theta = theta

@@ -280,10 +280,10 @@ def problem(name: str, dim: int) -> Problem:
 class InstrumentedOracle:
     """Counts every objective/gradient evaluation issued for one run.
 
-    One oracle per (solver, problem) run; ``eval_fg`` makes one ``fg`` call and
-    charges one of each counter. Non-finite results raise
-    :class:`EvaluationError` after the counters were charged, so failed trials
-    still show up in NF/NG; :func:`specgrad.solver.minimize` mutes the warnings.
+    One oracle per (solver, problem) run; ``eval_fg`` makes one fused ``fg``
+    call and charges ``nf`` once, so a run's NG is its NF. Non-finite results
+    raise :class:`EvaluationError` after the charge, so failed trials still
+    show up in NF/NG; :func:`specgrad.solver.minimize` mutes the warnings.
     The gradient test is g^T g, entrywise only when that is not finite: finite
     entries whose squares overflow pass, and warn outside ``minimize``.
     """
@@ -291,11 +291,9 @@ class InstrumentedOracle:
     def __init__(self, prob: Problem):
         self.problem = prob
         self.nf = 0
-        self.ng = 0
 
     def eval_fg(self, x: Vector) -> tuple[float, Vector]:
         self.nf += 1
-        self.ng += 1
         val, grad = self.problem.fg(x)
         if not math.isfinite(val):
             raise EvaluationError(self.problem.name, x, "objective")

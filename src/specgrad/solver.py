@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import ETA, TAU, DirectionDiag, DirectionParams, next_direction
+from .directions import ETA, DirectionDiag, DirectionParams, next_direction, theta_bar
 from .linesearch import (
     ACCEPTED,
     CURVATURE_TOL_REL,
@@ -35,9 +35,6 @@ ITER_LIMIT = "iter_limit"
 LINESEARCH_FAILURE = "linesearch_failure"
 EVAL_ERROR = "eval_error"
 STATUSES = (CONVERGED, ITER_LIMIT, LINESEARCH_FAILURE, EVAL_ERROR)
-
-# Numeric slack used when re-checking the sufficient-descent inequality.
-DESCENT_TOL_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,10 @@ class AuditReport:
             self.t_bound_violations += not -params.C * lipschitz - eps <= outcome.t <= t_max
 
     def check_direction(self, g_new: Vector, d_new: Vector, diag: DirectionDiag) -> None:
-        gg = dot(g_new, g_new)
         self.descent_checks += 1
-        if not dot(g_new, d_new) <= (-ETA + DESCENT_TOL_REL) * gg:
+        if not dot(g_new, d_new) <= -ETA * dot(g_new, g_new):
             self.descent_violations += 1
-        in_range = 0.25 + ETA <= diag.theta <= TAU
-        if not (diag.theta == 1.0 or in_range):
+        if theta_bar(diag.theta) != diag.theta:
             self.theta_violations += 1
 
 
@@ -174,7 +169,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     try:
         f, g = oracle.eval_fg(x)
     except EvaluationError:
-        return RunResult(EVAL_ERROR, 0, oracle.nf, oracle.ng, math.nan, math.nan, trace, audit)
+        return RunResult(EVAL_ERROR, 0, oracle.nf, oracle.nf, math.nan, math.nan, trace, audit)
 
     d, gd = -g, None  # g^T d is taken afresh only for a steepest-descent d
     gnorm = norm_inf(g)
@@ -214,5 +209,5 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         gd = None if diag.restart else diag.gd
         k += 1
 
-    return RunResult(status, k, oracle.nf, oracle.ng, f, gnorm, trace, audit)
+    return RunResult(status, k, oracle.nf, oracle.nf, f, gnorm, trace, audit)
 

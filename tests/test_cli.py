@@ -53,6 +53,13 @@ class TestRun:
         rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:3] for r in rows] == [["dk", "qf1", "10"]]
 
+    def test_large_orders_run_as_two_cells_with_their_exact_ids(self, tmp_path):
+        code = main(["run", "--solvers", "scgmmwls:m=1234567,scgmmwls:m=1234568", "--problems",
+                     "qf1", "--dims", "10", "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        assert sorted(r.split(",")[0] for r in rows) == ["scgmmwls:m=1234567", "scgmmwls:m=1234568"]
+
 
 class TestProfile:
     def test_profile_from_run_directory(self, tmp_path, capsys):

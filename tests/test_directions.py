@@ -78,6 +78,7 @@ class TestSolverId:
     @pytest.mark.parametrize(
         "params",
         [DirectionParams(method, m=m) for method in ("scgmmwls", "m2") for m in (3, 4, math.inf)]
+        + [DirectionParams("scgmmwls", m=m) for m in (1234567, 10**7 + 1, 2**53)]
         + [DirectionParams("dk"), DirectionParams("jian")],
         ids=lambda p: p.label,
     )

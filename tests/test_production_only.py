@@ -130,6 +130,61 @@ def test_an_unused_method_or_property_is_caught(tmp_path):
     assert unreferenced(package, [caller]) == {"mod.Box.dead", "mod.Box.chained", "mod.Box.hidden"}
 
 
+def strings(node: ast.AST) -> set[str]:
+    """The string constants under ``node``."""
+    constants = (sub for sub in ast.walk(node) if isinstance(sub, ast.Constant))
+    return {sub.value for sub in constants if isinstance(sub.value, str)}
+
+
+def unused_imports(package: Path, callers: list[Path]) -> list[str]:
+    """``module.name`` of each name a module of ``package`` imports that neither
+    that module's code references nor a caller file names in a string, as the
+    tracer names what it patches: a caller's own ``math`` keeps no import
+    alive.  ``from __future__`` imports are directives, not names;
+    ``__init__.py`` only re-exports."""
+    outside = set().union(*(strings(ast.parse(path.read_text())) for path in callers))
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = references(tree) | outside
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                found += [f"{path.stem}.{name}" for name in bound if name not in used]
+    return found
+
+
+def test_src_imports_nothing_it_does_not_use():
+    callers = sorted((ROOT / "perfbench").glob("*.py"))
+    assert callers, "perfbench/*.py not found"
+    unused = unused_imports(ROOT / "src" / "specgrad", callers)
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_an_unused_import_is_caught(tmp_path):
+    package, caller = tmp_path / "pkg", tmp_path / "caller.py"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import run, unused_name\n")
+    (package / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from math import inf, pi as PI, tau\n"
+        "from .other import patched, LIMIT\n"
+        "def run(x: np.ndarray) -> float:\n    return os.path.join(PI)\n"
+    )
+    caller.write_text(
+        "import json\nimport pkg.mod\n"
+        "for attr in ('patched',):\n    setattr(pkg.mod, attr, json.loads('0'))\n"
+    )
+    assert unused_imports(package, [caller]) == ["mod.json", "mod.inf", "mod.tau", "mod.LIMIT"]
+
+
 def is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -194,9 +249,10 @@ def test_private_imports_and_attribute_reads_are_caught(tmp_path):
     ]
 
 
-# The run defaults (epsilon, max_iter) and the trial-step cap, each a decision
-# that must live in one place: SolverConfig's fields and linesearch.ALPHA_MAX.
-WRITTEN_ONCE = (1e-8, 10000, 1e6)
+# The run defaults (epsilon, max_iter), the trial-step cap and theta's lower
+# bound 1/4 + ETA, each a decision that must live in one place: SolverConfig's
+# fields, linesearch.ALPHA_MAX and directions.theta_bar.
+WRITTEN_ONCE = (1e-8, 10000, 1e6, 0.25)
 
 
 def numeric_literals(source: str) -> list[float]:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from specgrad.directions import ETA, TAU, DirectionDiag
 from specgrad.linesearch import ACCEPTED, ALPHA_MAX, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot
 from specgrad.problems import InstrumentedOracle, Problem, problem
@@ -346,6 +347,34 @@ class TestAudit:
         assert violations(audit) == 0 and (audit.steps, audit.t_bound_checks) == (1, 0)
         audit.check_wolfe(f, g, d, far, cfg, p.lipschitz_hint, modified=True)
         assert (audit.t_bound_checks, audit.t_bound_violations) == (1, 1)
+
+    DIRECTION_COUNTERS = ("descent_violations", "theta_violations")
+
+    @pytest.mark.parametrize(
+        "scale,theta,counter",
+        [
+            (-1.0, 1.0, None),
+            (-1.0, 0.25 + ETA, None),
+            (-1.0, TAU, None),
+            (-ETA, 1.0, None),  # g^T d = -ETA |g|^2 exactly
+            (-1.0, 0.2, "theta_violations"),
+            (-1.0, 10.5, "theta_violations"),
+            (-1.0, math.nan, "theta_violations"),
+            (1.0, 1.0, "descent_violations"),
+            # 2.5e-16 above the bound: within the old 1e-12 slack, so only the
+            # update's own bound, without slack, counts it
+            (-ETA * (1.0 - 1e-14), 1.0, "descent_violations"),
+        ],
+        ids=["unit", "theta_floor", "theta_tau", "descent_bound", "theta_low", "theta_high",
+             "theta_nan", "uphill", "descent_just_short"],
+    )
+    def test_each_direction_check_counts_its_own_violation(self, scale, theta, counter):
+        g = np.array([3.0, 4.0])
+        audit = AuditReport()
+        audit.check_direction(g, scale * g, DirectionDiag(theta=theta))
+        expected = {name: int(name == counter) for name in self.DIRECTION_COUNTERS}
+        assert {name: getattr(audit, name) for name in self.DIRECTION_COUNTERS} == expected
+        assert audit.descent_checks == 1
 
 
 class TestFloatingPointState:
