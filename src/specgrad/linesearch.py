@@ -21,7 +21,7 @@ A trial point with non-finite objective or gradient is treated as a rejected
 (Armijo-fail) trial so the bracket can recover; it still charges the
 evaluation counters.  The engine expands the trial step until a bracket
 forms, toward the zero of the secant of phi' through the last two points,
-kept within 2 to 4 times the step (doubling where phi' did not rise), then
+kept within 1.5 to 4 times the step (doubling where phi' did not rise), then
 shrinks it by safeguarded quadratic interpolation with bisection fallback.
 Every trial evaluates f and g together (one nf plus one ng).
 
@@ -148,7 +148,7 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     and ``hi = (alpha, f)``.  Until ``hi`` is set, an Armijo trial whose slope
     is not >= 0 (NaN included) becomes ``lo``, and the next step, capped at
     ``ALPHA_MAX``, is the zero of the secant of phi' through the old ``lo``
-    and this trial, clipped to [2 alpha, 4 alpha]; where phi' did not rise
+    and this trial, clipped to [1.5 alpha, 4 alpha]; where phi' did not rise
     (a NaN included) the step doubles.  Any other trial updates the bracket by
     the zoom rule, and the next step is the safeguarded interpolant of ``lo``
     and ``hi``; the search fails when that interpolant lands on either end.
@@ -177,8 +177,8 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
             if alpha >= ALPHA_MAX:
                 return None, trials, MAX_TRIALS_EXCEEDED
             step = 2.0 * alpha
-            if dphi > lo[2]:  # phi' rose from lo: the zero of its secant, kept in [2, 4] alpha
-                step = min(max(alpha - dphi * (alpha - lo[0]) / (dphi - lo[2]), step), 4.0 * alpha)
+            if dphi > lo[2]:  # phi' rose from lo: the zero of its secant, kept in [1.5, 4] alpha
+                step = min(max(alpha - dphi * (alpha - lo[0]) / (dphi - lo[2]), 1.5 * alpha), 4.0 * alpha)
             lo = (alpha, f, dphi)
             alpha = min(step, ALPHA_MAX)
             continue
@@ -192,15 +192,31 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     return None, MAX_TRIALS, MAX_TRIALS_EXCEEDED
 
 
-def _search(modified, oracle, x, f, g, d, params, coefficient, alpha0, gd):
-    """Wolfe search along d from x; ``modified`` adds min(t, 0) s^T d to the
-    curvature test and builds z.  ``coefficient`` is m/(m-2) of t
-    (:attr:`DirectionParams.coefficient`), ``gd`` the caller's g^T d."""
+def initial_alpha(prev: LineSearchOutcome, gd: float, dd: float) -> float:
+    """First trial after the accepted step ``prev``: Shanno-Phua's alpha_prev g_prev^T d_prev
+    / g^T d, cut to its geometric mean with the Barzilai-Borwein step -g^T d q / d^T d,
+    q = s^T s / s^T y, when s^T y > 0 (Barzilai & Borwein, IMA J. Numer. Anal. 8 (1988))."""
+    val = prev.alpha * (prev.gd_old / gd)
+    if not 0.0 < val < math.inf:  # NaN included
+        val = 1.0
+    curv = prev.gd_new - prev.gd_old  # s^T y / alpha
+    if curv > 0.0 and dd > 0.0:  # d^T d is 0 only when it underflowed
+        mean = math.sqrt(val * (-gd * (prev.alpha * prev.dd / curv) / dd))
+        val = mean if mean < val else val  # an inf or NaN mean keeps val
+    return val if val > 1e-10 else 1e-10
+
+
+def _search(modified, oracle, x, f, g, d, params, coefficient, alpha0, gd, prev=None):
+    """Wolfe search along d from x; ``modified`` adds min(t, 0) s^T d to the curvature test
+    and builds z.  ``coefficient`` is m/(m-2) of t (:attr:`DirectionParams.coefficient`), ``gd``
+    the caller's g^T d; the first trial is ``alpha0``, or :func:`initial_alpha` of ``prev``."""
     # A slope of -inf (g^T d overflowed) puts Armijo's right side at -inf: no
     # trial could pass, so the search ends here like an ascent direction.
     if not -math.inf < gd < 0.0:
         return LineSearchOutcome(DEGENERATE_DIRECTION, 0, f)
     dd = dot(d, d)
+    if prev is not None:
+        alpha0 = initial_alpha(prev, gd, dd)
     C = params.C
     accepted = None  # (x_t, s_t, g_t, f_t, dphi, mu, t) of the accepted trial only
 

@@ -143,15 +143,6 @@ class RunResult:
     audit: AuditReport | None = None  # None only for rows read back from emitted files
 
 
-def _initial_alpha(k, gnorm_inf, alpha_prev, gd_prev, gd) -> float:
-    if k == 0:
-        return 1.0 / gnorm_inf
-    val = alpha_prev * (gd_prev / gd)
-    if not math.isfinite(val) or val <= 0.0:
-        val = 1.0
-    return max(val, 1e-10)
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     """Run one solver from the problem's start.  Floating-point warnings are off
@@ -174,7 +165,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     d, gd = -g, None  # g^T d is taken afresh only for a steepest-descent d
     gnorm = norm_inf(g)
     k = 0
-    alpha_prev = gd_prev = 0.0
+    outcome = None  # the last accepted step, which sets the next search's first trial
     while True:
         if gnorm <= config.epsilon:
             status = CONVERGED
@@ -184,8 +175,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             break
 
         gd = dot(g, d) if gd is None else gd
-        alpha0 = _initial_alpha(k, gnorm, alpha_prev, gd_prev, gd)
-        outcome = search(oracle, x, f, g, d, config.wolfe, coefficient, alpha0, gd)
+        outcome = search(oracle, x, f, g, d, config.wolfe, coefficient, 1.0 / gnorm, gd, outcome)
         if outcome.status != ACCEPTED:
             status = LINESEARCH_FAILURE
             break
@@ -205,7 +195,6 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             )
 
         x, f, g, d = outcome.x_new, outcome.f_new, g_new, d_new
-        alpha_prev, gd_prev = outcome.alpha, gd
         gd = None if diag.restart else diag.gd
         k += 1
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import specgrad.solver
 from specgrad.directions import ETA, TAU, DirectionDiag
 from specgrad.linesearch import ACCEPTED, ALPHA_MAX, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot
@@ -169,6 +170,39 @@ class TestMinimize:
         g0 = 1e-7 * start
         assert 1.0 / np.max(np.abs(g0)) > ALPHA_MAX
         assert np.array_equal(points[1], start - ALPHA_MAX * g0)
+
+    def test_each_search_after_the_first_is_handed_the_last_step(self, monkeypatch):
+        # The first search starts from 1/|g0|_inf; every later one gets the
+        # previous accepted outcome, from which it takes its own first trial.
+        calls = []
+
+        def recorded(*args):
+            out = modified_wolfe(*args)
+            calls.append((args, out))
+            return out
+
+        monkeypatch.setattr(specgrad.solver, "modified_wolfe", recorded)
+        p = problem("ext_rosenbrock", 10)
+        res = minimize(p, default_config("scgmmwls", max_iter=20))
+        assert len(calls) == res.ni == 20
+        (first, _), later = calls[0], calls[1:]
+        assert first[7] == 1.0 / np.max(np.abs(p.gradient(p.start))) and first[9] is None
+        assert all(args[9] is prev_out for (args, _), (_, prev_out) in zip(later, calls))
+
+    @pytest.mark.parametrize("n", [10000, 10006])
+    def test_dk_converges_on_arwhead_at_n_10000(self, n):
+        # Under the Shanno-Phua first trial these runs ended linesearch_failure
+        # at steps 40 and 35, near f's round-off floor.
+        res = minimize(problem("arwhead", n), default_config("dk", max_iter=500))
+        assert res.status == CONVERGED
+        assert violations(res.audit) == 0
+
+    @pytest.mark.parametrize("name", ["qf1", "raydan1"])
+    def test_scgmmwls_converges_on_qf1_and_raydan1_within_200_steps(self, name):
+        # Under the Shanno-Phua first trial these took 819 and 1233 steps at n = 100.
+        res = minimize(problem(name, 100), default_config("scgmmwls", max_iter=200))
+        assert res.status == CONVERGED
+        assert violations(res.audit) == 0
 
     def test_first_direction_is_steepest_descent(self):
         p = problem("ext_himmelblau", 4)
