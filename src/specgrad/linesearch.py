@@ -20,9 +20,10 @@ accepted step from the raw vectors with the same :func:`armijo_holds` and
 A trial point with non-finite objective or gradient is treated as a rejected
 (Armijo-fail) trial so the bracket can recover; it still charges the
 evaluation counters.  The engine expands the trial step until a bracket
-forms, toward the zero of the secant of phi' through the last two points,
-kept within 1.5 to 4 times the step (doubling where phi' did not rise), then
-shrinks it by safeguarded quadratic interpolation with bisection fallback.
+forms, to the zero of the secant of phi' through the last two points, at
+least 1.5 times the step and at most ``ALPHA_MAX`` (doubling where phi' did
+not rise), then shrinks it by safeguarded quadratic interpolation with
+bisection fallback.
 Every trial evaluates f and g together (one nf plus one ng).
 
 Trials are scalar-only: the engine, :func:`bracket_zoom`, sees a trial as
@@ -32,7 +33,7 @@ once by the caller) and d^T d (taken once per search), one trial costs s, the
 point x + s, one f+g evaluation and two dot products, g_t^T d in the search
 and g_t^T g_t in the oracle's finiteness test.  The scalars follow:
 
-    mu    = 2 (f - f_t) + alpha (g^T d + g_t^T d)
+    mu    = 2 (f - f_t) + alpha (g^T d + g_t^T d),  0 if |mu| <= 4 eps (|f| + |f_t|)
     s^T d = alpha d^T d,        |s|^2 = alpha (alpha d^T d)
     t     = t_coefficient(mu, |s|^2),  modified curvature term min(t, 0) s^T d
 
@@ -70,6 +71,10 @@ CURVATURE_TOL_REL = 1e-12
 # Trial budget of one search, and the cap on any trial step.
 MAX_TRIALS = 60
 ALPHA_MAX = 1e6
+
+# Machine epsilon; |mu| <= MU_NOISE (|f| + |f_t|) is f's rounding, read as 0 (Hager & Zhang 2005).
+EPS = 2.220446049250313e-16
+MU_NOISE = 4.0 * EPS
 
 
 def armijo_holds(f0: float, gd0: float, alpha: float, f_new: float, rho: float) -> bool:
@@ -148,8 +153,8 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     and ``hi = (alpha, f)``.  Until ``hi`` is set, an Armijo trial whose slope
     is not >= 0 (NaN included) becomes ``lo``, and the next step, capped at
     ``ALPHA_MAX``, is the zero of the secant of phi' through the old ``lo``
-    and this trial, clipped to [1.5 alpha, 4 alpha]; where phi' did not rise
-    (a NaN included) the step doubles.  Any other trial updates the bracket by
+    and this trial, at least 1.5 alpha; where phi' did not rise (a NaN
+    included) the step doubles.  Any other trial updates the bracket by
     the zoom rule, and the next step is the safeguarded interpolant of ``lo``
     and ``hi``; the search fails when that interpolant lands on either end.
     """
@@ -177,8 +182,8 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
             if alpha >= ALPHA_MAX:
                 return None, trials, MAX_TRIALS_EXCEEDED
             step = 2.0 * alpha
-            if dphi > lo[2]:  # phi' rose from lo: the zero of its secant, kept in [1.5, 4] alpha
-                step = min(max(alpha - dphi * (alpha - lo[0]) / (dphi - lo[2]), 1.5 * alpha), 4.0 * alpha)
+            if dphi > lo[2]:  # phi' rose from lo: the zero of its secant, at least 1.5 alpha
+                step = max(alpha - dphi * (alpha - lo[0]) / (dphi - lo[2]), 1.5 * alpha)
             lo = (alpha, f, dphi)
             alpha = min(step, ALPHA_MAX)
             continue
@@ -237,6 +242,8 @@ def _search(modified, oracle, x, f, g, d, params, coefficient, alpha0, gd, prev=
         curv_ok = not modified and curvature_holds(dphi, gd, params.sigma)
         if modified or (armijo_ok and curv_ok):
             mu_t = 2.0 * (f - f_t) + alpha * (gd + dphi)
+            if abs(mu_t) <= MU_NOISE * (abs(f) + abs(f_t)):
+                mu_t = 0.0
             t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
             if modified:
                 curv_ok = curvature_holds(dphi + min(t_t, 0.0) * sd, gd, params.sigma)

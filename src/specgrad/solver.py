@@ -20,6 +20,7 @@ from .directions import ETA, DirectionDiag, DirectionParams, next_direction, the
 from .linesearch import (
     ACCEPTED,
     CURVATURE_TOL_REL,
+    EPS,
     LineSearchOutcome,
     WolfeParams,
     armijo_holds,
@@ -118,10 +119,9 @@ class AuditReport:
         dz_floor = (1.0 - params.sigma) * (-gd0) - CURVATURE_TOL_REL * abs(gd0)
         self.dz_curvature_violations += not dot(d, outcome.z) >= dz_floor
         if lipschitz is not None:
-            eps = 2.220446049250313e-16
-            t_max = config.direction.coefficient * lipschitz + eps
+            t_max = config.direction.coefficient * lipschitz + EPS
             self.t_bound_checks += 1
-            self.t_bound_violations += not -params.C * lipschitz - eps <= outcome.t <= t_max
+            self.t_bound_violations += not -params.C * lipschitz - EPS <= outcome.t <= t_max
 
     def check_direction(self, g_new: Vector, d_new: Vector, diag: DirectionDiag) -> None:
         self.descent_checks += 1

@@ -13,6 +13,7 @@ from specgrad.linesearch import (
     ACCEPTED,
     ALPHA_MAX,
     DEGENERATE_DIRECTION,
+    EPS,
     MAX_TRIALS,
     MAX_TRIALS_EXCEEDED,
     LineSearchOutcome,
@@ -143,6 +144,31 @@ class TestModifiedWolfe:
             oracle, vec(0.0), 0.0, vec(-1.0), vec(1e-200), PARAMS, COEF, 5e-124, -1e-200
         )
         assert out.status == MAX_TRIALS_EXCEEDED
+
+    @pytest.mark.parametrize("search", [standard_wolfe, modified_wolfe])
+    def test_mu_at_the_rounding_of_f_reads_as_zero(self, search):
+        # f = 1 + x^4 from x = 1e-4 along d = -1, accepted at the first trial
+        # x = 0.  f falls by 1e-16 < ulp(1), so f_t rounds to f, and the slope
+        # form of mu is -4e-16, within 4 eps (|f| + |f_t|): both the step's mu
+        # and its t read 0.
+        oracle = InstrumentedOracle(problem_1d(lambda x: 1.0 + x**4, lambda x: 4.0 * x**3))
+        f, g = oracle.eval_fg(vec(1e-4))
+        gd = -g[0]
+        out = search(oracle, vec(1e-4), f, g, vec(-1.0), PARAMS, COEF, 1e-4, gd)
+        assert (out.status, out.nf_used, out.alpha, out.f_new) == (ACCEPTED, 1, 1e-4, f)
+        raw = 2.0 * (f - out.f_new) + out.alpha * (gd + out.gd_new)
+        assert 0.0 < abs(raw) <= 4.0 * EPS * (abs(f) + abs(out.f_new))
+        assert out.mu == out.t == 0.0
+
+    @pytest.mark.parametrize("search", [standard_wolfe, modified_wolfe])
+    def test_mu_well_above_the_rounding_of_f_is_kept(self, search):
+        # The same f from x = 1: mu = 2 (f - f_t) + alpha (g^T d + g_t^T d) = -2.
+        oracle = InstrumentedOracle(problem_1d(lambda x: 1.0 + x**4, lambda x: 4.0 * x**3))
+        f, g = oracle.eval_fg(vec(1.0))
+        out = search(oracle, vec(1.0), f, g, vec(-1.0), PARAMS, COEF, 1.0, -g[0])
+        assert (out.status, out.nf_used, out.alpha) == (ACCEPTED, 1, 1.0)
+        assert out.mu == 2.0 * (f - out.f_new) + out.alpha * (-g[0] + out.gd_new) == -2.0
+        assert out.t == t_coefficient(-2.0, 1.0, COEF, PARAMS.C) < 0.0
 
     def test_reduction_to_standard_on_dyadic_quadratic(self):
         # mu evaluates to exactly 0 on a dyadic quadratic state, so both
@@ -455,8 +481,8 @@ class TestBracketZoom:
 
     def test_secant_expansion_lands_on_the_quadratic_minimizer(self):
         # phi = (alpha - 1)^2 from alpha0 = 1/64: the secant of phi' through
-        # lo and each short trial has its zero at 1, so the steps grow by the
-        # cap of 4 until 1 is within reach (doubling needs 7 trials).
+        # lo = 0 and the short first trial has its zero at 1, and the next
+        # trial goes there however far it is (doubling needs 7 trials).
         seen = []
 
         def evaluate(alpha):
@@ -464,8 +490,21 @@ class TestBracketZoom:
             return (alpha - 1.0) ** 2, 2.0 * (alpha - 1.0), alpha <= 1.5, alpha >= 0.9
 
         alpha, trials, status = bracket_zoom(evaluate, 1.0, -2.0, alpha0=1.0 / 64.0)
-        assert seen == [1.0 / 64.0, 1.0 / 16.0, 0.25, 1.0]
-        assert (status, trials, alpha) == (ACCEPTED, 4, 1.0)
+        assert seen == [1.0 / 64.0, 1.0]
+        assert (status, trials, alpha) == (ACCEPTED, 2, 1.0)
+
+    def test_secant_zero_beyond_alpha_max_is_capped(self):
+        # phi' = -1 + 1e-7 alpha: its secant through 0 and 1 vanishes at 1e7,
+        # beyond ALPHA_MAX, so the second trial is ALPHA_MAX itself.
+        seen = []
+
+        def evaluate(alpha):
+            seen.append(alpha)
+            return 1.0 - alpha + 5e-8 * alpha * alpha, -1.0 + 1e-7 * alpha, True, alpha >= ALPHA_MAX
+
+        alpha, trials, status = bracket_zoom(evaluate, 1.0, -1.0, alpha0=1.0)
+        assert seen == [1.0, ALPHA_MAX]
+        assert (status, trials, alpha) == (ACCEPTED, 2, ALPHA_MAX)
 
     def test_secant_zero_below_twice_alpha_still_doubles(self):
         # phi' rises from -1 to -0.01 over [0, 1]: its secant vanishes at

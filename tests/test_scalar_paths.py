@@ -40,8 +40,11 @@ def search(oracle, x, f, g, d, cfg, alpha0):
     return wolfe(oracle, x, f, g, d, cfg.wolfe, cfg.direction.coefficient, alpha0, dot(g, d))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def accepted_steps(name, n, solver, steps=5):
-    """(f, g, d, outcome) for the first accepted steps of the solver's own update."""
+    """(f, g, d, outcome) for the first accepted steps of the solver's own update,
+    under ``minimize``'s floating-point state: a far trial may overflow the
+    oracle's g^T g, which warns only outside ``minimize``."""
     cfg = default_config(solver)
     p = problem(name, n)
     oracle = InstrumentedOracle(p)

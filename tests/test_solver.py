@@ -204,6 +204,14 @@ class TestMinimize:
         assert res.status == CONVERGED
         assert violations(res.audit) == 0
 
+    def test_scgmmwls_does_not_fail_its_search_on_diagonal1_at_n_1002(self):
+        # Without the mu noise gate this run ended linesearch_failure at step
+        # 251 with |g|_inf = 1.7e-5: near f's minimum the per-step decrease
+        # sinks below ulp(f), and mu turns into rounding noise.
+        res = minimize(problem("diagonal1", 1002), default_config("scgmmwls", max_iter=2000))
+        assert res.status != LINESEARCH_FAILURE
+        assert violations(res.audit) == 0
+
     def test_first_direction_is_steepest_descent(self):
         p = problem("ext_himmelblau", 4)
         cfg = default_config("scgmmwls", max_iter=1, trace_level="full")
