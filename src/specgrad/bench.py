@@ -134,14 +134,10 @@ def performance_ratios(table: ResultTable, metric: str) -> RatioSet:
     return RatioSet(metric, solvers, included, excluded, ratios, r_fail)
 
 
-def performance_profile(ratio_set: RatioSet, grid=None) -> Profile:
-    """Cumulative distribution of the ratios on one tau grid, by default 200
-    points spaced geometrically from 1 to the failure ratio."""
-    if grid is None:
-        grid = np.geomspace(1.0, ratio_set.r_fail, 200)
-    tau = [float(t) for t in grid]
-    if not tau or tau[0] != 1.0 or any(a > b for a, b in zip(tau, tau[1:])):
-        raise ValueError("grid must be sorted ascending and start at 1")
+def performance_profile(ratio_set: RatioSet) -> Profile:
+    """Cumulative distribution of the ratios on a tau grid of 200 points spaced
+    geometrically from 1 to the failure ratio."""
+    tau = [float(t) for t in np.geomspace(1.0, ratio_set.r_fail, 200)]
     n_p = len(ratio_set.problems)
     rho = {}
     for s in ratio_set.solvers:
@@ -207,8 +203,8 @@ def load_results(prefix) -> ResultTable:
     field beyond float range, a solver or problem holding a comma, a double
     quote or a line break (the CSV tables quote nothing), an unknown status, a
     count below 0 or above 2**53, a ``dim`` below 2 (no family exists there), an
-    ``nf`` or ``ng`` below 1 (every run evaluates its start point) or a repeated
-    cell raises ``ValueError``."""
+    ``nf`` below 1 (every run evaluates its start point), an ``ng`` other than
+    ``nf`` (each evaluation takes both) or a repeated cell raises ``ValueError``."""
     json_path = Path(prefix) / "results.json"
     if not json_path.exists():
         raise FileNotFoundError(f"no results.json under '{prefix}'")
@@ -227,7 +223,7 @@ def load_results(prefix) -> ResultTable:
     try:
         rows = [
             ResultRow(rec["solver"], rec["problem"], rec["dim"],
-                      RunResult(rec["status"], rec["ni"], rec["nf"], rec["ng"],
+                      RunResult(rec["status"], rec["ni"], rec["nf"],
                                 float(rec["f_final"]), float(rec["gnorm_inf"])))
             for rec in records
         ]
@@ -236,16 +232,19 @@ def load_results(prefix) -> ResultTable:
     unknown = {r.result.status for r in rows}.difference(STATUSES)
     if unknown:
         raise ValueError(f"unknown status {', '.join(sorted(unknown))}")
-    if any(min(r.result.ni, r.result.nf, r.result.ng) < 0 for r in rows):
+    counts = [(rec["ni"], rec["nf"], rec["ng"]) for rec in records]
+    if any(min(c) < 0 for c in counts):
         raise ValueError("negative ni, nf or ng")
     # The profile divides the counts as floats; up to 2**53 they are exact,
     # and every ratio, hence r_fail and the tau grid, stays finite.
-    if any(max(r.result.ni, r.result.nf, r.result.ng) > 2**53 for r in rows):
+    if any(max(c) > 2**53 for c in counts):
         raise ValueError("ni, nf or ng above 2**53")
     if any(r.dim < 2 for r in rows):
         raise ValueError("dim below 2")
-    if any(min(r.result.nf, r.result.ng) < 1 for r in rows):
+    if any(min(c[1:]) < 1 for c in counts):
         raise ValueError("nf or ng below 1")
+    if any(ng != nf for _, nf, ng in counts):
+        raise ValueError("ng differs from nf, though each evaluation takes f and g together")
     cells = [(r.solver, r.problem, r.dim) for r in rows]
     if len(set(cells)) != len(cells):
         raise ValueError("repeated (solver, problem, dim) cell")

@@ -121,8 +121,8 @@ def _cmd_trace(args, parser) -> int:
     result = minimize(prob, cfg)
     records = (result.trace or [])[:TRACE_ROWS]
     print(f"{'iteration':>10} {'mu':>14} {'t':>14} {'alpha':>12} {'f':>14}")
-    for rec in records:
-        print(f"{rec.k + 1:>10} {rec.mu:>14.3E} {rec.t:>14.3E} {rec.alpha:>12.3E} {rec.f:>14.6E}")
+    for k, rec in enumerate(records, 1):
+        print(f"{k:>10} {rec.mu:>14.3E} {rec.t:>14.3E} {rec.alpha:>12.3E} {rec.f:>14.6E}")
     print(
         f"status={result.status} ni={result.ni} nf={result.nf} ng={result.ng} "
         f"gnorm={result.gnorm_inf_final:.3e}"

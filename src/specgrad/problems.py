@@ -40,7 +40,7 @@ Families (standard starts in parentheses):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -59,13 +59,16 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Problem:
-    """A test problem: ``fg(x)`` returns the objective and its gradient at x."""
+    """A test problem: ``fg(x)`` returns f and its gradient at x; ``dim`` is the start's size."""
 
     name: str
-    dim: int
     fg: Callable[[Vector], tuple[float, Vector]]
     start: Vector
-    lipschitz_hint: float | None = None
+    lipschitz_hint: float | None = field(default=None, kw_only=True)
+
+    @property
+    def dim(self) -> int:
+        return self.start.size
 
     def objective(self, x: Vector) -> float:
         return self.fg(x)[0]
@@ -83,7 +86,7 @@ def _arwhead(n: int) -> Problem:
         g[-1] = 4.0 * xn * np.add.reduce(t)
         return float(np.add.reduce(t * t - 4.0 * u + 3.0)), g
 
-    return Problem("arwhead", n, fg, np.ones(n))
+    return Problem("arwhead", fg, np.ones(n))
 
 
 def _ext_rosenbrock(n: int) -> Problem:
@@ -97,7 +100,7 @@ def _ext_rosenbrock(n: int) -> Problem:
 
     start = np.ones(n)
     start[0::2] = -1.2
-    return Problem("ext_rosenbrock", n, fg, start)
+    return Problem("ext_rosenbrock", fg, start)
 
 
 def _ext_white_holst(n: int) -> Problem:
@@ -112,7 +115,7 @@ def _ext_white_holst(n: int) -> Problem:
 
     start = np.ones(n)
     start[0::2] = -1.2
-    return Problem("ext_white_holst", n, fg, start)
+    return Problem("ext_white_holst", fg, start)
 
 
 def _ext_beale(n: int) -> Problem:
@@ -130,7 +133,7 @@ def _ext_beale(n: int) -> Problem:
 
     start = np.ones(n)
     start[1::2] = 0.8
-    return Problem("ext_beale", n, fg, start)
+    return Problem("ext_beale", fg, start)
 
 
 def _diagonal1(n: int) -> Problem:
@@ -140,7 +143,7 @@ def _diagonal1(n: int) -> Problem:
         e = np.exp(x)
         return float(np.add.reduce(e - idx * x)), e - idx
 
-    return Problem("diagonal1", n, fg, np.full(n, 1.0 / n))
+    return Problem("diagonal1", fg, np.full(n, 1.0 / n))
 
 
 def _raydan1(n: int) -> Problem:
@@ -150,7 +153,7 @@ def _raydan1(n: int) -> Problem:
         e = np.exp(x)
         return float(np.add.reduce(w * (e - x))), w * (e - 1.0)
 
-    return Problem("raydan1", n, fg, np.ones(n))
+    return Problem("raydan1", fg, np.ones(n))
 
 
 def _eg2(n: int) -> Problem:
@@ -166,7 +169,7 @@ def _eg2(n: int) -> Problem:
         g[-1] += xn * c[-1]
         return float(np.add.reduce(s[:-1]) + 0.5 * s[-1]), g
 
-    return Problem("eg2", n, fg, np.ones(n))
+    return Problem("eg2", fg, np.ones(n))
 
 
 def _engval1(n: int) -> Problem:
@@ -178,7 +181,7 @@ def _engval1(n: int) -> Problem:
         g[1:] += 4.0 * v * t
         return float(np.add.reduce(t * t - 4.0 * u + 3.0)), g
 
-    return Problem("engval1", n, fg, np.full(n, 2.0))
+    return Problem("engval1", fg, np.full(n, 2.0))
 
 
 def _fletchcr(n: int) -> Problem:
@@ -190,7 +193,7 @@ def _fletchcr(n: int) -> Problem:
         g[1:] += 200.0 * r
         return float(100.0 * np.add.reduce(r * r)), g
 
-    return Problem("fletchcr", n, fg, np.zeros(n))
+    return Problem("fletchcr", fg, np.zeros(n))
 
 
 def _nondquar(n: int) -> Problem:
@@ -212,7 +215,7 @@ def _nondquar(n: int) -> Problem:
 
     start = np.ones(n)
     start[1::2] = -1.0
-    return Problem("nondquar", n, fg, start)
+    return Problem("nondquar", fg, start)
 
 
 def _ext_himmelblau(n: int) -> Problem:
@@ -225,7 +228,7 @@ def _ext_himmelblau(n: int) -> Problem:
         g[1::2] = 2.0 * a + 4.0 * v * b
         return float(np.add.reduce(a * a + b * b)), g
 
-    return Problem("ext_himmelblau", n, fg, np.ones(n))
+    return Problem("ext_himmelblau", fg, np.ones(n))
 
 
 def _qf1(n: int) -> Problem:
@@ -236,7 +239,7 @@ def _qf1(n: int) -> Problem:
         return float(0.5 * np.add.reduce(g * x)), g
 
     # Hessian is diag(1..n), so the gradient Lipschitz constant is exactly n.
-    return Problem("qf1", n, fg, np.ones(n), lipschitz_hint=float(n))
+    return Problem("qf1", fg, np.ones(n), lipschitz_hint=float(n))
 
 
 _BUILDERS: dict[str, Callable[[int], Problem]] = {

@@ -12,7 +12,7 @@ benchmark-wide audits need no second pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +67,6 @@ def default_config(solver: str = "scgmmwls", **options) -> SolverConfig:
 
 @dataclass(slots=True)
 class IterationRecord:
-    k: int
     f: float
     gnorm_inf: float
     alpha: float
@@ -136,11 +135,14 @@ class RunResult:
     status: str
     ni: int
     nf: int
-    ng: int
     f_final: float
     gnorm_inf_final: float
-    trace: list[IterationRecord] | None = None
-    audit: AuditReport | None = None  # None only for rows read back from emitted files
+    trace: list[IterationRecord] | None = field(default=None, kw_only=True)  # step k is trace[k]
+    audit: AuditReport | None = field(default=None, kw_only=True)  # None for rows read back
+
+    @property
+    def ng(self) -> int:
+        return self.nf  # each evaluation takes f and g together
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -160,7 +162,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     try:
         f, g = oracle.eval_fg(x)
     except EvaluationError:
-        return RunResult(EVAL_ERROR, 0, oracle.nf, oracle.nf, math.nan, math.nan, trace, audit)
+        return RunResult(EVAL_ERROR, 0, oracle.nf, math.nan, math.nan, trace=trace, audit=audit)
 
     d, gd = -g, None  # g^T d is taken afresh only for a steepest-descent d
     gnorm = norm_inf(g)
@@ -190,7 +192,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
 
         if trace is not None:
             trace.append(
-                IterationRecord(k, outcome.f_new, gnorm, outcome.alpha, outcome.mu, outcome.t,
+                IterationRecord(outcome.f_new, gnorm, outcome.alpha, outcome.mu, outcome.t,
                                 diag.beta, diag.theta, diag.restart, gd * gd / outcome.dd)
             )
 
@@ -198,5 +200,5 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         gd = None if diag.restart else diag.gd
         k += 1
 
-    return RunResult(status, k, oracle.nf, oracle.nf, f, gnorm, trace, audit)
+    return RunResult(status, k, oracle.nf, f, gnorm, trace=trace, audit=audit)
 

@@ -7,7 +7,11 @@ per-criterion PASS lines and the informational profile summary).
 import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +38,20 @@ FINGERPRINT = Path(__file__).parent / "data" / "suite_n100_fingerprint.json"
 # The same rows at n = 1000 with a budget of 300 steps (about 2 s).
 FINGERPRINT_N1000 = Path(__file__).parent / "data" / "suite_n1000_fingerprint.json"
 N1000_MAX_ITER = 300
+# exp and BLAS ddot round differently on each numeric kernel set, so each
+# committed config has its own pair of fingerprint files, generated from the
+# same commit.  A config is keyed by numeric_platform()'s (openblas_core,
+# avx512_skx) and maps to its file suffix, the environment that selects it in
+# a fresh process, and the CPU features (numpy's names) that config runs on.
+KERNEL_CONFIGS = {
+    ("SkylakeX", True): ("", {"OPENBLAS_CORETYPE": "SkylakeX"}, ("AVX512_SKX",)),
+    ("Haswell", False): (
+        ".avx2_haswell",
+        {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        ("AVX2", "FMA3"),
+    ),
+}
+KERNEL_ENV = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +116,7 @@ def test_criterion_2_mu_quadratic_exactness():
 def test_criterion_3_secant_error_ordering():
     t0 = time.perf_counter()
     n = 5
-    cube = Problem("cube_sum", n, lambda x: (float(np.sum(x**3)), 3.0 * x * x), np.ones(n))
+    cube = Problem("cube_sum", lambda x: (float(np.sum(x**3)), 3.0 * x * x), np.ones(n))
     u = np.arange(1.0, n + 1.0)
     u /= np.linalg.norm(u)
     su3 = float(np.sum(u**3))
@@ -162,14 +180,8 @@ def test_criterion_6_convergence_at_desk_scale(suite, tmp_path_factory):
     )
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
     out = tmp_path_factory.mktemp("profiles")
-    profiles = []
-    shares = {}
-    for metric in ("ni", "nf", "ng"):
-        ratio_set = performance_ratios(table, metric)
-        profiles.append(performance_profile(ratio_set))
-        if metric == "ni":
-            for solver, rho in performance_profile(ratio_set, grid=[1.0]).rho.items():
-                shares[solver] = rho[0]
+    profiles = [performance_profile(performance_ratios(table, m)) for m in ("ni", "nf", "ng")]
+    shares = {solver: rho[0] for solver, rho in profiles[0].rho.items()}  # tau[0] = 1
     paths = emit(table, profiles, "csv", out)
     assert any(p.name == "profile_NI.csv" for p in paths)
     print(f"\nACCEPTANCE 6 PASS: {len(converged)}/12 converged in {elapsed:.1f}s; "
@@ -200,10 +212,10 @@ def test_criterion_7_mu_sign_behavior():
 def test_criterion_8_dolan_more_unit_oracle():
     table = ResultTable(
         [
-            ResultRow("A", "p", 1, RunResult(CONVERGED, 10, 10, 10, 0.0, 0.0)),
-            ResultRow("A", "q", 1, RunResult(CONVERGED, 20, 20, 20, 0.0, 0.0)),
-            ResultRow("B", "p", 1, RunResult(CONVERGED, 15, 15, 15, 0.0, 0.0)),
-            ResultRow("B", "q", 1, RunResult(CONVERGED, 15, 15, 15, 0.0, 0.0)),
+            ResultRow("A", "p", 1, RunResult(CONVERGED, 10, 10, 0.0, 0.0)),
+            ResultRow("A", "q", 1, RunResult(CONVERGED, 20, 20, 0.0, 0.0)),
+            ResultRow("B", "p", 1, RunResult(CONVERGED, 15, 15, 0.0, 0.0)),
+            ResultRow("B", "q", 1, RunResult(CONVERGED, 15, 15, 0.0, 0.0)),
         ]
     )
     rs = performance_ratios(table, "ni")
@@ -211,10 +223,11 @@ def test_criterion_8_dolan_more_unit_oracle():
     assert rs.ratios[("A", "q:1")] == 4.0 / 3.0
     assert rs.ratios[("B", "p:1")] == 1.5
     assert rs.ratios[("B", "q:1")] == 1.0
-    profile = performance_profile(rs, grid=[1.0, 1.4, 2.0])
-    assert profile.tau[:2] == [1.0, 1.4]
-    assert profile.rho["A"][:2] == [0.5, 1.0]
-    assert profile.rho["B"][:2] == [0.5, 0.5]
+    profile = performance_profile(rs)
+    near_1_4 = bisect_right(profile.tau, 1.4) - 1  # the last grid point at or below 1.4
+    assert profile.tau[0] == 1.0 and 4.0 / 3.0 < profile.tau[near_1_4] <= 1.4
+    assert [profile.rho["A"][i] for i in (0, near_1_4)] == [0.5, 1.0]
+    assert [profile.rho["B"][i] for i in (0, near_1_4)] == [0.5, 0.5]
     print("\nACCEPTANCE 8 PASS: ratio/profile oracle reproduced exactly")
 
 
@@ -288,6 +301,43 @@ def numeric_platform() -> dict:
     }
 
 
+def kernel_config() -> tuple:
+    platform = numeric_platform()
+    return platform["openblas_core"], platform["avx512_skx"]
+
+
+def fingerprint_file(path: Path) -> Path:
+    """The committed file of ``path``'s suite for the kernel config this process
+    runs; a config without committed files raises ``LookupError`` naming it."""
+    if kernel_config() not in KERNEL_CONFIGS:
+        raise LookupError(
+            f"no fingerprint is committed for this kernel config; numeric platform: "
+            f"{numeric_platform()}; committed (openblas_core, avx512_skx): {list(KERNEL_CONFIGS)}"
+        )
+    return path.with_name(path.stem + KERNEL_CONFIGS[kernel_config()][0] + path.suffix)
+
+
+def config_env(key) -> dict:
+    """This process's environment with the kernel selection of config ``key``."""
+    env = {k: v for k, v in os.environ.items() if k not in KERNEL_ENV}
+    env.update(KERNEL_CONFIGS[key][1])
+    source = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(source), str(Path(__file__).resolve().parent), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return env
+
+
+def cpu_features() -> dict:
+    """The CPU features numpy finds in a fresh process with no kernel selection,
+    so a feature this process has disabled still shows."""
+    env = {k: v for k, v in os.environ.items() if k not in KERNEL_ENV}
+    code = ("import json; from numpy._core._multiarray_umath import __cpu_features__ as f; "
+            "print(json.dumps(f))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
 def fingerprint_totals(rows) -> tuple[int, int, int]:
     """Converged cells, total NI and total NF of fingerprint rows."""
     converged = sum(r[2] == CONVERGED for r in rows)
@@ -314,7 +364,8 @@ def assert_fingerprint(table, path, what) -> tuple[int, int, int]:
     assert got == expected, (
         f"the {what} suite moved in {moved}: converged/NI/NF {fingerprint_totals(expected)} -> "
         f"{fingerprint_totals(got)}. If the change is meant to move trajectories, regenerate {path} with "
-        "`PYTHONPATH=src python tests/test_acceptance.py` and say in CHANGES.md why they moved. "
+        "`PYTHONPATH=src python tests/test_acceptance.py`, and the files of every other config under "
+        "its KERNEL_CONFIGS environment, and say in CHANGES.md why they moved. "
         f"Numeric platform: {numeric_platform()}."
     )
     return fingerprint_totals(got)
@@ -323,15 +374,56 @@ def assert_fingerprint(table, path, what) -> tuple[int, int, int]:
 def test_criterion_10_suite_fingerprint(suite):
     table, _ = suite
     assert all(r.result.ng == r.result.nf for r in table.rows)
-    totals = assert_fingerprint(table, FINGERPRINT, "n = 100")
+    totals = assert_fingerprint(table, fingerprint_file(FINGERPRINT), "n = 100")
     print(f"\nACCEPTANCE 10 PASS: 48 cells match the committed fingerprint bit for bit, "
           f"converged/NI/NF = {totals}")
 
 
 def test_criterion_11_suite_fingerprint_n1000(suite_1000):
-    totals = assert_fingerprint(suite_1000, FINGERPRINT_N1000, f"n = 1000 (budget {N1000_MAX_ITER})")
+    totals = assert_fingerprint(suite_1000, fingerprint_file(FINGERPRINT_N1000),
+                                f"n = 1000 (budget {N1000_MAX_ITER})")
     print(f"\nACCEPTANCE 11 PASS: 48 n = 1000 cells match the committed fingerprint bit for bit, "
           f"converged/NI/NF = {totals}")
+
+
+# Run in a fresh process under another config: criterion 10 there, then the
+# config it ran, so the parent can tell that the selection took.
+CHECK_N100 = (
+    "import test_acceptance as t; "
+    "table = t.run_suite(t.SUITE_SOLVERS, 'all', dims=[100], epsilon=1e-8, max_iter=10000); "
+    "t.assert_fingerprint(table, t.fingerprint_file(t.FINGERPRINT), 'n = 100'); "
+    "print(repr(t.kernel_config()))"
+)
+
+
+def test_n100_fingerprint_holds_under_each_other_config_this_cpu_runs():
+    # A change that moves trajectories must regenerate every config's files;
+    # one left stale fails here on any machine that runs two configs.  A
+    # config is never forced onto a CPU that lacks its features.
+    features = cpu_features()
+    others = [key for key, (_, _, needs) in KERNEL_CONFIGS.items()
+              if key != kernel_config() and all(features.get(f) for f in needs)]
+    if not others:
+        pytest.skip(f"no other committed kernel config runs on this CPU ({numeric_platform()})")
+    for key in others:
+        proc = subprocess.run([sys.executable, "-c", CHECK_N100], env=config_env(key),
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, f"config {key}:\n{proc.stderr[-3000:]}"
+        assert proc.stdout.strip().splitlines()[-1] == repr(key)
+
+
+def test_an_unknown_kernel_config_fails_and_names_its_platform(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "kernel_config", lambda: ("Prescott", False))
+    with pytest.raises(LookupError, match="no fingerprint is committed for this kernel config") as exc:
+        fingerprint_file(FINGERPRINT)
+    assert f"'openblas_core': {numeric_platform()['openblas_core']!r}" in str(exc.value)
+
+
+def test_each_committed_config_has_both_files():
+    for suffix, _, _ in KERNEL_CONFIGS.values():
+        for path in (FINGERPRINT, FINGERPRINT_N1000):
+            rows = json.loads(path.with_name(path.stem + suffix + path.suffix).read_text())
+            assert len(rows) == 48
 
 
 def test_numeric_platform_reports_each_kernel():
@@ -344,7 +436,7 @@ def test_numeric_platform_reports_each_kernel():
 
 
 def test_a_moved_fingerprint_names_the_openblas_core(tmp_path):
-    table = ResultTable([ResultRow("dk", "qf1", 10, RunResult(CONVERGED, 3, 5, 5, 0.0, 0.0))])
+    table = ResultTable([ResultRow("dk", "qf1", 10, RunResult(CONVERGED, 3, 5, 0.0, 0.0))])
     path = tmp_path / "fingerprint.json"
     write_fingerprint(path, [["dk", "qf1", CONVERGED, 4, 5, "0x0.0p+0", "0x0.0p+0"]])
     with pytest.raises(AssertionError) as exc:
@@ -368,8 +460,11 @@ def test_regeneration_reports_the_totals_and_each_moved_cell():
 
 
 if __name__ == "__main__":
+    # Writes the files of the kernel config this process runs; select another
+    # with the environment of its KERNEL_CONFIGS entry.
     n100 = run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
-    for path, table in ((FINGERPRINT, n100), (FINGERPRINT_N1000, suite_n1000())):
+    for path, table in ((fingerprint_file(FINGERPRINT), n100),
+                        (fingerprint_file(FINGERPRINT_N1000), suite_n1000())):
         old = json.loads(path.read_text()) if path.exists() else None
         rows = suite_fingerprint(table)
         write_fingerprint(path, rows)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -23,8 +24,14 @@ from specgrad.solver import RunResult
 from reference import violations
 
 
-def row(solver, name, dim, status="converged", ni=1, nf=2, ng=2, f=0.0, gn=0.0):
-    return ResultRow(solver, name, dim, RunResult(status, ni, nf, ng, f, gn))
+def row(solver, name, dim, status="converged", ni=1, nf=2, f=0.0, gn=0.0):
+    return ResultRow(solver, name, dim, RunResult(status, ni, nf, f, gn))
+
+
+def rho_at(profile, t):
+    """Each solver's rho at the last point of the profile's grid at or below t."""
+    i = bisect_right(profile.tau, t) - 1
+    return {solver: rho[i] for solver, rho in profile.rho.items()}
 
 
 def example_2x2():
@@ -159,15 +166,17 @@ class TestRatios:
 class TestProfiles:
     def test_hand_example_points(self):
         rs = performance_ratios(example_2x2(), "ni")
-        profile = performance_profile(rs, grid=[1.0, 1.4, 2.0])
-        assert profile.metric == "ni" and profile.tau == [1.0, 1.4, 2.0]
-        assert profile.rho == {"A": [0.5, 1.0, 1.0], "B": [0.5, 0.5, 1.0]}
+        profile = performance_profile(rs)
+        assert profile.metric == "ni" and profile.tau[0] == 1.0 and profile.tau[-1] == rs.r_fail == 3.0
+        assert [rho_at(profile, t) for t in (1.0, 1.4, 2.0)] == [
+            {"A": 0.5, "B": 0.5}, {"A": 1.0, "B": 0.5}, {"A": 1.0, "B": 1.0}
+        ]
 
     def test_single_solver_constant_one(self):
         table = ResultTable([row("A", "p", 1, ni=7), row("A", "q", 1, ni=9)])
         rs = performance_ratios(table, "ni")
-        profile = performance_profile(rs, grid=[1.0, 1.5, 2.0])
-        assert profile.rho == {"A": [1.0, 1.0, 1.0]}
+        profile = performance_profile(rs)
+        assert profile.rho == {"A": [1.0] * 200}
 
     def test_all_fail_solver_zero_until_penalty(self):
         table = ResultTable(
@@ -179,7 +188,7 @@ class TestProfiles:
             ]
         )
         rs = performance_ratios(table, "ni")
-        assert performance_profile(rs, grid=[1.0, rs.r_fail]).rho["B"] == [0.0, 1.0]
+        assert performance_profile(rs).rho["B"] == [0.0] * 199 + [1.0]
 
     def test_profiles_monotone_and_bounded(self):
         rs = performance_ratios(example_2x2(), "ni")
@@ -200,27 +209,22 @@ class TestProfiles:
             ]
         )
         rs = performance_ratios(table, "ni")
-        profile = performance_profile(rs, grid=[1.0, 4.0])
-        assert profile.rho["B"][-1] == 0.5  # grid top 4 < r_fail 6
-
-    def test_grid_validation(self):
-        rs = performance_ratios(example_2x2(), "ni")
-        with pytest.raises(ValueError):
-            performance_profile(rs, grid=[2.0, 3.0])
-        with pytest.raises(ValueError):
-            performance_profile(rs, grid=[1.0, 3.0, 2.0])
+        profile = performance_profile(rs)
+        assert rs.r_fail == 6.0 and profile.tau[-2] < 6.0 == profile.tau[-1]
+        assert profile.rho["B"][-2:] == [0.5, 1.0]  # the failed run counts only at r_fail
 
 
 class TestEmit:
     def test_profile_csv_hand_rows(self, tmp_path):
         table = example_2x2()
         rs = performance_ratios(table, "ni")
-        profile = performance_profile(rs, grid=[1.0, 1.4, 2.0])
+        profile = performance_profile(rs)
         emit(table, [profile], "csv", tmp_path)
         lines = (tmp_path / "profile_NI.csv").read_text().strip().splitlines()
         assert lines[0] == "tau,A,B"
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-        assert parsed == [(1.0, 0.5, 0.5), (1.4, 1.0, 0.5), (2.0, 1.0, 1.0)]
+        assert parsed == list(zip(profile.tau, profile.rho["A"], profile.rho["B"]))
+        assert parsed[0] == (1.0, 0.5, 0.5) and parsed[-1] == (3.0, 1.0, 1.0)
 
     def test_no_profiles_write_results_only(self, tmp_path):
         for fmt in ("csv", "json"):
@@ -232,8 +236,7 @@ class TestEmit:
     def test_each_format_writes_every_profile_file_in_one_call(self, tmp_path, excluded):
         table = example_2x2()
         profiles = [
-            performance_profile(performance_ratios(table, metric), grid=[1.0, 2.0])
-            for metric in ("ni", "nf")
+            performance_profile(performance_ratios(table, metric)) for metric in ("ni", "nf")
         ]
         written = emit(table, profiles, "csv", tmp_path, excluded=excluded)
         names = ["results.csv", "profile_NF.csv", "profile_NI.csv", "excluded.csv"]
@@ -245,8 +248,7 @@ class TestEmit:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["results.json"])
         doc = json.loads((tmp_path / "results.json").read_text())
         assert sorted(doc["profiles"]) == ["NF", "NI"]
-        ni = {"tau": [1.0, 2.0], "solvers": {"A": [0.5, 1.0], "B": [0.5, 1.0]}}
-        assert doc["profiles"]["NI"] == ni
+        assert doc["profiles"]["NI"] == {"tau": profiles[0].tau, "solvers": profiles[0].rho}
 
     def test_exclusions_are_csv_only(self, tmp_path):
         with pytest.raises(ValueError, match="excluded.csv"):
@@ -256,7 +258,7 @@ class TestEmit:
     def test_json_round_trip_is_exact(self, tmp_path):
         table = ResultTable(
             [
-                row("A", "p", 100, ni=12, nf=34, ng=34, f=math.pi, gn=1.0 / 3.0),
+                row("A", "p", 100, ni=12, nf=34, f=math.pi, gn=1.0 / 3.0),
                 row("B", "p", 100, status="iter_limit", ni=10000, f=1e-301, gn=np.nan),
             ]
         )

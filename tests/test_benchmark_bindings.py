@@ -68,7 +68,7 @@ def test_tracer_sums_every_audit_violation_tally(monkeypatch):
 
     names = [f.name for f in fields(AuditReport) if f.name.endswith("_violations")]
     audit = AuditReport(**{name: 2**i for i, name in enumerate(names)})
-    result = RunResult(CONVERGED, 1, 2, 2, 0.0, 0.0, audit=audit)
+    result = RunResult(CONVERGED, 1, 2, 0.0, 0.0, audit=audit)
     monkeypatch.setattr(specgrad.bench, "minimize", lambda prob, cfg: result)
     tracer = Tracer()
     tracer.install()

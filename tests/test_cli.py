@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -106,6 +107,26 @@ class TestProfile:
         main(clean)
         main(["profile", "--in", str(tmp_path / "r2"), "--out", str(tmp_path / "p")])
         assert excluded.read_text() == "metric,problem\n"
+
+    def test_a_row_whose_ng_differs_from_its_nf_exits_2_with_one_line(self, tmp_path, capsys):
+        # Every evaluation takes f and g together, so no run can write ng != nf;
+        # profiling such a row would emit an NG profile that no run produced.
+        run_dir, out = tmp_path / "res", tmp_path / "prof"
+        main(RUN_ARGS + ["--out", str(run_dir)])
+        capsys.readouterr()
+        path = run_dir / "results.json"
+        doc = json.loads(path.read_text())
+        doc["results"][1]["ng"] += 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--in", str(run_dir), "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0] == captured.err.strip().splitlines()[-1]
+        assert errors[0].startswith("bench profile: error: malformed results.json")
+        assert "ng differs from nf" in errors[0]
+        assert captured.out == "" and not out.exists()
 
     def test_zero_best_count_profiles_and_exits_0(self, tmp_path, capsys):
         # Two converged qf1 rows: dk with ni = 0, jian with ni = 3.
@@ -233,6 +254,8 @@ class TestBadArguments:
                 "nf or ng below 1",
             ),
             ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": 0'), "nf or ng below 1"),
+            ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": 8'), "ng differs from nf"),
+            ('{"results": [%s]}' % ROW.replace('"ng": 9', '"ng": 10'), "ng differs from nf"),
             ('{"results": [%s]}' % ROW.replace('"ni": 5', '"ni": 3.7'), "not an integer"),
             ('{"results": [%s]}' % ROW.replace('"dim": 10', '"dim": true'), "not an integer"),
             ('{"results": [%s]}' % ROW.replace('"nf": 9', '"nf": 9.0'), "not an integer"),

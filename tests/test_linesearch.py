@@ -38,7 +38,7 @@ def vec(*vals):
 
 
 def problem_1d(f, g, name="p1d"):
-    return Problem(name, 1, lambda x: (float(f(x[0])), np.array([g(x[0])])), np.ones(1))
+    return Problem(name, lambda x: (float(f(x[0])), np.array([g(x[0])])), np.ones(1))
 
 
 PARAMS = WolfeParams(rho=0.18, sigma=0.2)
@@ -359,7 +359,7 @@ class TestTrialVectorsFreed:
             refs.extend((weakref.ref(x), weakref.ref(g)))
             return f, g
 
-        return Problem(p.name, p.dim, fg, p.start), refs
+        return Problem(p.name, fg, p.start), refs
 
     @pytest.mark.parametrize("search", [standard_wolfe, modified_wolfe])
     def test_only_the_accepted_x_and_g_outlive_the_search(self, search):

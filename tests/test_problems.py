@@ -28,6 +28,21 @@ class TestRegistry:
         assert len(probs) == 36
         assert all(p.start.shape == (p.dim,) for p in probs)
 
+    def test_dim_is_the_size_of_the_start(self):
+        p = problem("ext_beale", 12)
+        assert p.dim == p.start.size == 12 and type(p.dim) is int
+        q = Problem("q", p.fg, np.ones(3))
+        assert q.dim == 3
+
+    def test_a_dim_apart_from_the_start_cannot_be_given(self):
+        fg = problem("qf1", 4).fg
+        with pytest.raises(TypeError):
+            Problem("qf1", 4, fg, np.ones(4))  # the old (name, dim, fg, start) order
+        with pytest.raises(TypeError):
+            Problem("qf1", fg, np.ones(4), dim=4)
+        with pytest.raises(TypeError):
+            Problem("qf1", fg, np.ones(4), 4.0)  # lipschitz_hint is keyword-only
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             problem("nosuch", 100)
@@ -77,7 +92,7 @@ class TestInstrumented:
             calls += 1
             return p.fg(x)
 
-        wrapped = type(p)(p.name, p.dim, counted_fg, p.start)
+        wrapped = type(p)(p.name, counted_fg, p.start)
         oracle = InstrumentedOracle(wrapped)
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -106,7 +121,7 @@ class TestInstrumented:
         ],
     )
     def test_eval_fg_rejects_non_finite_values_after_charging(self, fg, what):
-        oracle = InstrumentedOracle(Problem("bad", 3, fg, np.zeros(3)))
+        oracle = InstrumentedOracle(Problem("bad", fg, np.zeros(3)))
         with pytest.raises(EvaluationError, match=what) as err:
             oracle.eval_fg(np.zeros(3))
         assert err.value.problem_name == "bad"
@@ -125,7 +140,7 @@ class TestInstrumented:
             grads.append(g)
         grads.append(np.zeros(n))
         served = iter(grads)
-        oracle = InstrumentedOracle(Problem("injected", n, lambda x: (1.0, next(served)), np.zeros(n)))
+        oracle = InstrumentedOracle(Problem("injected", lambda x: (1.0, next(served)), np.zeros(n)))
         raised = 0
         for k, g in enumerate(grads, start=1):
             if np.isfinite(g).all():
@@ -144,7 +159,7 @@ class TestInstrumented:
         warning as this test does."""
         grad = np.full(5, 1e200)
         grad[2] = -1e200
-        oracle = InstrumentedOracle(Problem("huge", 5, lambda x: (1.0, grad), np.zeros(5)))
+        oracle = InstrumentedOracle(Problem("huge", lambda x: (1.0, grad), np.zeros(5)))
         with np.errstate(over="ignore"):
             f, g = oracle.eval_fg(np.zeros(5))
         assert f == 1.0 and g is grad
@@ -164,7 +179,7 @@ class TestGradientCheck:
 
     def test_mutated_gradient_fails(self):
         p = problem("qf1", 20)
-        broken = type(p)(p.name, p.dim, lambda x: (p.objective(x), 1.01 * p.gradient(x)), p.start)
+        broken = type(p)(p.name, lambda x: (p.objective(x), 1.01 * p.gradient(x)), p.start)
         assert not gradient_check(broken, [p.start], tol=1e-6).passed
 
     @pytest.mark.parametrize("name", ALL_NAMES)

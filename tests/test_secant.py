@@ -28,7 +28,7 @@ def v_m2(y, s, mu_value, m):
 
 def cubic_1d() -> Problem:
     return Problem(
-        "cube", 1, lambda x: (float(x[0] ** 3), np.array([3.0 * x[0] ** 2])), np.ones(1)
+        "cube", lambda x: (float(x[0] ** 3), np.array([3.0 * x[0] ** 2])), np.ones(1)
     )
 
 
@@ -165,7 +165,6 @@ class TestHessianError:
     def test_quadratic_any_order(self):
         q = Problem(
             "quad",
-            2,
             lambda x: (
                 float(2.0 * x[0] ** 2 + 0.5 * x[1] ** 2 + x[0] * x[1]),
                 np.array([4.0 * x[0] + x[1], x[1] + x[0]]),
@@ -179,7 +178,7 @@ class TestHessianError:
     def test_order_ratio_ordering_on_cube_sum(self):
         # On f = sum x_i^3 the error per h^3 approaches (m-3)/(3(m-2)) * 6 sum u_i^3.
         n = 5
-        p = Problem("cube_sum", n, lambda x: (float(np.sum(x**3)), 3.0 * x * x), np.ones(n))
+        p = Problem("cube_sum", lambda x: (float(np.sum(x**3)), 3.0 * x * x), np.ones(n))
         u = np.arange(1.0, n + 1.0)
         u /= np.linalg.norm(u)
         su3 = float(np.sum(u**3))

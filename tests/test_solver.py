@@ -16,6 +16,8 @@ from specgrad.solver import (
     ITER_LIMIT,
     LINESEARCH_FAILURE,
     AuditReport,
+    IterationRecord,
+    RunResult,
     SolverConfig,
     default_config,
     minimize,
@@ -54,7 +56,7 @@ class TestConfig:
         cfg = SolverConfig(WolfeParams(0.1, 0.9), default_config("scgmmwls").direction)
         C = (0.9 - 0.1) / (1.0 - 2.0 * 0.1 + 0.9)
         assert cfg.wolfe.C == C
-        cube = Problem("cube", 1, lambda x: (float(x[0] ** 3), 3.0 * x * x), np.ones(1))
+        cube = Problem("cube", lambda x: (float(x[0] ** 3), 3.0 * x * x), np.ones(1))
         x, g, d = np.ones(1), np.array([3.0]), np.array([-1.0])
         coef = cfg.direction.coefficient
         out = modified_wolfe(InstrumentedOracle(cube), x, 1.0, g, d, cfg.wolfe, coef, 1.0, -3.0)
@@ -109,6 +111,26 @@ class TestConfig:
         assert cfg.trace_level == "none"
 
 
+class TestRecords:
+    def test_ng_reads_nf_and_cannot_be_set(self):
+        result = RunResult(CONVERGED, 3, 7, 0.5, 1e-9)
+        assert (result.nf, result.ng) == (7, 7)
+        with pytest.raises(TypeError):
+            RunResult(CONVERGED, 3, 7, 7, 0.5, 1e-9)  # the old order, with ng after nf
+        with pytest.raises(TypeError):
+            RunResult(CONVERGED, 3, 7, 0.5, 1e-9, ng=7)
+
+    def test_trace_and_audit_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            RunResult(CONVERGED, 3, 7, 0.5, 1e-9, [])
+        assert RunResult(CONVERGED, 3, 7, 0.5, 1e-9, trace=[]).trace == []
+
+    def test_a_trace_record_holds_no_iteration_number(self):
+        assert "k" not in IterationRecord.__slots__
+        res = minimize(problem("qf1", 10), default_config("dk", trace_level="full"))
+        assert len(res.trace) == res.ni
+
+
 class TestMinimize:
     def test_qf1_converges_and_beats_10x_steepest_descent(self):
         sd_ni = steepest_descent_iters_qf1(10)
@@ -119,7 +141,7 @@ class TestMinimize:
         assert res.ni <= 10 * sd_ni
 
     def test_constant_function_converges_immediately(self):
-        p = Problem("const", 3, lambda x: (42.0, np.zeros(3)), np.ones(3))
+        p = Problem("const", lambda x: (42.0, np.zeros(3)), np.ones(3))
         res = minimize(p, default_config("scgmmwls"))
         assert res.status == CONVERGED
         assert (res.ni, res.nf, res.ng) == (0, 1, 1)
@@ -131,13 +153,13 @@ class TestMinimize:
         assert res.ni == 0
 
     def test_eval_error_at_start(self):
-        p = Problem("bad", 2, lambda x: (math.inf, np.zeros(2)), np.ones(2))
+        p = Problem("bad", lambda x: (math.inf, np.zeros(2)), np.ones(2))
         res = minimize(p, default_config("scgmmwls"))
         assert res.status == EVAL_ERROR
         assert (res.ni, res.nf, res.ng) == (0, 1, 1)
 
     def test_linear_objective_reports_linesearch_failure(self):
-        p = Problem("lin", 2, lambda x: (float(-x.sum()), -np.ones(2)), np.zeros(2))
+        p = Problem("lin", lambda x: (float(-x.sum()), -np.ones(2)), np.zeros(2))
         res = minimize(p, default_config("scgmmwls"))
         assert res.status == LINESEARCH_FAILURE
         assert res.ni == 0
@@ -151,7 +173,7 @@ class TestMinimize:
             e_pos, e_neg = np.exp(2000.0 * x), np.exp(-2000.0 * x)
             return float(np.sum(e_pos + e_neg)), 2000.0 * (e_pos - e_neg)
 
-        res = minimize(Problem("steep", 1, fg, np.array([-0.3])), default_config(method))
+        res = minimize(Problem("steep", fg, np.array([-0.3])), default_config(method))
         assert res.status == LINESEARCH_FAILURE
         assert (res.ni, res.nf, res.ng) == (0, 1, 1)
 
@@ -166,7 +188,7 @@ class TestMinimize:
             return float(0.5e-7 * (x @ x)), 1e-7 * x
 
         start = np.ones(2)
-        minimize(Problem("flat", 2, fg, start), default_config(method, max_iter=1))
+        minimize(Problem("flat", fg, start), default_config(method, max_iter=1))
         g0 = 1e-7 * start
         assert 1.0 / np.max(np.abs(g0)) > ALPHA_MAX
         assert np.array_equal(points[1], start - ALPHA_MAX * g0)
@@ -250,7 +272,7 @@ class TestMinimize:
             calls += 1
             return p.fg(x)
 
-        wrapped = Problem(p.name, p.dim, fg, p.start, p.lipschitz_hint)
+        wrapped = Problem(p.name, fg, p.start, lipschitz_hint=p.lipschitz_hint)
         res = minimize(wrapped, default_config("scgmmwls"))
         assert res.status == CONVERGED
         assert res.nf == res.ng == calls
@@ -283,7 +305,7 @@ class TestMinimize:
             f, g = base.fg(x)
             return c * f, c * g
 
-        scaled = Problem(f"scaled_{c}", base.dim, fg, base.start)
+        scaled = Problem(f"scaled_{c}", fg, base.start)
         res = minimize(scaled, default_config("scgmmwls:m=3"))
         assert res.status != EVAL_ERROR
         assert violations(res.audit) == 0
@@ -307,7 +329,7 @@ class TestMuTrace:
 
     def test_quartic_first_mu_matches_independent_evaluation(self):
         n = 6
-        p = Problem("quartic", n, lambda x: (float(np.sum(x**4)), 4.0 * x**3), np.ones(n))
+        p = Problem("quartic", lambda x: (float(np.sum(x**4)), 4.0 * x**3), np.ones(n))
         cfg = default_config("scgmmwls:m=3", max_iter=1, trace_level="full")
         res = minimize(p, cfg)
         rec = res.trace[0]
@@ -324,7 +346,7 @@ class TestMuTrace:
         cfg = default_config("scgmmwls", max_iter=5, trace_level="full")
         res = minimize(problem("qf1", 20), cfg)
         assert (res.status, res.ni) == (ITER_LIMIT, 5)
-        assert [rec.k for rec in res.trace] == [0, 1, 2, 3, 4]
+        assert len(res.trace) == 5
         assert all(rec.zoutendijk > 0.0 for rec in res.trace)
 
 
@@ -433,7 +455,7 @@ class TestFloatingPointState:
             overflows += not math.isfinite(f)
             return f, 2.0 * x + 800.0 * e
 
-        prob = Problem("wall", 1, fg, np.array([-0.5]))
+        prob = Problem("wall", fg, np.array([-0.5]))
         cfg = default_config(method)
         quiet = minimize(prob, cfg)
         assert overflows == 1 and quiet.status == CONVERGED
