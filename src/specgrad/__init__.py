@@ -10,16 +10,16 @@ from .bench import (
     performance_ratios,
     run_suite,
 )
-from .directions import DirectionDiag, DirectionParams
+from .directions import DirectionParams, IterationRecord
 from .linesearch import LineSearchOutcome, WolfeParams, modified_wolfe, standard_wolfe
 from .problems import EvaluationError, InstrumentedOracle, Problem, family_names, problem
 from .solver import RunResult, SolverConfig, default_config, minimize
 
 __all__ = [
-    "DirectionDiag",
     "DirectionParams",
     "EvaluationError",
     "InstrumentedOracle",
+    "IterationRecord",
     "LineSearchOutcome",
     "Problem",
     "Profile",

@@ -12,11 +12,13 @@ theta differ:
 * ``jian``              beta_DK with Jian's spectral theta+, truncated alike.
 
 Degenerate denominators and numerically non-descent results never escape:
-they restart the direction at -g_new and are flagged in the diagnostics.
+they restart the direction at -g_new and are flagged in the step's
+:class:`IterationRecord`, which :func:`next_direction` returns with the
+direction and the solver keeps as the step's trace row.
 
 :func:`next_direction` is the one code path.  It uses s = alpha d and reads
-g_new, the secant bundle and the line search's dot products from the step
-record (:class:`LineSearchOutcome`):
+g_new, the secant bundle and the line search's dot products from the
+search's :class:`LineSearchOutcome`:
 
     g_old^T d, g_new^T d, d^T d      from the search
     s^T g_new = alpha g_new^T d
@@ -97,13 +99,21 @@ class DirectionParams:
 
 
 @dataclass(slots=True)
-class DirectionDiag:
+class IterationRecord:
+    """One accepted step and the direction it led to: the step's f, alpha, mu
+    and t, then the update's beta, theta, safeguard flags and gd = g_new^T d_new,
+    the next search's slope (-g_new^T g_new on a restart)."""
+
+    f: float
+    alpha: float
+    mu: float
+    t: float
     beta: float = 0.0
     theta: float = 1.0
     truncated_theta: bool = False
     truncated_beta: bool = False
     restart: bool = False
-    gd: float = math.nan  # g_new^T d_new from the descent test; NaN on a restart
+    gd: float = math.nan
 
 
 def theta_bar(theta_t: float) -> float:
@@ -113,18 +123,17 @@ def theta_bar(theta_t: float) -> float:
     return 1.0
 
 
-def _restart(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]:
-    diag.beta = 0.0
-    diag.theta = 1.0
-    diag.restart = True
-    return -g_new, diag
+def _restart(g_new: Vector, rec: IterationRecord, gg: float) -> tuple[Vector, IterationRecord]:
+    """-g_new, whose slope is -g_new^T g_new: dot(g, -g) is -dot(g, g) bit for bit."""
+    rec.beta, rec.theta, rec.restart, rec.gd = 0.0, 1.0, True, -gg
+    return -g_new, rec
 
 
 def next_direction(
     prev_d: Vector, step: LineSearchOutcome, params: DirectionParams
-) -> tuple[Vector, DirectionDiag]:
+) -> tuple[Vector, IterationRecord]:
     """The direction after the accepted step s = alpha d, with at most four dot
-    products; ``diag.gd`` is g_new^T d_new (the next slope), NaN on a restart."""
+    products, and the step's trace row; ``rec.gd`` is g_new^T d_new, the next slope."""
     method = params.method
     if method == "scgmmwls":
         w, c = step.z, step.t
@@ -135,27 +144,27 @@ def next_direction(
         w, c = step.y, 0.0
     g_new, gd_old, gd_new, dd = step.g_new, step.gd_old, step.gd_new, step.dd
     dw = (gd_new - gd_old) + c * (step.alpha * dd)
-    diag = DirectionDiag()
+    rec = IterationRecord(step.f_new, step.alpha, step.mu, step.t)
     ww = dot(w, w)
     if abs(dw) <= _DEGENERATE_REL * math.sqrt(dd) * math.sqrt(ww):
-        return _restart(g_new, diag)
+        return _restart(g_new, rec, dot(g_new, g_new))
     gw = dot(g_new, w)
     if method in ORDER_METHODS:
         beta = gw / dw - (ww / dw) * (gd_new / dw)  # beta_L
         beta_r = gd_old / dd
         if not beta >= beta_r:
-            beta, diag.truncated_beta = beta_r, True
+            beta, rec.truncated_beta = beta_r, True
     else:
         beta = gw / dw - ww * gd_new / (dw * dw)  # beta_DK
-    diag.beta = beta
+    rec.beta = beta
     if method == "dk":
         d = -g_new + beta * prev_d
         gd_next = dot(g_new, d)
         # Plain descent only; dk carries no ETA-margin guarantee.
-        if gd_next >= 0.0 and dot(g_new, g_new) > 0.0:
-            return _restart(g_new, diag)
-        diag.gd = gd_next
-        return d, diag
+        if gd_next >= 0.0 and (gg := dot(g_new, g_new)) > 0.0:
+            return _restart(g_new, rec, gg)
+        rec.gd = gd_next
+        return d, rec
     gg = dot(g_new, g_new)
     sg = step.alpha * gd_new
     degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww)
@@ -164,11 +173,11 @@ def next_direction(
     else:
         theta_t = math.nan if degenerate else 1.0 - (ww * gd_new / dw - sg) / gw
     theta = theta_bar(theta_t)
-    diag.theta = theta
-    diag.truncated_theta = theta != theta_t
+    rec.theta = theta
+    rec.truncated_theta = theta != theta_t
     d = -theta * g_new + beta * prev_d
     gd_next = dot(g_new, d)
     if gd_next <= -ETA * gg:
-        diag.gd = gd_next
-        return d, diag
-    return _restart(g_new, diag)
+        rec.gd = gd_next
+        return d, rec
+    return _restart(g_new, rec, gg)

@@ -24,7 +24,7 @@ forms, to the zero of the secant of phi' through the last two points, at
 least 1.5 times the step and at most ``ALPHA_MAX`` (doubling where phi' did
 not rise), then shrinks it by safeguarded quadratic interpolation with
 bisection fallback.
-Every trial evaluates f and g together (one nf plus one ng).
+Every trial evaluates f and g together, one evaluation (nf).
 
 Trials are scalar-only: the engine, :func:`bracket_zoom`, sees a trial as
 the tuple (f, dphi, armijo_ok, curv_ok), and only the search itself keeps
@@ -43,7 +43,7 @@ curvature term; the standard one only for the accepted trial.  A trial
 builds no g + g_t and no y.  The accepted trial keeps its s; y = g_t - g is
 built once, and z only by the modified search, whose direction (scgmmwls)
 and audit read it.
-:class:`LineSearchOutcome` is the one record of a step: it carries the
+:class:`LineSearchOutcome` is the search's record of a step: it carries the
 point, the secant bundle and the search's dot products, so the direction
 update need not take them again.
 """

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import ETA, DirectionDiag, DirectionParams, next_direction, theta_bar
+from .directions import ETA, DirectionParams, IterationRecord, next_direction, theta_bar
 from .linesearch import (
     ACCEPTED,
     CURVATURE_TOL_REL,
@@ -65,19 +65,6 @@ def default_config(solver: str = "scgmmwls", **options) -> SolverConfig:
     return SolverConfig(wolfe, direction, **options)
 
 
-@dataclass(slots=True)
-class IterationRecord:
-    f: float
-    gnorm_inf: float
-    alpha: float
-    mu: float
-    t: float
-    beta: float
-    theta: float
-    restart: bool
-    zoutendijk: float  # (g^T d)^2 / |d|^2 of the step's search direction
-
-
 @dataclass
 class AuditReport:
     """Violation tallies from re-checking every accepted step in place."""
@@ -122,11 +109,11 @@ class AuditReport:
             self.t_bound_checks += 1
             self.t_bound_violations += not -params.C * lipschitz - EPS <= outcome.t <= t_max
 
-    def check_direction(self, g_new: Vector, d_new: Vector, diag: DirectionDiag) -> None:
+    def check_direction(self, g_new: Vector, d_new: Vector, theta: float) -> None:
         self.descent_checks += 1
         if not dot(g_new, d_new) <= -ETA * dot(g_new, g_new):
             self.descent_violations += 1
-        if theta_bar(diag.theta) != diag.theta:
+        if theta_bar(theta) != theta:
             self.theta_violations += 1
 
 
@@ -164,8 +151,9 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     except EvaluationError:
         return RunResult(EVAL_ERROR, 0, oracle.nf, math.nan, math.nan, trace=trace, audit=audit)
 
-    d, gd = -g, None  # g^T d is taken afresh only for a steepest-descent d
+    d, gd = -g, -dot(g, g)  # every later slope comes from the update that made d
     gnorm = norm_inf(g)
+    alpha0 = 1.0 / max(gnorm, config.epsilon)  # 1/|g0|_inf, read only if gnorm > epsilon
     k = 0
     outcome = None  # the last accepted step, which sets the next search's first trial
     while True:
@@ -176,8 +164,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
             status = ITER_LIMIT
             break
 
-        gd = dot(g, d) if gd is None else gd
-        outcome = search(oracle, x, f, g, d, config.wolfe, coefficient, 1.0 / gnorm, gd, outcome)
+        outcome = search(oracle, x, f, g, d, config.wolfe, coefficient, alpha0, gd, outcome)
         if outcome.status != ACCEPTED:
             status = LINESEARCH_FAILURE
             break
@@ -186,18 +173,13 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
 
         g_new = outcome.g_new
         gnorm = norm_inf(g_new)
-        d_new, diag = next_direction(d, outcome, config.direction)
+        d_new, rec = next_direction(d, outcome, config.direction)
         if spectral:
-            audit.check_direction(g_new, d_new, diag)
-
+            audit.check_direction(g_new, d_new, rec.theta)
         if trace is not None:
-            trace.append(
-                IterationRecord(outcome.f_new, gnorm, outcome.alpha, outcome.mu, outcome.t,
-                                diag.beta, diag.theta, diag.restart, gd * gd / outcome.dd)
-            )
+            trace.append(rec)
 
-        x, f, g, d = outcome.x_new, outcome.f_new, g_new, d_new
-        gd = None if diag.restart else diag.gd
+        x, f, g, d, gd = outcome.x_new, outcome.f_new, g_new, d_new, rec.gd
         k += 1
 
     return RunResult(status, k, oracle.nf, f, gnorm, trace=trace, audit=audit)

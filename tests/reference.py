@@ -20,8 +20,9 @@ The vector forms of the direction formulas (``beta_m``, ``theta_tilde``,
 formulas on raw vectors, for any step s, and raise :class:`Degenerate` on a
 vanishing denominator themselves.  They share no code with
 :mod:`specgrad.directions`, whose ``next_direction`` takes its scalars from
-the line search instead; the tests check the two agree.  ``accepted_step``
-builds the step record of s = alpha d that ``next_direction`` reads.
+the line search instead, and report beta, theta and the flags in their own
+:class:`Diag`; the tests check the two agree.  ``accepted_step`` builds the
+search outcome of s = alpha d that ``next_direction`` reads.
 
 ``violations`` sums every ``*_violations`` tally of an audit report, so a
 tally added to :class:`specgrad.solver.AuditReport` is counted without a
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from specgrad.directions import DirectionDiag, DirectionParams
+from specgrad.directions import DirectionParams
 from specgrad.linesearch import ACCEPTED, LineSearchOutcome
 from specgrad.numkit import Vector, dot, norm_inf
 from specgrad.problems import Problem
@@ -115,7 +116,18 @@ def beta_dk(g_new: Vector, d: Vector, y: Vector) -> float:
     return float(y @ g_new) / dy - float(y @ y) * float(d @ g_new) / dy**2
 
 
-def _restarted(g_new: Vector, diag: DirectionDiag) -> tuple[Vector, DirectionDiag]:
+@dataclass
+class Diag:
+    """The update's own fields of a direction: beta, theta and the safeguard flags."""
+
+    beta: float = 0.0
+    theta: float = 1.0
+    truncated_theta: bool = False
+    truncated_beta: bool = False
+    restart: bool = False
+
+
+def _restarted(g_new: Vector, diag: Diag) -> tuple[Vector, Diag]:
     diag.beta, diag.theta, diag.restart = 0.0, 1.0, True
     return -g_new, diag
 
@@ -133,7 +145,7 @@ def _spectral_step(g_new, prev_d, beta, theta_raw, diag):
 
 
 def _max_form_direction(g_new, prev_d, prev_g, s, w):
-    diag = DirectionDiag()
+    diag = Diag()
     try:
         diag.beta, diag.truncated_beta = beta_m(g_new, prev_g, prev_d, w)
     except Degenerate:
@@ -150,7 +162,7 @@ def next_direction_scgmmwls(
     prev_d: Vector,
     prev_g: Vector,
     secant: LineSearchOutcome,
-) -> tuple[Vector, DirectionDiag]:
+) -> tuple[Vector, Diag]:
     return _max_form_direction(g_new, prev_d, prev_g, secant.s, secant.z)
 
 
@@ -160,15 +172,15 @@ def next_direction_m2(
     prev_g: Vector,
     secant: LineSearchOutcome,
     params: DirectionParams,
-) -> tuple[Vector, DirectionDiag]:
+) -> tuple[Vector, Diag]:
     s = secant.s
     v = secant.y + m2_coefficient(secant.mu, float(s @ s), params.m) * s
     return _max_form_direction(g_new, prev_d, prev_g, s, v)
 
 
-def next_direction_dk(g_new: Vector, prev_d: Vector, y: Vector) -> tuple[Vector, DirectionDiag]:
+def next_direction_dk(g_new: Vector, prev_d: Vector, y: Vector) -> tuple[Vector, Diag]:
     """-g_new + beta_DK d; restarts unless g_new^T d < 0 (or g_new = 0)."""
-    diag = DirectionDiag()
+    diag = Diag()
     try:
         diag.beta = beta_dk(g_new, prev_d, y)
     except Degenerate:
@@ -181,9 +193,9 @@ def next_direction_dk(g_new: Vector, prev_d: Vector, y: Vector) -> tuple[Vector,
 
 def next_direction_jian(
     g_new: Vector, prev_d: Vector, y: Vector, s: Vector
-) -> tuple[Vector, DirectionDiag]:
+) -> tuple[Vector, Diag]:
     """beta_DK with theta+ = 1 - (|y|^2 d^T g_new / d^T y - s^T g_new) / y^T g_new."""
-    diag = DirectionDiag()
+    diag = Diag()
     try:
         diag.beta = beta_dk(g_new, prev_d, y)
     except Degenerate:

@@ -2,18 +2,22 @@
 
 The tracer replaces package functions at the names their callers look up.
 If one of those names is renamed or a call is re-routed around it, the
-benchmark's per-layer metrics silently read zero; this test runs a small
-``bench run`` plus ``bench profile`` under the tracer and checks that each
-layer's count matches what the run reports.
+benchmark's per-layer metrics silently read zero; these tests run a small
+``bench run`` plus ``bench profile``, and single traced runs as ``bench
+trace`` makes them, under the tracer and check that each layer's count
+matches what the run reports.
 """
 
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import specgrad.bench
 import specgrad.cli
 from specgrad.bench import load_results, run_suite
-from specgrad.solver import CONVERGED, AuditReport, RunResult
+from specgrad.problems import problem
+from specgrad.solver import CONVERGED, AuditReport, RunResult, default_config
 
 from reference import violations
 
@@ -58,6 +62,30 @@ def test_tracer_counts_match_the_run(tmp_path, monkeypatch, capsys):
     for span in ("numkit.dot", "secant.t_coefficient", "secant.v_vector_m2", "bench.run_suite",
                  "cli.main"):
         assert tracer.calls[span] > 0, span
+
+
+@pytest.mark.parametrize("solver", ["scgmmwls", "dk"])
+def test_tracer_counts_match_a_traced_run(monkeypatch, solver):
+    """The trace path: ``bench trace`` runs ``minimize`` with a full trace under
+    the name ``specgrad.cli.minimize``, which the tracer patches."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cfg = default_config(solver, trace_level="full")
+        res = specgrad.cli.minimize(problem("ext_rosenbrock", 10), cfg)
+    finally:
+        tracer.restore()
+    assert res.status == CONVERGED and res.ni > 0
+    m = tracer.layer_metrics()
+    assert m["linesearch.calls"] == m["directions.calls"] == m["solver.trace.records"] == res.ni
+    assert m["problems.eval_fg.calls"] == res.nf
+    assert tracer.counts["directions.restarts"] == sum(rec.restart for rec in res.trace)
+    # Only the modified search builds z, once per accepted step (not once per evaluation).
+    assert m["secant.z_built"] == (res.ni if solver == "scgmmwls" else 0)
+    assert tracer.calls["solver.minimize"] == 1
 
 
 def test_tracer_sums_every_audit_violation_tally(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from specgrad.directions import DirectionParams, next_direction, theta_bar
 from specgrad.linesearch import WolfeParams
+from specgrad.numkit import dot
 
 from reference import (
     ETA,
@@ -36,6 +37,11 @@ def vec(*vals):
 T_CUBIC = (1.0 / 42.0) * (-0.125 / 0.25)  # C mu / |s|^2 = -1/84
 Z_CUBIC = -2.25 + T_CUBIC * (-0.5)  # y + t s = -2.2440476...
 CUBIC = dict(g_new=vec(0.75), g_old=vec(3.0), d=vec(-1.0), s=vec(-0.5), z=vec(Z_CUBIC))
+
+
+def update_fields(rec):
+    """The direction update's own fields of a trace row, without the step's."""
+    return (rec.beta, rec.theta, rec.truncated_theta, rec.truncated_beta, rec.restart, rec.gd)
 
 
 class TestParams:
@@ -290,8 +296,8 @@ class TestNextDirection:
     def test_beta_r_branch_wins(self):
         # z = (1, 2), d^T z = 1: beta_L = 6 - 5 * 2 = -4 < beta_R = g_old^T d = -1.
         step = accepted_step(vec(-1, 0), vec(2, 2), self.D, 1.0, mu=-1.0, t=-2.0)
-        d, diag = next_direction(self.D, step, PARAMS)
-        assert (diag.beta, diag.truncated_beta, diag.restart) == (-1.0, True, False)
+        d, rec = next_direction(self.D, step, PARAMS)
+        assert (rec.beta, rec.truncated_beta, rec.restart) == (-1.0, True, False)
         np.testing.assert_array_equal(d, vec(-3, -2))
 
     @pytest.mark.parametrize("method", ["scgmmwls", "m2", "dk", "jian"])
@@ -299,17 +305,18 @@ class TestNextDirection:
         # y = (0, 1/2) is orthogonal to d, and t = 0, so d^T w = 0.
         g_new = vec(-1, 0.5)
         step = accepted_step(vec(-1, 0), g_new, self.D, 1.0)
-        d, diag = next_direction(self.D, step, self.params(method))
+        d, rec = next_direction(self.D, step, self.params(method))
         np.testing.assert_array_equal(d, -g_new)
-        assert diag.restart and diag.beta == 0.0 and diag.theta == 1.0
-        assert math.isnan(diag.gd)  # the solver takes g^T d afresh after a restart
+        assert rec.restart and rec.beta == 0.0 and rec.theta == 1.0
+        # The next search's slope, as the search would take it from d itself.
+        assert float.hex(rec.gd) == float.hex(dot(g_new, d)) == float.hex(-1.25)
 
     @pytest.mark.parametrize("method", ["scgmmwls", "m2", "jian"])
     def test_degenerate_spectral_denominator_gives_theta_one(self, method):
         # w = y = (1, 0) is orthogonal to g_new = (0, 1): theta is undefined.
         step = accepted_step(vec(-1, 1), vec(0, 1), self.D, 1.0)
-        d, diag = next_direction(self.D, step, self.params(method))
-        assert (diag.theta, diag.truncated_theta, diag.restart) == (1.0, True, False)
+        d, rec = next_direction(self.D, step, self.params(method))
+        assert (rec.theta, rec.truncated_theta, rec.restart) == (1.0, True, False)
         np.testing.assert_array_equal(d, vec(0, -1))
 
     @pytest.mark.parametrize(
@@ -326,9 +333,9 @@ class TestNextDirection:
         # w = y = (a + 1, 0) gives beta = 0 and theta~ = alpha a / (a (a + 1)).
         g_new = vec(a, 1)
         step = accepted_step(vec(-1, 1), g_new, self.D, alpha)
-        d, diag = next_direction(self.D, step, PARAMS)
-        assert (diag.beta, diag.theta, diag.truncated_theta) == (0.0, theta, truncated)
-        assert not diag.restart
+        d, rec = next_direction(self.D, step, PARAMS)
+        assert (rec.beta, rec.theta, rec.truncated_theta) == (0.0, theta, truncated)
+        assert not rec.restart
         np.testing.assert_array_equal(d, -theta * g_new)
 
     def test_dk_restarts_when_rounding_breaks_descent(self):
@@ -336,39 +343,43 @@ class TestNextDirection:
         # g_new^T d_new = 0 although it is -2 in exact arithmetic.
         g_new, prev_d = vec(1, 1), vec(1, -1)
         step = accepted_step(vec(0, 2.0**-53), g_new, prev_d, 1.0)
-        for direction in (
-            lambda: next_direction(prev_d, step, self.params("dk")),
-            lambda: next_direction_dk(g_new, prev_d, step.y),
-        ):
-            d, diag = direction()
-            np.testing.assert_array_equal(d, -g_new)
-            assert diag.restart and diag.beta == 0.0
-        assert math.isnan(diag.gd)  # the descent test's g_new^T d_new was 0, not kept
+        d, rec = next_direction(prev_d, step, self.params("dk"))
+        d_ref, diag = next_direction_dk(g_new, prev_d, step.y)
+        for direction, record in ((d, rec), (d_ref, diag)):
+            np.testing.assert_array_equal(direction, -g_new)
+            assert record.restart and record.beta == 0.0
+        # The slope of -g_new, not the descent test's 0 for the direction it rejected.
+        assert float.hex(rec.gd) == float.hex(dot(g_new, -g_new)) == float.hex(-2.0)
         assert beta_dk(g_new, prev_d, step.y) == 2.0**54
 
     def test_jian_truncates_theta(self):
         # theta+ = 1 - (|y|^2 d^T g / d^T y - s^T g) / y^T g is about -2e7.
         step = accepted_step(vec(1 - 1e-8, 1), vec(1, 1), vec(-1, -1), 0.1)
-        _, diag = next_direction(vec(-1, -1), step, self.params("jian"))
-        assert (diag.theta, diag.truncated_theta, diag.restart) == (1.0, True, False)
+        _, rec = next_direction(vec(-1, -1), step, self.params("jian"))
+        assert (rec.theta, rec.truncated_theta, rec.restart) == (1.0, True, False)
 
     @pytest.mark.parametrize("mu", [-0.5, 0.0])
     def test_m2_with_nonpositive_mu_equals_scgmmwls_with_zero_t(self, mu):
         g_old, g_new, prev_d = vec(1.1, -0.4), vec(0.2, -0.9), vec(-1.0, 0.3)
         m2_step = accepted_step(g_old, g_new, prev_d, 0.4, mu=mu, t=-0.1)
         ref_step = accepted_step(g_old, g_new, prev_d, 0.4, mu=mu, t=0.0)
-        d_a, diag_a = next_direction(prev_d, m2_step, self.params("m2"))
-        d_b, diag_b = next_direction(prev_d, ref_step, PARAMS)
+        d_a, rec_a = next_direction(prev_d, m2_step, self.params("m2"))
+        d_b, rec_b = next_direction(prev_d, ref_step, PARAMS)
         np.testing.assert_array_equal(d_a, d_b)
-        assert diag_a == diag_b
+        assert update_fields(rec_a) == update_fields(rec_b)
+        assert not rec_a.restart
+        # The step fields are each step's own: only t differs between the two.
+        assert (rec_a.alpha, rec_a.mu, rec_a.t) == (0.4, mu, -0.1)
+        assert (rec_b.alpha, rec_b.mu, rec_b.t) == (0.4, mu, 0.0)
 
     def test_m2_with_positive_mu_equals_scgmmwls(self):
         g_old, g_new, prev_d = vec(1.1, -0.4), vec(0.2, -0.9), vec(-1.0, 0.3)
         step = accepted_step(g_old, g_new, prev_d, 0.4, mu=0.7, t=1.3)
-        d_a, diag_a = next_direction(prev_d, step, self.params("m2"))
-        d_b, diag_b = next_direction(prev_d, step, PARAMS)
+        d_a, rec_a = next_direction(prev_d, step, self.params("m2"))
+        d_b, rec_b = next_direction(prev_d, step, PARAMS)
         np.testing.assert_array_equal(d_a, d_b)
-        assert diag_a == diag_b
+        assert update_fields(rec_a) == update_fields(rec_b)
+        assert (rec_a.alpha, rec_a.mu, rec_a.t) == (rec_b.alpha, rec_b.mu, rec_b.t) == (0.4, 0.7, 1.3)
 
     @pytest.mark.parametrize("method", ["scgmmwls", "m2", "jian"])
     def test_sufficient_descent_always_holds(self, method):
@@ -379,7 +390,7 @@ class TestNextDirection:
             prev_d = -g_old + 0.1 * rng.standard_normal(6)
             t = float(rng.standard_normal())
             step = accepted_step(g_old, g_new, prev_d, 0.05, mu=t, t=t)
-            d, diag = next_direction(prev_d, step, params)
+            d, rec = next_direction(prev_d, step, params)
             gg = float(g_new @ g_new)
             assert float(g_new @ d) <= -ETA * gg + 1e-12 * gg
-            assert diag.theta == 1.0 or 0.251 <= diag.theta <= 10.0
+            assert rec.theta == 1.0 or 0.251 <= rec.theta <= 10.0

@@ -34,6 +34,19 @@ class TestDot:
         with pytest.raises(ValueError):
             dot(vec(1, 2), vec(1, 2, 3))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 100, 1000, 1001, 9999, 10000, 10002, 100001])
+    def test_dot_with_negated_vector_is_negated_dot_bit_for_bit(self, n):
+        # The solver hands -g^T g on as the slope of d = -g.  Under
+        # round-to-nearest each product and partial sum of g^T (-g) is that of
+        # g^T g negated exactly, as long as both sums add in the same order;
+        # above n = 10000 OpenBLAS splits the sum over its threads, and a view
+        # one element in puts g and -g on different alignments.
+        buf = np.random.default_rng(n).standard_normal(n + 1)
+        for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+            scaled = scale * buf
+            for g in (scaled[:n], scaled[1:]):
+                assert float.hex(dot(g, -g)) == float.hex(-dot(g, g))
+
 
 class TestNormInf:
     def test_norm_inf(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specgrad.solver
-from specgrad.directions import ETA, TAU, DirectionDiag
+from specgrad.directions import ETA, TAU
 from specgrad.linesearch import ACCEPTED, ALPHA_MAX, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot
 from specgrad.problems import InstrumentedOracle, Problem, problem
@@ -24,6 +24,24 @@ from specgrad.solver import (
 )
 
 from reference import violations
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The (args, outcome) of every search ``minimize`` runs, in order."""
+    calls = []
+
+    def recording(search):
+        def recorded(*args):
+            out = search(*args)
+            calls.append((args, out))
+            return out
+
+        return recorded
+
+    for name in ("modified_wolfe", "standard_wolfe"):
+        monkeypatch.setattr(specgrad.solver, name, recording(getattr(specgrad.solver, name)))
+    return calls
 
 
 def steepest_descent_iters_qf1(n, eps=1e-8, max_iter=100000):
@@ -193,23 +211,31 @@ class TestMinimize:
         assert 1.0 / np.max(np.abs(g0)) > ALPHA_MAX
         assert np.array_equal(points[1], start - ALPHA_MAX * g0)
 
-    def test_each_search_after_the_first_is_handed_the_last_step(self, monkeypatch):
+    def test_each_search_after_the_first_is_handed_the_last_step(self, searches):
         # The first search starts from 1/|g0|_inf; every later one gets the
         # previous accepted outcome, from which it takes its own first trial.
-        calls = []
-
-        def recorded(*args):
-            out = modified_wolfe(*args)
-            calls.append((args, out))
-            return out
-
-        monkeypatch.setattr(specgrad.solver, "modified_wolfe", recorded)
         p = problem("ext_rosenbrock", 10)
         res = minimize(p, default_config("scgmmwls", max_iter=20))
-        assert len(calls) == res.ni == 20
-        (first, _), later = calls[0], calls[1:]
+        assert len(searches) == res.ni == 20
+        (first, _), later = searches[0], searches[1:]
         assert first[7] == 1.0 / np.max(np.abs(p.gradient(p.start))) and first[9] is None
-        assert all(args[9] is prev_out for (args, _), (_, prev_out) in zip(later, calls))
+        assert all(args[9] is prev_out for (args, _), (_, prev_out) in zip(later, searches))
+        # alpha0 is worked out once; the later searches do not read it.
+        assert all(args[7] == first[7] for args, _ in later)
+
+    @pytest.mark.parametrize("method", ["scgmmwls", "dk", "jian", "m2"])
+    def test_each_slope_comes_from_the_update_that_made_the_direction(self, searches, method):
+        # The first search gets -g0^T g0, the slope of d = -g0; every later one
+        # the trace row's gd of the update before it.  Each is g^T d bit for bit.
+        res = minimize(problem("ext_rosenbrock", 10), default_config(method, trace_level="full"))
+        assert res.status == CONVERGED and len(searches) == res.ni > 1
+        gds = [args[8] for args, _ in searches]
+        assert gds[1:] == [rec.gd for rec in res.trace[:-1]]
+        g0 = searches[0][0][3]
+        assert float.hex(gds[0]) == float.hex(-dot(g0, g0))
+        for args, _ in searches:
+            g, d = args[3], args[4]
+            assert float.hex(args[8]) == float.hex(dot(g, d))
 
     @pytest.mark.parametrize("n", [10000, 10006])
     def test_dk_converges_on_arwhead_at_n_10000(self, n):
@@ -289,10 +315,11 @@ class TestMinimize:
         assert res.status == CONVERGED
         assert violations(res.audit) == 0
 
-    def test_zoutendijk_summands_decay(self):
-        res = minimize(problem("qf1", 50), default_config("scgmmwls", trace_level="full"))
-        assert res.status == CONVERGED
-        z = [rec.zoutendijk for rec in res.trace]
+    def test_zoutendijk_summands_decay(self, searches):
+        # (g^T d)^2 / |d|^2 of each step, from its search's own g^T d and d^T d.
+        res = minimize(problem("qf1", 50), default_config("scgmmwls"))
+        assert res.status == CONVERGED and len(searches) == res.ni
+        z = [out.gd_old * out.gd_old / out.dd for _, out in searches]
         assert all(np.isfinite(z)) and np.isfinite(sum(z))
         dec = max(1, len(z) // 10)
         assert np.mean(z[-dec:]) < np.mean(z[:dec])
@@ -342,12 +369,12 @@ class TestMuTrace:
         )
         assert math.copysign(1.0, rec.mu) == math.copysign(1.0, mu_ind)
 
-    def test_limit_argument(self):
+    def test_limit_argument(self, searches):
         cfg = default_config("scgmmwls", max_iter=5, trace_level="full")
         res = minimize(problem("qf1", 20), cfg)
         assert (res.status, res.ni) == (ITER_LIMIT, 5)
-        assert len(res.trace) == 5
-        assert all(rec.zoutendijk > 0.0 for rec in res.trace)
+        assert len(res.trace) == len(searches) == 5
+        assert all(out.gd_old * out.gd_old / out.dd > 0.0 for _, out in searches)
 
 
 class TestAudit:
@@ -435,7 +462,7 @@ class TestAudit:
     def test_each_direction_check_counts_its_own_violation(self, scale, theta, counter):
         g = np.array([3.0, 4.0])
         audit = AuditReport()
-        audit.check_direction(g, scale * g, DirectionDiag(theta=theta))
+        audit.check_direction(g, scale * g, theta)
         expected = {name: int(name == counter) for name in self.DIRECTION_COUNTERS}
         assert {name: getattr(audit, name) for name in self.DIRECTION_COUNTERS} == expected
         assert audit.descent_checks == 1
