@@ -73,7 +73,7 @@ def _cmd_run(args, parser) -> int:
         r = row.result
         print(
             f"{row.solver:<18} {row.problem:<16} n={row.dim:<6} {r.status:<19} "
-            f"ni={r.ni:<6} nf={r.nf:<6} ng={r.ng:<6} f={r.f_final:.6e} gnorm={r.gnorm_inf_final:.3e}"
+            f"ni={r.ni:<6} nf={r.nf:<6} f={r.f_final:.6e} gnorm={r.gnorm_inf_final:.3e}"
         )
     print(f"wrote results for {len(table.rows)} runs to {args.out}")
     return 1 if had_eval_error(table) else 0
@@ -119,7 +119,7 @@ def _cmd_trace(args, parser) -> int:
     except (ValueError, KeyError) as exc:
         parser.error(exc.args[0])
     result = minimize(prob, cfg)
-    records = (result.trace or [])[:TRACE_ROWS]
+    records = result.trace[:TRACE_ROWS]
     print(f"{'iteration':>10} {'mu':>14} {'t':>14} {'alpha':>12} {'f':>14}")
     for k, rec in enumerate(records, 1):
         print(f"{k:>10} {rec.mu:>14.3E} {rec.t:>14.3E} {rec.alpha:>12.3E} {rec.f:>14.6E}")

@@ -33,13 +33,13 @@ once by the caller) and d^T d (taken once per search), one trial costs s, the
 point x + s, one f+g evaluation and two dot products, g_t^T d in the search
 and g_t^T g_t in the oracle's finiteness test.  The scalars follow:
 
-    mu    = 2 (f - f_t) + alpha (g^T d + g_t^T d),  0 if |mu| <= 4 eps (|f| + |f_t|)
+    mu    = secant.mu(f, f_t, alpha, g^T d, g_t^T d),  0 within f's rounding
     s^T d = alpha d^T d,        |s|^2 = alpha (alpha d^T d)
     t     = t_coefficient(mu, |s|^2),  modified curvature term min(t, 0) s^T d
 
 A trial whose |s|^2 underflows to 0 ends the search, so t always has a
-nonzero step.  The modified search takes mu and t on every trial, for its
-curvature term; the standard one only for the accepted trial.  A trial
+nonzero step.  Both searches take mu and t on every trial; only the modified
+one adds min(t, 0) s^T d to g_t^T d in its curvature test.  A trial
 builds no g + g_t and no y.  The accepted trial keeps its s; y = g_t - g is
 built once, and z only by the modified search, whose direction (scgmmwls)
 and audit read it.
@@ -56,8 +56,7 @@ from functools import partial
 
 from .numkit import Vector, dot
 from .problems import EvaluationError
-from .secant import t_coefficient, z_vector
-from .secant import mu  # noqa: F401  (no caller here; perfbench's tracer patches this name)
+from .secant import mu, t_coefficient, z_vector
 
 ACCEPTED = "accepted"
 MAX_TRIALS_EXCEEDED = "max_trials_exceeded"
@@ -71,10 +70,6 @@ CURVATURE_TOL_REL = 1e-12
 # Trial budget of one search, and the cap on any trial step.
 MAX_TRIALS = 60
 ALPHA_MAX = 1e6
-
-# Machine epsilon; |mu| <= MU_NOISE (|f| + |f_t|) is f's rounding, read as 0 (Hager & Zhang 2005).
-EPS = 2.220446049250313e-16
-MU_NOISE = 4.0 * EPS
 
 
 def armijo_holds(f0: float, gd0: float, alpha: float, f_new: float, rho: float) -> bool:
@@ -238,17 +233,12 @@ def _search(modified, oracle, x, f, g, d, params, coefficient, alpha0, gd, prev=
         if not s_norm_sq > 0.0:
             return None
         dphi = dot(g_t, d)
+        mu_t = mu(f, f_t, alpha, gd, dphi)
+        t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
         armijo_ok = armijo_holds(f, gd, alpha, f_t, params.rho)
-        curv_ok = not modified and curvature_holds(dphi, gd, params.sigma)
-        if modified or (armijo_ok and curv_ok):
-            mu_t = 2.0 * (f - f_t) + alpha * (gd + dphi)
-            if abs(mu_t) <= MU_NOISE * (abs(f) + abs(f_t)):
-                mu_t = 0.0
-            t_t = t_coefficient(mu_t, s_norm_sq, coefficient, C)
-            if modified:
-                curv_ok = curvature_holds(dphi + min(t_t, 0.0) * sd, gd, params.sigma)
-            if armijo_ok and curv_ok:
-                accepted = x_t, s_t, g_t, f_t, dphi, mu_t, t_t
+        curv_ok = curvature_holds(dphi + min(t_t, 0.0) * sd if modified else dphi, gd, params.sigma)
+        if armijo_ok and curv_ok:
+            accepted = x_t, s_t, g_t, f_t, dphi, mu_t, t_t
         return f_t, dphi, armijo_ok, curv_ok
 
     alpha, trials, status = bracket_zoom(evaluate, f, gd, alpha0)

@@ -15,21 +15,27 @@ C = (sigma - rho) / (1 - 2 rho + sigma) so the curvature condition survives.
 A step of the solvers is s = alpha d, so the line search's dot products
 determine every scalar of the bundle that involves s:
 |s|^2 = alpha (alpha d^T d), s^T d = alpha d^T d, s^T g_new = alpha g_new^T d.
-The search returns the bundle and those dot products on one record,
-:class:`specgrad.linesearch.LineSearchOutcome`.  :func:`mu` keeps the vector
-form for arbitrary s; it is the reference the line search's slope form is
-tested against.  The M2 vector v = y + c s has c = (m/(m-2)) max(mu, 0)/|s|^2,
-which is t when mu > 0, so the direction update takes c from the step's t.
+:func:`mu` takes 2 (f_old - f_new) + (g_old + g_new)^T s in that slope form
+and reads a value within f's rounding as 0.  The search returns the bundle
+and those dot products on one record, :class:`specgrad.linesearch.LineSearchOutcome`.
+The M2 vector v = y + c s has c = (m/(m-2)) max(mu, 0)/|s|^2, which is t
+when mu > 0, so the direction update takes c from the step's t.
 """
 
 from __future__ import annotations
 
-from .numkit import Vector, dot
+from .numkit import Vector, dot  # noqa: F401  (dot: perfbench's tracer patches this name)
+
+# Machine epsilon; |mu| <= MU_NOISE (|f_old| + |f_new|) is f's rounding (Hager & Zhang 2005).
+EPS = 2.220446049250313e-16
+MU_NOISE = 4.0 * EPS
 
 
-def mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> float:
-    """2 (f_old - f_new) + (g_old + g_new)^T s; exactly zero on quadratics."""
-    return 2.0 * (f_old - f_new) + dot(g_old + g_new, s)
+def mu(f_old: float, f_new: float, alpha: float, gd_old: float, gd_new: float) -> float:
+    """mu of the step s = alpha d in slope form, 2 (f_old - f_new) + alpha (g_old^T d +
+    g_new^T d); zero on quadratics up to rounding, and read as 0 within f's rounding."""
+    value = 2.0 * (f_old - f_new) + alpha * (gd_old + gd_new)
+    return 0.0 if abs(value) <= MU_NOISE * (abs(f_old) + abs(f_new)) else value
 
 
 def t_coefficient(mu_value: float, s_norm_sq: float, coefficient: float, C: float) -> float:

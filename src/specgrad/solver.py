@@ -19,8 +19,6 @@ import numpy as np
 from .directions import ETA, DirectionParams, IterationRecord, next_direction, theta_bar
 from .linesearch import (
     ACCEPTED,
-    CURVATURE_TOL_REL,
-    EPS,
     LineSearchOutcome,
     WolfeParams,
     armijo_holds,
@@ -30,6 +28,7 @@ from .linesearch import (
 )
 from .numkit import Vector, dot, norm_inf
 from .problems import EvaluationError, InstrumentedOracle, Problem
+from .secant import EPS
 
 CONVERGED = "converged"
 ITER_LIMIT = "iter_limit"
@@ -90,8 +89,9 @@ class AuditReport:
         modified: bool,
     ) -> None:
         """Re-check an accepted step from the raw vectors with the search's own
-        predicates; a modified step also gets the d^T z bound and, given an
-        exact gradient-Lipschitz constant L, the bounds -C L <= t <= c_m L."""
+        predicates; a modified step also gets d^T z >= (1 - sigma)|g^T d|, the
+        curvature test read through z, and, given an exact gradient-Lipschitz
+        constant L, the bounds -C L <= t <= c_m L."""
         self.steps += 1
         params = config.wolfe
         gd0 = dot(g0, d)
@@ -102,8 +102,7 @@ class AuditReport:
         self.curvature_violations += not curvature_holds(curv_lhs, gd0, params.sigma)
         if not modified:
             return
-        dz_floor = (1.0 - params.sigma) * (-gd0) - CURVATURE_TOL_REL * abs(gd0)
-        self.dz_curvature_violations += not dot(d, outcome.z) >= dz_floor
+        self.dz_curvature_violations += not curvature_holds(dot(d, outcome.z) + gd0, gd0, params.sigma)
         if lipschitz is not None:
             t_max = config.direction.coefficient * lipschitz + EPS
             self.t_bound_checks += 1

@@ -3,7 +3,9 @@
 ``make_secant`` builds the secant bundle in vector form from (s, y, mu), and
 ``secant_step`` puts a given bundle on a step record; the solver builds its
 bundle inside the line search from the search's dot products.  The direction
-tests take their inputs from them.
+tests take their inputs from them.  ``vector_mu`` is mu in vector form for
+any step s, with no rounding gate; the solver takes the slope form
+:func:`specgrad.secant.mu` of s = alpha d, and the tests check the two agree.
 
 ``m2_coefficient`` is the paper form of the M2 scaling c in v = y + c s; the
 solver reads c from the step's t instead, and the tests check the two agree.
@@ -39,7 +41,7 @@ from specgrad.directions import DirectionParams
 from specgrad.linesearch import ACCEPTED, LineSearchOutcome
 from specgrad.numkit import Vector, dot, norm_inf
 from specgrad.problems import Problem
-from specgrad.secant import mu, t_coefficient, z_vector
+from specgrad.secant import t_coefficient, z_vector
 
 ScalarField = Callable[[np.ndarray], float]
 
@@ -214,6 +216,11 @@ def violations(audit) -> int:
     return sum(getattr(audit, f.name) for f in fields(audit) if f.name.endswith("_violations"))
 
 
+def vector_mu(f_old: float, f_new: float, g_old: Vector, g_new: Vector, s: Vector) -> float:
+    """2 (f_old - f_new) + (g_old + g_new)^T s; exactly zero on quadratics."""
+    return 2.0 * (f_old - f_new) + dot(g_old + g_new, s)
+
+
 def _order_factor(m: float) -> float:
     """The paper's m/(m-2), taken as 1 at m = infinity."""
     return 1.0 if math.isinf(m) else m / (m - 2.0)
@@ -323,7 +330,7 @@ def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1
     s_norm_sq = dot(s, s)
     if not s_norm_sq > 0.0:
         raise DegenerateStepError("zero step in hessian_error")
-    mu_value = mu(f_old, f_new, g_old, g_new, s)
+    mu_value = vector_mu(f_old, f_new, g_old, g_new, s)
     z = g_new - g_old + (_order_factor(m) * mu_value / s_norm_sq) * s
     curvature = fd_hessian_action(prob.objective, x_new, s, FiniteDifferenceSpec(h=fd_step))
     return curvature - dot(s, z)

@@ -29,7 +29,7 @@ from specgrad.problems import Problem, family_names, problem
 from specgrad.secant import mu
 from specgrad.solver import CONVERGED, LINESEARCH_FAILURE, RunResult, default_config, minimize
 
-from reference import check_points, gradient_check, hessian_error
+from reference import check_points, gradient_check, hessian_error, vector_mu
 
 SUITE_SOLVERS = ["dk", "jian", "m2:m=3", "scgmmwls:m=3"]
 # Per-cell (solver, problem, status, ni, nf, f_final, gnorm_inf) of a suite,
@@ -104,12 +104,14 @@ def test_criterion_2_mu_quadratic_exactness():
             s = rng.standard_normal(n)
             x1 = x0 + s
             f0, f1 = f(x0), f(x1)
-            value = mu(f0, f1, g(x0), g(x1), s)
+            g0, g1 = g(x0), g(x1)
             bound = 1e-9 * (1.0 + abs(f0) + abs(f1))
-            assert abs(value) <= bound, f"|mu| = {abs(value):.3e} > {bound:.3e}"
+            # The vector form, and the slope form the solver takes with alpha = 1 and d = s.
+            for value in (vector_mu(f0, f1, g0, g1, s), mu(f0, f1, 1.0, g0 @ s, g1 @ s)):
+                assert abs(value) <= bound, f"|mu| = {abs(value):.3e} > {bound:.3e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
-    print(f"\nACCEPTANCE 2 PASS: |mu| at roundoff scale on 21 quadratics x 100 steps "
+    print(f"\nACCEPTANCE 2 PASS: |mu|, both forms, at roundoff scale on 21 quadratics x 100 steps "
           f"({elapsed:.2f}s)")
 
 

@@ -5,7 +5,7 @@ If one of those names is renamed or a call is re-routed around it, the
 benchmark's per-layer metrics silently read zero; these tests run a small
 ``bench run`` plus ``bench profile``, and single traced runs as ``bench
 trace`` makes them, under the tracer and check that each layer's count
-matches what the run reports.
+matches what the run reports, and that every span the tracer sets up opens.
 """
 
 from dataclasses import fields
@@ -52,6 +52,8 @@ def test_tracer_counts_match_the_run(tmp_path, monkeypatch, capsys):
     # Only the modified search (scgmmwls) builds z, once per accepted step.
     assert m["secant.z_built"] == sum(r.result.ni for r in rows if r.solver.startswith("scgmmwls"))
     assert m["problems.eval_fg.calls"] == nf
+    # Every trial takes mu and t; only each cell's start point is evaluated outside a search.
+    assert tracer.calls["secant.mu"] == tracer.calls["secant.t_coefficient"] == nf - len(rows)
     assert tracer.calls["solver.minimize"] == 8
     # One check_wolfe per step, plus one check_direction per spectral (non-dk) step.
     spectral_ni = sum(r.result.ni for r in rows if r.solver != "dk")
@@ -82,10 +84,52 @@ def test_tracer_counts_match_a_traced_run(monkeypatch, solver):
     m = tracer.layer_metrics()
     assert m["linesearch.calls"] == m["directions.calls"] == m["solver.trace.records"] == res.ni
     assert m["problems.eval_fg.calls"] == res.nf
+    assert tracer.calls["secant.mu"] == tracer.calls["secant.t_coefficient"] == res.nf - 1
     assert tracer.counts["directions.restarts"] == sum(rec.restart for rec in res.trace)
     # Only the modified search builds z, once per accepted step (not once per evaluation).
     assert m["secant.z_built"] == (res.ni if solver == "scgmmwls" else 0)
     assert tracer.calls["solver.minimize"] == 1
+
+
+def test_every_span_the_tracer_sets_up_is_reached(tmp_path, monkeypatch, capsys):
+    """A small ``bench run`` + ``bench profile`` + ``bench trace`` opens every
+    span ``Tracer.install`` sets up, so no call is routed around a patched
+    name.  A span named per call (``problems.eval_fg.<family>``) is keyed by
+    its owner and attribute."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    set_up, reached = set(), set()
+    patch = Tracer.patch
+
+    def recording_patch(self, owner, attr, name, after=None):
+        key = name if isinstance(name, str) else f"{owner.__name__}.{attr}"
+        set_up.add(key)
+
+        def seen(args, out, dur):
+            reached.add(key)
+            if after is not None:
+                after(args, out, dur)
+
+        patch(self, owner, attr, name, seen)
+
+    monkeypatch.setattr(Tracer, "patch", recording_patch)
+    run_dir = tmp_path / "run"
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rc_run = specgrad.cli.main(
+            ["run", "--solvers", SOLVERS, "--problems", "qf1,ext_rosenbrock", "--dims", "10",
+             "--out", str(run_dir)]
+        )
+        rc_prof = specgrad.cli.main(["profile", "--in", str(run_dir), "--out", str(tmp_path / "prof")])
+        rc_trace = specgrad.cli.main(["trace", "--problem", "ext_rosenbrock", "--dim", "10"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert rc_run == rc_prof == rc_trace == 0
+    assert "secant.mu" in set_up and "InstrumentedOracle.eval_fg" in set_up
+    assert sorted(set_up - reached) == []
 
 
 def test_tracer_sums_every_audit_violation_tally(monkeypatch):

@@ -28,6 +28,10 @@ class TestRun:
         assert (tmp_path / "results.json").exists()
         out = capsys.readouterr().out
         assert "scgmmwls:m=3" in out and "converged" in out
+        # Each evaluation takes f and g together, so a cell's line counts them once.
+        lines = [line for line in out.splitlines() if " n=20 " in line]
+        assert len(lines) == 4
+        assert all(" nf=" in line and "ng=" not in line for line in lines)
 
     def test_results_csv_schema(self, tmp_path):
         main(RUN_ARGS + ["--out", str(tmp_path)])

@@ -13,7 +13,6 @@ from specgrad.linesearch import (
     ACCEPTED,
     ALPHA_MAX,
     DEGENERATE_DIRECTION,
-    EPS,
     MAX_TRIALS,
     MAX_TRIALS_EXCEEDED,
     LineSearchOutcome,
@@ -27,10 +26,10 @@ from specgrad.linesearch import (
 )
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import InstrumentedOracle, Problem, problem
-from specgrad.secant import mu, t_coefficient, z_vector
+from specgrad.secant import EPS, mu, t_coefficient, z_vector
 from specgrad.solver import AuditReport, default_config
 
-from reference import violations
+from reference import vector_mu, violations
 
 
 def vec(*vals):
@@ -252,6 +251,17 @@ class TestInitialAlpha:
         search(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 123.0, dot(g, d))
         assert seen == [first, 123.0]
 
+    @pytest.mark.parametrize("search", [standard_wolfe, modified_wolfe])
+    def test_ascent_direction_ends_the_search_before_the_rule_runs(self, search):
+        # The last step had s^T y > 0, so the rule would take the square root
+        # of a_sp (-g^T d) q / d^T d < 0 for g^T d > 0: the search must end on
+        # the direction before it asks for a first trial.
+        oracle = InstrumentedOracle(problem_1d(lambda x: x * x, lambda x: 2.0 * x))
+        prev = last_step(0.5, -4.0, 2.0, 3.0)
+        assert prev.gd_new - prev.gd_old > 0.0
+        out = search(oracle, vec(1.0), 1.0, vec(2.0), vec(1.0), PARAMS, COEF, 1.0, 2.0, prev)
+        assert (out.status, out.nf_used, oracle.nf) == (DEGENERATE_DIRECTION, 0, 0)
+
 
 class TestAccounting:
     def test_counts_match_oracle_deltas(self):
@@ -266,8 +276,8 @@ class TestAccounting:
 
 
 class TestAcceptedBundleOnly:
-    """The secant bundle is built once, for the accepted trial only; z, and mu
-    and t on every trial, only by the modified search."""
+    """Both searches take mu and t on every trial; the secant vectors are
+    built once, for the accepted trial only, and z only by the modified search."""
 
     @pytest.fixture
     def z_calls(self, monkeypatch):
@@ -291,9 +301,22 @@ class TestAcceptedBundleOnly:
         monkeypatch.setattr(specgrad.linesearch, "t_coefficient", counted)
         return calls
 
+    @pytest.fixture
+    def mu_calls(self, monkeypatch):
+        calls = []
+
+        def counted(f_old, f_new, alpha, gd_old, gd_new):
+            calls.append(alpha)
+            return mu(f_old, f_new, alpha, gd_old, gd_new)
+
+        monkeypatch.setattr(specgrad.linesearch, "mu", counted)
+        return calls
+
     @pytest.mark.parametrize("name", ["ext_rosenbrock", "ext_beale"])
     @pytest.mark.parametrize("modified", [True, False])
-    def test_accepted_search_builds_one_bundle_equal_to_raw_rebuild(self, z_calls, t_calls, name, modified):
+    def test_accepted_search_builds_one_bundle_equal_to_raw_rebuild(
+        self, z_calls, t_calls, mu_calls, name, modified
+    ):
         p = problem(name, 10)
         f, g = p.objective(p.start), p.gradient(p.start)
         d = -g
@@ -302,10 +325,10 @@ class TestAcceptedBundleOnly:
         assert out.status == ACCEPTED
         assert out.nf_used >= 2
         assert len(z_calls) == int(modified)
-        # The standard curvature test reads g_t^T d only, so that search takes
-        # mu and t for the accepted trial alone; the modified test needs t on
-        # every trial.
-        assert len(t_calls) == (out.nf_used if modified else 1)
+        # One trial rule: each trial takes mu, then t from it, whether or not
+        # its curvature test reads t; the last trial is the accepted one.
+        assert len(mu_calls) == len(t_calls) == out.nf_used
+        assert mu_calls[-1] == out.alpha and t_calls[-1] == out.mu
 
         alpha = out.alpha
         s = alpha * d
@@ -321,7 +344,7 @@ class TestAcceptedBundleOnly:
         # The vector form differs only by rounding: mu is a difference of
         # O(|f|) terms, so compare on the scale of f and of the slope terms.
         scale = abs(f) + abs(out.f_new) + alpha * (abs(gd) + abs(gd_new))
-        assert abs(out.mu - mu(f, out.f_new, g, out.g_new, s)) <= 1e-14 * scale
+        assert abs(out.mu - vector_mu(f, out.f_new, g, out.g_new, s)) <= 1e-14 * scale
         assert out.t == t_raw
         if modified:
             np.testing.assert_array_equal(out.z, z_vector(y, s, t_raw))
@@ -334,7 +357,7 @@ class TestAcceptedBundleOnly:
         assert audit.steps == 1 and violations(audit) == 0, audit
 
     @pytest.mark.parametrize("modified", [True, False])
-    def test_failed_search_builds_no_bundle(self, z_calls, t_calls, modified):
+    def test_failed_search_builds_no_bundle(self, z_calls, t_calls, mu_calls, modified):
         oracle = InstrumentedOracle(problem_1d(lambda x: -x, lambda x: -1.0))
         search = modified_wolfe if modified else standard_wolfe
         out = search(oracle, vec(0.0), 0.0, vec(-1.0), vec(1.0), PARAMS, COEF, 1.0, -1.0)
@@ -342,7 +365,7 @@ class TestAcceptedBundleOnly:
         assert out.nf_used > 1
         assert out.s is None and out.y is None and out.z is None
         assert z_calls == []
-        assert len(t_calls) == (out.nf_used if modified else 0)
+        assert len(mu_calls) == len(t_calls) == out.nf_used
 
 
 class TestTrialVectorsFreed:

@@ -252,7 +252,7 @@ def test_private_imports_and_attribute_reads_are_caught(tmp_path):
 # The run defaults (epsilon, max_iter), the trial-step cap, theta's lower
 # bound 1/4 + ETA and machine epsilon, each a decision that must live in one
 # place: SolverConfig's fields, linesearch.ALPHA_MAX, directions.theta_bar and
-# linesearch.EPS.
+# secant.EPS.
 WRITTEN_ONCE = (1e-8, 10000, 1e6, 0.25, 2.220446049250313e-16)
 
 

@@ -3,7 +3,7 @@
 Line-search trials take mu, |s|^2 and s^T d from g^T d, g_t^T d and d^T d
 (s = alpha d), and the solver's ``next_direction`` takes its step scalars
 from the search.  These tests run real searches and check that both paths
-agree with the vector forms (``secant.mu`` and the independent direction
+agree with the vector forms (``vector_mu`` and the independent direction
 forms in ``reference.py``), and that neither takes more dot products than
 its budget.
 """
@@ -20,7 +20,6 @@ from specgrad.directions import DirectionParams, next_direction
 from specgrad.linesearch import ACCEPTED, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import InstrumentedOracle, Problem, problem
-from specgrad.secant import mu
 from specgrad.solver import default_config, minimize
 
 from reference import (
@@ -29,6 +28,7 @@ from reference import (
     next_direction_jian,
     next_direction_m2,
     next_direction_scgmmwls,
+    vector_mu,
 )
 
 METHODS = ("scgmmwls", "m2", "dk", "jian")
@@ -123,7 +123,7 @@ class TestAgreement:
         for f, g, d, out in steps:
             # mu is a difference of O(|f|) terms: compare on the scale of its terms.
             scale = abs(f) + abs(out.f_new) + out.alpha * (abs(dot(g, d)) + abs(dot(out.g_new, d)))
-            assert abs(out.mu - mu(f, out.f_new, g, out.g_new, out.s)) <= 1e-13 * scale
+            assert abs(out.mu - vector_mu(f, out.f_new, g, out.g_new, out.s)) <= 1e-13 * scale
 
     def test_dw_bounded_below_by_the_curvature_condition(self):
         # d^T w >= (1 - sigma)|g^T d| up to the acceptance tolerance, so the

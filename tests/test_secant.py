@@ -8,13 +8,14 @@ from specgrad.directions import DirectionParams
 from specgrad.linesearch import WolfeParams
 from specgrad.problems import Problem
 from specgrad.secant import (
+    EPS,
     mu,
     t_coefficient,
     v_vector_m2,
     z_vector,
 )
 
-from reference import DegenerateStepError, hessian_error, m2_coefficient, make_secant
+from reference import DegenerateStepError, hessian_error, m2_coefficient, make_secant, vector_mu
 
 
 def vec(*vals):
@@ -66,15 +67,31 @@ class TestParams:
 
 
 class TestMu:
+    """``mu`` is the slope form the solver takes for a step s = alpha d;
+    ``vector_mu`` (reference.py) is the vector form for any s."""
+
     def test_cubic_hand_value(self):
-        # f(x) = x^3 from 0.5 to 1: mu = 2(0.125 - 1) + (0.75 + 3) 0.5
-        val = mu(0.125, 1.0, vec(0.75), vec(3.0), vec(0.5))
+        # f(x) = x^3 from 0.5 to 1: mu = 2(0.125 - 1) + (0.75 + 3) 0.5, s = 0.5 d with d = 1.
+        val = vector_mu(0.125, 1.0, vec(0.75), vec(3.0), vec(0.5))
         assert val == pytest.approx(0.125, abs=1e-15)
+        assert mu(0.125, 1.0, 0.5, 0.75, 3.0) == 0.125
 
     def test_quadratic_exactly_zero(self):
-        # f = x^2 from 1 to 0.3: 2(0.91) + 2.6 (-0.7) = 0
-        val = mu(1.0, 0.09, vec(2.0), vec(0.6), vec(-0.7))
+        # f = x^2 from 1 to 0.3: 2(0.91) + 2.6 (-0.7) = 0.  Along d = -1 the
+        # slope form rounds to 2^-52, within f's rounding, so it reads 0.
+        val = vector_mu(1.0, 0.09, vec(2.0), vec(0.6), vec(-0.7))
         assert abs(val) <= 1e-15
+        assert 2.0 * (1.0 - 0.09) + 0.7 * (-2.0 - 0.6) == 2.0**-52
+        assert mu(1.0, 0.09, 0.7, -2.0, -0.6) == 0.0
+
+    def test_rounding_gate_is_4_eps_of_the_f_values(self):
+        # With f_old = f_new = 1, mu is alpha (g_old^T d + g_new^T d) and the gate 8 eps.
+        gate = 4.0 * EPS * (1.0 + 1.0)
+        above = math.nextafter(gate, 1.0)
+        assert mu(1.0, 1.0, 1.0, gate, 0.0) == mu(1.0, 1.0, 1.0, -gate, 0.0) == 0.0
+        assert mu(1.0, 1.0, 1.0, above, 0.0) == above
+        assert mu(1.0, 1.0, 1.0, 0.0, -above) == -above
+        assert mu(0.0, 0.0, 1.0, 1e-300, 0.0) == 1e-300  # f = 0 carries no rounding
 
     def test_quadratic_exactness_seeded_forms(self):
         rng = np.random.default_rng(42)
@@ -90,8 +107,9 @@ class TestMu:
                 s = rng.standard_normal(n)
                 x1 = x0 + s
                 f0, f1 = f(x0), f(x1)
-                val = mu(f0, f1, g(x0), g(x1), s)
-                assert abs(val) <= 1e-9 * (1.0 + abs(f0) + abs(f1))
+                bound = 1e-9 * (1.0 + abs(f0) + abs(f1))
+                assert abs(vector_mu(f0, f1, g(x0), g(x1), s)) <= bound
+                assert abs(mu(f0, f1, 1.0, float(g(x0) @ s), float(g(x1) @ s))) <= bound
 
 
 class TestTCoefficient:
