@@ -6,7 +6,9 @@ Subcommands:
 * ``bench profile``  compute performance profiles from an emitted run, plus
   ``excluded.csv`` (the problems no solver solved; header-only if none)
 * ``bench trace``    print the first ``TRACE_ROWS`` rows of the
-  per-iteration mu table for one run
+  per-iteration table for one run: the step's mu, t, alpha and f, then the
+  update's beta and theta and its flags (``R`` restart, ``B`` beta floored
+  at beta_R, ``T`` theta truncated, ``-`` none)
 
 Exit code is 0 iff no evaluation error occurred; 2 for a bad argument (a
 solver id, option, problem name or dimension no run could use, a cell named
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import compress
 from pathlib import Path
 
 from .bench import (
@@ -35,7 +38,7 @@ from .bench import (
 from .problems import family_names, problem
 from .solver import EVAL_ERROR, SolverConfig, default_config, minimize
 
-TRACE_ROWS = 24  # rows of the mu table ``bench trace`` prints
+TRACE_ROWS = 24  # rows of the table ``bench trace`` prints
 
 
 def _parse_list(text: str) -> list[str]:
@@ -120,9 +123,12 @@ def _cmd_trace(args, parser) -> int:
         parser.error(exc.args[0])
     result = minimize(prob, cfg)
     records = result.trace[:TRACE_ROWS]
-    print(f"{'iteration':>10} {'mu':>14} {'t':>14} {'alpha':>12} {'f':>14}")
+    print(f"{'iteration':>10} {'mu':>14} {'t':>14} {'alpha':>12} {'f':>14} "
+          f"{'beta':>12} {'theta':>12} {'flags':>5}")
     for k, rec in enumerate(records, 1):
-        print(f"{k:>10} {rec.mu:>14.3E} {rec.t:>14.3E} {rec.alpha:>12.3E} {rec.f:>14.6E}")
+        flags = "".join(compress("RBT", (rec.restart, rec.truncated_beta, rec.truncated_theta))) or "-"
+        print(f"{k:>10} {rec.mu:>14.3E} {rec.t:>14.3E} {rec.alpha:>12.3E} {rec.f:>14.6E} "
+              f"{rec.beta:>12.3E} {rec.theta:>12.3E} {flags:>5}")
     print(
         f"status={result.status} ni={result.ni} nf={result.nf} ng={result.ng} "
         f"gnorm={result.gnorm_inf_final:.3e}"
@@ -154,7 +160,7 @@ def main(argv=None) -> int:
     p_prof.add_argument("--out", required=True, help="output directory")
     p_prof.set_defaults(func=_cmd_profile)
 
-    p_trace = sub.add_parser("trace", help="print the mu trace of a single run")
+    p_trace = sub.add_parser("trace", help="print the per-iteration trace of a single run")
     p_trace.add_argument("--problem", required=True)
     p_trace.add_argument("--dim", type=int, default=1000)
     p_trace.add_argument("--solver", default="scgmmwls:m=3")

@@ -2,19 +2,20 @@
 
 Every method builds d_new = -theta g_new + beta d_prev from one secant
 vector w = y + c s: z = y + t s (scgmmwls), v = y + c s with c = t if
-mu > 0, else 0 (m2), or y (dk, jian; c = 0).  Only the rules for beta and
-theta differ:
+mu > 0, else 0 (m2), or y (dk, jian; c = 0).  All four take one beta and
+one theta formula,
 
-* ``scgmmwls``, ``m2``  beta is max(beta_L, beta_R), theta the
-  quasi-Newton-motivated quotient theta~, truncated into [1/4 + ETA, TAU]
-  with fallback 1 (:func:`theta_bar`).
-* ``dk``                theta = 1 and the curvature-corrected beta_DK.
-* ``jian``              beta_DK with Jian's spectral theta+, truncated alike.
+    beta_L  = g_new^T w / d^T w - (w^T w / d^T w)(g_new^T d / d^T w)
+    theta~  = (s^T g_new + beta d^T w) / g_new^T w,
 
-Degenerate denominators and numerically non-descent results never escape:
-they restart the direction at -g_new and are flagged in the step's
-:class:`IterationRecord`, which :func:`next_direction` returns with the
-direction and the solver keeps as the step's trace row.
+and differ only in w and in the safeguards:
+
+* ``scgmmwls``, ``m2``  beta is floored at beta_R = g_old^T d / d^T d, theta~
+  is truncated into [1/4 + ETA, TAU] with fallback 1 (:func:`theta_bar`).
+* ``jian``              m2 at mu <= 0 without the floor: beta_L at w = y is
+  Dai and Kou's beta_DK (at tau = s^T y / |s|^2), and theta~ at that beta is
+  Jian's theta+ = 1 - (|y|^2 g_new^T d / d^T y - s^T g_new) / g_new^T y.
+* ``dk``                jian with theta = 1 and a plain-descent restart.
 
 :func:`next_direction` is the one code path.  It uses s = alpha d and reads
 g_new, the secant bundle and the line search's dot products from the
@@ -149,13 +150,9 @@ def next_direction(
     if abs(dw) <= _DEGENERATE_REL * math.sqrt(dd) * math.sqrt(ww):
         return _restart(g_new, rec, dot(g_new, g_new))
     gw = dot(g_new, w)
-    if method in ORDER_METHODS:
-        beta = gw / dw - (ww / dw) * (gd_new / dw)  # beta_L
-        beta_r = gd_old / dd
-        if not beta >= beta_r:
-            beta, rec.truncated_beta = beta_r, True
-    else:
-        beta = gw / dw - ww * gd_new / (dw * dw)  # beta_DK
+    beta = gw / dw - (ww / dw) * (gd_new / dw)  # beta_L; beta_DK at w = y
+    if method in ORDER_METHODS and not beta >= (beta_r := gd_old / dd):
+        beta, rec.truncated_beta = beta_r, True
     rec.beta = beta
     if method == "dk":
         d = -g_new + beta * prev_d
@@ -166,12 +163,8 @@ def next_direction(
         rec.gd = gd_next
         return d, rec
     gg = dot(g_new, g_new)
-    sg = step.alpha * gd_new
     degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww)
-    if method in ORDER_METHODS:
-        theta_t = math.nan if degenerate else (sg + beta * dw) / gw
-    else:
-        theta_t = math.nan if degenerate else 1.0 - (ww * gd_new / dw - sg) / gw
+    theta_t = math.nan if degenerate else (step.alpha * gd_new + beta * dw) / gw  # theta~
     theta = theta_bar(theta_t)
     rec.theta = theta
     rec.truncated_theta = theta != theta_t

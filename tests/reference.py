@@ -26,6 +26,9 @@ the line search instead, and report beta, theta and the flags in their own
 :class:`Diag`; the tests check the two agree.  ``accepted_step`` builds the
 search outcome of s = alpha d that ``next_direction`` reads.
 
+``nonconvex_quartic`` is a one-dimensional problem on which the standard
+Wolfe search accepts a step that the modified one rejects.
+
 ``violations`` sums every ``*_violations`` tally of an audit report, so a
 tally added to :class:`specgrad.solver.AuditReport` is counted without a
 change here.
@@ -209,6 +212,17 @@ def next_direction_jian(
     except Degenerate:
         theta_raw = math.nan
     return _spectral_step(g_new, prev_d, diag.beta, theta_raw, diag)
+
+
+def nonconvex_quartic() -> Problem:
+    """f(x) = x^4/4 - x^3 + x^2/4 from x0 = -1.5, nonconvex on (0.09, 1.91): along
+    d = -g, mu is far below 0 and the two Wolfe searches accept different steps."""
+    return Problem(
+        "nonconvex_quartic",
+        lambda x: (float(x[0] ** 4 / 4 - x[0] ** 3 + x[0] ** 2 / 4),
+                   np.array([x[0] ** 3 - 3 * x[0] ** 2 + x[0] / 2])),
+        np.array([-1.5]),
+    )
 
 
 def violations(audit) -> int:

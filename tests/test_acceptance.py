@@ -365,9 +365,9 @@ def assert_fingerprint(table, path, what) -> tuple[int, int, int]:
     moved = [f"{e[0]}/{e[1]}" for g, e in zip(got, expected) if g != e]
     assert got == expected, (
         f"the {what} suite moved in {moved}: converged/NI/NF {fingerprint_totals(expected)} -> "
-        f"{fingerprint_totals(got)}. If the change is meant to move trajectories, regenerate {path} with "
-        "`PYTHONPATH=src python tests/test_acceptance.py`, and the files of every other config under "
-        "its KERNEL_CONFIGS environment, and say in CHANGES.md why they moved. "
+        f"{fingerprint_totals(got)}. If the change is meant to move trajectories, regenerate {path} and "
+        "the files of every other config this CPU runs with `PYTHONPATH=src python tests/test_acceptance.py`, "
+        "and say in CHANGES.md why they moved. "
         f"Numeric platform: {numeric_platform()}."
     )
     return fingerprint_totals(got)
@@ -398,13 +398,18 @@ CHECK_N100 = (
 )
 
 
+def other_configs() -> dict:
+    """Each committed config but this process's -> the CPU features it needs that
+    this CPU lacks; a config is never forced onto a CPU that lacks its features."""
+    features = cpu_features()
+    return {key: [f for f in needs if not features.get(f)]
+            for key, (_, _, needs) in KERNEL_CONFIGS.items() if key != kernel_config()}
+
+
 def test_n100_fingerprint_holds_under_each_other_config_this_cpu_runs():
     # A change that moves trajectories must regenerate every config's files;
-    # one left stale fails here on any machine that runs two configs.  A
-    # config is never forced onto a CPU that lacks its features.
-    features = cpu_features()
-    others = [key for key, (_, _, needs) in KERNEL_CONFIGS.items()
-              if key != kernel_config() and all(features.get(f) for f in needs)]
+    # one left stale fails here on any machine that runs two configs.
+    others = [key for key, lacks in other_configs().items() if not lacks]
     if not others:
         pytest.skip(f"no other committed kernel config runs on this CPU ({numeric_platform()})")
     for key in others:
@@ -412,6 +417,15 @@ def test_n100_fingerprint_holds_under_each_other_config_this_cpu_runs():
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, f"config {key}:\n{proc.stderr[-3000:]}"
         assert proc.stdout.strip().splitlines()[-1] == repr(key)
+
+
+def test_other_configs_name_the_features_this_cpu_lacks(monkeypatch):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "kernel_config", lambda: ("SkylakeX", True))
+    monkeypatch.setattr(module, "cpu_features", lambda: {"AVX2": True, "FMA3": False})
+    assert other_configs() == {("Haswell", False): ["FMA3"]}
+    monkeypatch.setattr(module, "kernel_config", lambda: ("Haswell", False))
+    assert other_configs() == {("SkylakeX", True): ["AVX512_SKX"]}
 
 
 def test_an_unknown_kernel_config_fails_and_names_its_platform(monkeypatch):
@@ -461,13 +475,27 @@ def test_regeneration_reports_the_totals_and_each_moved_cell():
     assert fingerprint_moves(None, new) == ["new file, converged/NI/NF (3, 17, 22)"]
 
 
-if __name__ == "__main__":
-    # Writes the files of the kernel config this process runs; select another
-    # with the environment of its KERNEL_CONFIGS entry.
+def write_fingerprints() -> None:
+    """Regenerate both files of the kernel config this process runs and print
+    what moved in each."""
     n100 = run_suite(SUITE_SOLVERS, "all", dims=[100], epsilon=1e-8, max_iter=10000)
     for path, table in ((fingerprint_file(FINGERPRINT), n100),
                         (fingerprint_file(FINGERPRINT_N1000), suite_n1000())):
         old = json.loads(path.read_text()) if path.exists() else None
         rows = suite_fingerprint(table)
         write_fingerprint(path, rows)
-        print(f"wrote {path}: " + "\n".join(fingerprint_moves(old, rows)))
+        print(f"wrote {path}: " + "\n".join(fingerprint_moves(old, rows)), flush=True)
+
+
+if __name__ == "__main__":
+    # Writes the files of this process's config, then those of each other
+    # committed config this CPU runs, in a fresh process under its environment
+    # that first checks the selection took.
+    write_fingerprints()
+    for key, lacks in other_configs().items():
+        if lacks:
+            print(f"skipped config {key}: this CPU lacks {', '.join(lacks)}")
+            continue
+        code = (f"import test_acceptance as t; assert t.kernel_config() == {key!r}, "
+                f"t.numeric_platform(); t.write_fingerprints()")
+        subprocess.run([sys.executable, "-c", code], env=config_env(key), check=True, timeout=600)

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+import specgrad.cli
 from specgrad.cli import TRACE_ROWS, main
+from specgrad.directions import IterationRecord
+from specgrad.problems import problem
+from specgrad.solver import CONVERGED, RunResult, default_config, minimize
 
 RUN_ARGS = [
     "run",
@@ -160,6 +164,37 @@ class TestTrace:
         table_rows = [line for line in lines if line.strip() and line.split()[0].isdigit()]
         assert TRACE_ROWS == 24 and int(lines[-1].split()[1].removeprefix("ni=")) > TRACE_ROWS
         assert [int(row.split()[0]) for row in table_rows] == list(range(1, TRACE_ROWS + 1))
+
+    def test_trace_rows_show_the_update_fields(self, capsys):
+        # ext_rosenbrock at n = 10 floors beta and truncates theta in its first rows.
+        main(["trace", "--problem", "ext_rosenbrock", "--dim", "10"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["iteration", "mu", "t", "alpha", "f", "beta", "theta", "flags"]
+        cfg = default_config("scgmmwls:m=3", trace_level="full")
+        trace = minimize(problem("ext_rosenbrock", 10), cfg).trace
+        rows = [line.split() for line in lines[1:-1]]
+        assert len(rows) == TRACE_ROWS
+        for row, rec in zip(rows, trace):
+            assert row[5:7] == [f"{rec.beta:.3E}", f"{rec.theta:.3E}"]
+            expected = ("B" if rec.truncated_beta else "") + ("T" if rec.truncated_theta else "")
+            assert row[7] == (expected or "-")
+        assert {"-", "T", "B"} <= {c for row in rows for c in row[7]}
+
+    def test_trace_flags_name_each_safeguard(self, capsys, monkeypatch):
+        records = [IterationRecord(1.0, 0.5, -1.0, -0.1, restart=True, truncated_theta=True),
+                   IterationRecord(0.5, 0.5, 0.0, 0.0, beta=-2.0, theta=1.0, truncated_theta=True,
+                                   truncated_beta=True),
+                   IterationRecord(0.25, 0.5, 0.0, 0.0, beta=0.5, theta=2.0)]
+        result = RunResult(CONVERGED, 3, 4, 0.25, 0.0, trace=records)
+        monkeypatch.setattr(specgrad.cli, "minimize", lambda prob, cfg: result)
+        assert main(["trace", "--problem", "qf1", "--dim", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[5:] for line in lines[1:-1]] == [
+            ["0.000E+00", "1.000E+00", "RT"],
+            ["-2.000E+00", "1.000E+00", "BT"],
+            ["5.000E-01", "2.000E+00", "-"],
+        ]
+        assert lines[-1] == "status=converged ni=3 nf=4 ng=4 gnorm=0.000e+00"
 
 
 ROW = ('{"solver": "dk", "problem": "qf1", "dim": 10, "status": "converged", "ni": 5, "nf": 9, '

@@ -372,6 +372,25 @@ class TestNextDirection:
         assert (rec_a.alpha, rec_a.mu, rec_a.t) == (0.4, mu, -0.1)
         assert (rec_b.alpha, rec_b.mu, rec_b.t) == (0.4, mu, 0.0)
 
+    def test_jian_equals_m2_with_nonpositive_mu_and_an_unfloored_beta(self):
+        # beta_DK is beta_L at w = y and Jian's theta+ is theta~ at that beta,
+        # so where m2 keeps beta_L (v = y at mu <= 0) the two are one update.
+        rng = np.random.default_rng(33)
+        compared = 0
+        for k in range(2000):
+            g_old, g_new, prev_d = rng.standard_normal((3, 6))
+            mu = 0.0 if k % 4 == 0 else -float(rng.exponential())
+            step = accepted_step(g_old, g_new, prev_d, float(rng.uniform(0.01, 2.0)),
+                                 mu=mu, t=float(rng.standard_normal()))
+            d_m2, rec_m2 = next_direction(prev_d, step, self.params("m2"))
+            if rec_m2.truncated_beta:
+                continue
+            d_jian, rec_jian = next_direction(prev_d, step, self.params("jian"))
+            np.testing.assert_array_equal(d_jian, d_m2)
+            assert update_fields(rec_jian) == update_fields(rec_m2)
+            compared += 1
+        assert compared >= 500
+
     def test_m2_with_positive_mu_equals_scgmmwls(self):
         g_old, g_new, prev_d = vec(1.1, -0.4), vec(0.2, -0.9), vec(-1.0, 0.3)
         step = accepted_step(g_old, g_new, prev_d, 0.4, mu=0.7, t=1.3)

@@ -29,7 +29,7 @@ from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.secant import EPS, mu, t_coefficient, z_vector
 from specgrad.solver import AuditReport, default_config
 
-from reference import vector_mu, violations
+from reference import nonconvex_quartic, vector_mu, violations
 
 
 def vec(*vals):
@@ -116,6 +116,31 @@ class TestModifiedWolfe:
         assert out.alpha != 0.5
         assert out.alpha == 0.75  # x lands at 0.25, short of the stationary point of x^3
         assert out.nf_used == 2
+
+    def test_standard_search_accepts_a_step_the_modified_one_rejects(self):
+        # The modified search's reason to exist, at the paper's (rho, sigma):
+        # the first trial alpha = 0.25 has mu = -22.9 and t = -0.0738, and
+        # passes the standard curvature test although d^T z = 93.94 falls
+        # short of (1 - sigma)|g^T d| = 94.6125.  The modified test is
+        # d^T z >= (1 - sigma)|g^T d| at t < 0, so that search moves on to
+        # alpha = 0.375, with d^T z = 99.80.  Both margins exceed 0.5% of
+        # |g^T d|, far above the 1e-12 acceptance tolerance.
+        p, params = nonconvex_quartic(), WolfeParams()
+        f, g = p.objective(p.start), p.gradient(p.start)
+        d = -g
+        gd = dot(g, d)
+        bound, margin = (1.0 - params.sigma) * abs(gd), 0.005 * abs(gd)
+        assert bound == pytest.approx(94.6125, rel=1e-12)
+        std = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, 3.0, 0.25, gd)
+        assert (std.status, std.alpha, std.nf_used) == (ACCEPTED, 0.25, 1)
+        assert std.mu == pytest.approx(-22.9, abs=0.05)
+        assert std.t == pytest.approx(-0.0738, abs=1e-4)
+        dz_std = dot(d, z_vector(std.y, std.s, std.t))
+        assert dz_std == pytest.approx(93.94, abs=0.01) and dz_std < bound - margin
+        mod = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, params, 3.0, 0.25, gd)
+        assert (mod.status, mod.alpha, mod.nf_used) == (ACCEPTED, 0.375, 2)
+        dz_mod = dot(d, mod.z)
+        assert dz_mod == pytest.approx(99.80, abs=0.01) and dz_mod > bound + margin
 
     def test_accepted_step_carries_secant_bundle(self):
         p = problem("ext_rosenbrock", 10)
