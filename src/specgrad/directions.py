@@ -15,7 +15,9 @@ and differ only in w and in the safeguards:
 * ``jian``              m2 at mu <= 0 without the floor: beta_L at w = y is
   Dai and Kou's beta_DK (at tau = s^T y / |s|^2), and theta~ at that beta is
   Jian's theta+ = 1 - (|y|^2 g_new^T d / d^T y - s^T g_new) / g_new^T y.
-* ``dk``                jian with theta = 1 and a plain-descent restart.
+* ``dk``                jian with theta = 1.  Its beta gives g_new^T d_new <=
+  -3/4 |g_new|^2 for any d^T y != 0 (Dai and Kou, SIAM J. Optim. 23 (2013)
+  296-320), so it meets the spectral descent test of the other three.
 
 :func:`next_direction` is the one code path.  It uses s = alpha d and reads
 g_new, the secant bundle and the line search's dot products from the
@@ -154,20 +156,14 @@ def next_direction(
     if method in ORDER_METHODS and not beta >= (beta_r := gd_old / dd):
         beta, rec.truncated_beta = beta_r, True
     rec.beta = beta
-    if method == "dk":
-        d = -g_new + beta * prev_d
-        gd_next = dot(g_new, d)
-        # Plain descent only; dk carries no ETA-margin guarantee.
-        if gd_next >= 0.0 and (gg := dot(g_new, g_new)) > 0.0:
-            return _restart(g_new, rec, gg)
-        rec.gd = gd_next
-        return d, rec
     gg = dot(g_new, g_new)
-    degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww)
-    theta_t = math.nan if degenerate else (step.alpha * gd_new + beta * dw) / gw  # theta~
-    theta = theta_bar(theta_t)
-    rec.theta = theta
-    rec.truncated_theta = theta != theta_t
+    theta = 1.0  # dk; -1.0 * g_new is -g_new bit for bit
+    if method != "dk":
+        degenerate = abs(gw) <= _DEGENERATE_REL * math.sqrt(gg) * math.sqrt(ww)
+        theta_t = math.nan if degenerate else (step.alpha * gd_new + beta * dw) / gw  # theta~
+        theta = theta_bar(theta_t)
+        rec.theta = theta
+        rec.truncated_theta = theta != theta_t
     d = -theta * g_new + beta * prev_d
     gd_next = dot(g_new, d)
     if gd_next <= -ETA * gg:

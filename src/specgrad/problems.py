@@ -4,8 +4,7 @@ Twelve classic families from the unconstrained-optimization test-function
 collections, each with its standard starting point and an exact gradient.
 Each family is one vectorized kernel ``fg(x) -> (f, g)`` computing the terms
 f and g share once, since every solver evaluation needs both at one point;
-``Problem.objective``/``gradient`` derive from it for callers that need one
-of the two, such as the tests' gradient checker.  The only ``**`` allowed is
+``Problem.objective`` derives f alone from it.  The only ``**`` allowed is
 a square: numpy sends ``x**2`` to its square loop but any other exponent to
 libm ``pow``, about 73 ns per element against about 2 ns for a product
 (n = 10000, numpy 2.4.6 on a 2-core x86 machine: ``q**4`` 730 us,
@@ -72,9 +71,6 @@ class Problem:
 
     def objective(self, x: Vector) -> float:
         return self.fg(x)[0]
-
-    def gradient(self, x: Vector) -> Vector:
-        return self.fg(x)[1]
 
 
 def _arwhead(n: int) -> Problem:

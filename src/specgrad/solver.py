@@ -4,9 +4,9 @@ One :func:`minimize` call owns one instrumented oracle.  Iterations count
 accepted steps; the run stops when the gradient infinity-norm drops to the
 tolerance, the step budget is exhausted, or the line search fails.  Every
 accepted step is re-audited in place (Armijo, curvature, the d^T z lower
-bound, t bounds on problems with an exact Lipschitz constant, sufficient
-descent of the next direction); the tallies ride along on the result so
-benchmark-wide audits need no second pass.
+bound, t bounds on problems with an exact Lipschitz constant, and, under
+every method, the next direction's sufficient descent and theta range); the
+tallies ride along on the result so benchmark-wide audits need no second pass.
 """
 
 from __future__ import annotations
@@ -109,6 +109,8 @@ class AuditReport:
             self.t_bound_violations += not -params.C * lipschitz - EPS <= outcome.t <= t_max
 
     def check_direction(self, g_new: Vector, d_new: Vector, theta: float) -> None:
+        """Re-check the next direction of any method from the raw vectors:
+        g_new^T d_new <= -ETA |g_new|^2, and theta in [1/4 + ETA, TAU] or 1."""
         self.descent_checks += 1
         if not dot(g_new, d_new) <= -ETA * dot(g_new, g_new):
             self.descent_violations += 1
@@ -138,10 +140,8 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     oracle = InstrumentedOracle(problem)
     trace: list[IterationRecord] | None = [] if config.trace_level == "full" else None
     audit = AuditReport()
-    method = config.direction.method
-    modified = method == "scgmmwls"
+    modified = config.direction.method == "scgmmwls"
     search = modified_wolfe if modified else standard_wolfe
-    spectral = method != "dk"  # dk alone has theta = 1 and no ETA margin
     coefficient = config.direction.coefficient
 
     x = problem.start.copy()
@@ -173,8 +173,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
         g_new = outcome.g_new
         gnorm = norm_inf(g_new)
         d_new, rec = next_direction(d, outcome, config.direction)
-        if spectral:
-            audit.check_direction(g_new, d_new, rec.theta)
+        audit.check_direction(g_new, d_new, rec.theta)
         if trace is not None:
             trace.append(rec)
 

@@ -12,10 +12,10 @@ solver reads c from the step's t instead, and the tests check the two agree.
 It and ``hessian_error`` raise :class:`DegenerateStepError` on a zero step;
 the solver never forms one, since its line search ends on a zero |s|^2.
 
-The verification oracles: central differences (``fd_gradient``,
-``fd_hessian_action``), the gradient checker (``gradient_check`` at
-``check_points``) and the order-m curvature-error diagnostic
-``hessian_error``.
+The verification oracles: a problem's analytic ``gradient`` alone,
+central differences (``fd_gradient``, ``fd_hessian_action``), the gradient
+checker (``gradient_check`` at ``check_points``) and the order-m
+curvature-error diagnostic ``hessian_error``.
 
 The vector forms of the direction formulas (``beta_m``, ``theta_tilde``,
 ``beta_dk``, ``next_direction_<method>``) are written from the paper's
@@ -184,16 +184,13 @@ def next_direction_m2(
 
 
 def next_direction_dk(g_new: Vector, prev_d: Vector, y: Vector) -> tuple[Vector, Diag]:
-    """-g_new + beta_DK d; restarts unless g_new^T d < 0 (or g_new = 0)."""
+    """-g_new + beta_DK d (theta = 1); restarts unless g_new^T d <= -ETA |g_new|^2."""
     diag = Diag()
     try:
         diag.beta = beta_dk(g_new, prev_d, y)
     except Degenerate:
         return _restarted(g_new, diag)
-    d = -g_new + diag.beta * prev_d
-    if float(g_new @ d) >= 0.0 and float(g_new @ g_new) > 0.0:
-        return _restarted(g_new, diag)
-    return d, diag
+    return _spectral_step(g_new, prev_d, diag.beta, 1.0, diag)
 
 
 def next_direction_jian(
@@ -260,6 +257,11 @@ class FiniteDifferenceSpec:
             raise ValueError(f"finite-difference step must be positive, got {self.h}")
 
 
+def gradient(prob: Problem, x: Vector) -> Vector:
+    """The analytic gradient of ``prob`` at ``x``, from its fused ``fg``."""
+    return prob.fg(x)[1]
+
+
 def fd_gradient(f: ScalarField, x: Vector, spec: FiniteDifferenceSpec) -> Vector:
     """Central-difference gradient of ``f`` at ``x``: (f(x+h e_i) - f(x-h e_i)) / 2h."""
     h = spec.h
@@ -323,7 +325,7 @@ def gradient_check(prob: Problem, points: list[Vector], tol: float) -> GradientC
         raise ValueError("tol must be positive")
     report = GradientCheckReport(prob.name, tol)
     for x in points:
-        g_a = prob.gradient(x)
+        g_a = gradient(prob, x)
         spec = FiniteDifferenceSpec(h=1e-6 * (1.0 + norm_inf(x)))
         g_fd = fd_gradient(prob.objective, x, spec)
         report.rel_errors.append(norm_inf(g_a - g_fd) / (1.0 + norm_inf(g_a)))

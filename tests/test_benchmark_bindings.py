@@ -55,9 +55,8 @@ def test_tracer_counts_match_the_run(tmp_path, monkeypatch, capsys):
     # Every trial takes mu and t; only each cell's start point is evaluated outside a search.
     assert tracer.calls["secant.mu"] == tracer.calls["secant.t_coefficient"] == nf - len(rows)
     assert tracer.calls["solver.minimize"] == 8
-    # One check_wolfe per step, plus one check_direction per spectral (non-dk) step.
-    spectral_ni = sum(r.result.ni for r in rows if r.solver != "dk")
-    assert tracer.calls["solver.audit"] == ni + spectral_ni
+    # One check_wolfe and one check_direction per step, under every solver.
+    assert tracer.calls["solver.audit"] == 2 * ni
     for span in ("solver.audit", "bench.emit", "bench.load", "bench.profile"):
         assert tracer.calls[span] > 0, span
         assert tracer.self_s[span] > 0.0, span

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specgrad.directions import DirectionParams, next_direction, theta_bar
 from specgrad.linesearch import WolfeParams
@@ -351,6 +353,22 @@ class TestNextDirection:
         # The slope of -g_new, not the descent test's 0 for the direction it rejected.
         assert float.hex(rec.gd) == float.hex(dot(g_new, -g_new)) == float.hex(-2.0)
         assert beta_dk(g_new, prev_d, step.y) == 2.0**54
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+        min_size=3 * n, max_size=3 * n)))
+    def test_dk_meets_the_spectral_descent_test(self, values):
+        # g_new^T d_new = -|g|^2 + g^T u - |u|^2 <= -3/4 |g|^2 with
+        # u = (g^T d / d^T y) y, whatever d^T y is; bounding |d^T y| below
+        # bounds beta d against g, so rounding cannot break the bound.
+        g_new, prev_d, y = np.array(values).reshape(3, -1)
+        step = accepted_step(g_new - y, g_new, prev_d, 1.0)
+        dy = step.gd_new - step.gd_old  # d^T y as the update reads it
+        assume(abs(dy) >= 1e-3 * np.linalg.norm(prev_d) * np.linalg.norm(step.y) > 0.0)
+        _, rec = next_direction(prev_d, step, self.params("dk"))
+        assert not rec.restart
+        assert rec.gd <= -0.74 * dot(g_new, g_new)
 
     def test_jian_truncates_theta(self):
         # theta+ = 1 - (|y|^2 d^T g / d^T y - s^T g) / y^T g is about -2e7.

@@ -29,7 +29,7 @@ from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.secant import EPS, mu, t_coefficient, z_vector
 from specgrad.solver import AuditReport, default_config
 
-from reference import nonconvex_quartic, vector_mu, violations
+from reference import gradient, nonconvex_quartic, vector_mu, violations
 
 
 def vec(*vals):
@@ -126,7 +126,7 @@ class TestModifiedWolfe:
         # alpha = 0.375, with d^T z = 99.80.  Both margins exceed 0.5% of
         # |g^T d|, far above the 1e-12 acceptance tolerance.
         p, params = nonconvex_quartic(), WolfeParams()
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         gd = dot(g, d)
         bound, margin = (1.0 - params.sigma) * abs(gd), 0.005 * abs(gd)
@@ -145,7 +145,7 @@ class TestModifiedWolfe:
     def test_accepted_step_carries_secant_bundle(self):
         p = problem("ext_rosenbrock", 10)
         oracle = InstrumentedOracle(p)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         out = modified_wolfe(
             oracle, p.start, f, g, d, PARAMS, COEF, 1.0 / norm_inf(g), dot(g, d)
@@ -158,7 +158,7 @@ class TestModifiedWolfe:
     def test_degenerate_direction(self):
         p = problem("qf1", 4)
         oracle = InstrumentedOracle(p)
-        g = p.gradient(p.start)
+        g = gradient(p, p.start)
         out = modified_wolfe(oracle, p.start, 1.0, g, g, PARAMS, COEF, 1.0, dot(g, g))  # ascent
         assert out.status == DEGENERATE_DIRECTION
 
@@ -206,7 +206,7 @@ class TestModifiedWolfe:
 
     def test_reduction_to_standard_on_qf1(self):
         p = problem("qf1", 5)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         a = standard_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 0.2, dot(g, d))
         b = modified_wolfe(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 0.2, dot(g, d))
@@ -261,7 +261,7 @@ class TestInitialAlpha:
     def test_search_handed_the_last_step_starts_from_its_rule(self, search, monkeypatch):
         # alpha0 is ignored once prev is given; the rule reads the search's own d^T d.
         p = problem("ext_rosenbrock", 10)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         prev = last_step(1e-3, -4.0, -1.0, 2.0)
         first = initial_alpha(prev, dot(g, d), dot(d, d))
@@ -343,7 +343,7 @@ class TestAcceptedBundleOnly:
         self, z_calls, t_calls, mu_calls, name, modified
     ):
         p = problem(name, 10)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         search = modified_wolfe if modified else standard_wolfe
         out = search(InstrumentedOracle(p), p.start, f, g, d, PARAMS, COEF, 1.0, dot(g, d))
@@ -456,7 +456,7 @@ class TestVerifier:
     def test_accepted_modified_step_verifies(self):
         p = problem("qf1", 30)
         oracle = InstrumentedOracle(p)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         out = modified_wolfe(oracle, p.start, f, g, d, PARAMS, COEF, 1.0 / norm_inf(g), dot(g, d))
         assert out.status == ACCEPTED
@@ -468,7 +468,7 @@ class TestVerifier:
     def test_armijo_invariant_tolerance(self):
         p = problem("ext_himmelblau", 6)
         oracle = InstrumentedOracle(p)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         out = standard_wolfe(oracle, p.start, f, g, d, PARAMS, COEF, 0.01, dot(g, d))
         assert out.status == ACCEPTED

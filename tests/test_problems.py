@@ -13,7 +13,7 @@ import specgrad.solver
 from specgrad.numkit import dot, norm_inf
 from specgrad.problems import EvaluationError, InstrumentedOracle, Problem, family_names, problem
 
-from reference import check_points, gradient_check
+from reference import check_points, gradient, gradient_check
 
 ALL_NAMES = family_names()
 
@@ -62,20 +62,20 @@ class TestRegistry:
     def test_qf1_hand_values(self):
         p = problem("qf1", 3)
         assert p.objective(p.start) == pytest.approx(3.0)
-        np.testing.assert_allclose(p.gradient(p.start), [1.0, 2.0, 3.0])
+        np.testing.assert_allclose(gradient(p, p.start), [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("dim", [100, 10000])
     def test_objective_and_gradient_finite_at_start(self, dim):
         for p in (problem(name, dim) for name in ALL_NAMES):
             assert np.isfinite(p.objective(p.start))
-            assert np.all(np.isfinite(p.gradient(p.start)))
+            assert np.all(np.isfinite(gradient(p, p.start)))
 
     def test_qf1_strictly_convex(self):
         p = problem("qf1", 20)
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.standard_normal(20)
-            assert dot(p.gradient(x), x) > 0.0
+            assert dot(gradient(p, x), x) > 0.0
 
 
 class TestInstrumented:
@@ -179,7 +179,7 @@ class TestGradientCheck:
 
     def test_mutated_gradient_fails(self):
         p = problem("qf1", 20)
-        broken = type(p)(p.name, lambda x: (p.objective(x), 1.01 * p.gradient(x)), p.start)
+        broken = type(p)(p.name, lambda x: (p.objective(x), 1.01 * gradient(p, x)), p.start)
         assert not gradient_check(broken, [p.start], tol=1e-6).passed
 
     @pytest.mark.parametrize("name", ALL_NAMES)
@@ -526,12 +526,12 @@ class TestFusedKernels:
         x = check_points(p)[1]
         f, g = p.fg(x)
         assert p.objective(x) == f
-        assert np.array_equal(p.gradient(x), g)
+        assert np.array_equal(gradient(p, x), g)
 
 
 def _assert_matches_reference(p, x):
     f_ref, g_ref = REFERENCE_KERNELS[p.name](x)
-    f, g = p.objective(x), p.gradient(x)
+    f, g = p.objective(x), gradient(p, x)
     assert np.isfinite(f) and np.isfinite(f_ref)
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(g_ref))
     assert abs(f - f_ref) <= KERNEL_RTOL * abs(f_ref)

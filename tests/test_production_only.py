@@ -5,8 +5,10 @@ method and property of a class there other than a dunder, must be referenced
 from production code: another module of the package, its own module outside
 its own definition, or the benchmark scripts ``perfbench/*.py``.
 ``__init__.py`` only re-exports, so it neither defines nor references
-anything here.  A reference is a name, an attribute or a string equal to the
-defined name; an import alone is none.  References made inside a definition
+anything here.  A reference is a name or an attribute equal to the defined
+name, or, in ``perfbench/*.py`` only, a string equal to it, as the tracer
+names what it patches; a string in ``src/``, such as an error message, is
+none, and an import alone is none.  References made inside a definition
 count only while that definition is itself referenced, so the check iterates
 to a fixpoint: a helper used only by another unused helper is caught too.
 Code that only the tests use belongs in ``tests/reference.py``.
@@ -26,7 +28,7 @@ DEFINITIONS = (*FUNCTIONS, ast.ClassDef, ast.Assign, ast.AnnAssign)
 
 
 def references(node: ast.AST, skip=()) -> set[str]:
-    """Names, attributes and strings under ``node``, outside the subtrees in ``skip``."""
+    """Names and attributes under ``node``, outside the subtrees in ``skip``."""
     refs, todo = set(), [node]
     while todo:
         sub = todo.pop()
@@ -36,8 +38,6 @@ def references(node: ast.AST, skip=()) -> set[str]:
             refs.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             refs.add(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            refs.add(sub.value)
         todo.extend(ast.iter_child_nodes(sub))
     return refs
 
@@ -59,11 +59,12 @@ def defined_names(stmt: ast.stmt) -> list[str]:
 def unreferenced(package: Path, callers: list[Path]) -> set[str]:
     """``module.name`` of every top-level definition, and ``module.Class.name``
     of every class member, of ``package`` that no live definition, no other
-    top-level code and no caller file references."""
+    top-level code and no caller file references, a caller's strings included."""
     bodies: dict[tuple[str, str], set[str]] = {}
     roots: set[str] = set()
     for path in callers:
-        roots |= references(ast.parse(path.read_text()))
+        tree = ast.parse(path.read_text())
+        roots |= references(tree) | strings(tree)
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -85,10 +86,18 @@ def unreferenced(package: Path, callers: list[Path]) -> set[str]:
         live = still
 
 
+# Problem.objective's one reader outside the tests is
+# perfbench/tests/test_perfbench.py:212, a test of the benchmark, which changes
+# only together with the benchmark itself (ROADMAP item 8).
+ALLOWED = {"problems.Problem.objective"}
+
+
 def test_every_top_level_name_in_src_has_a_production_caller():
     callers = sorted((ROOT / "perfbench").glob("*.py"))
     assert callers, "perfbench/*.py not found"
     dead = unreferenced(ROOT / "src" / "specgrad", callers)
+    assert dead >= ALLOWED, f"an allowance outlived its reason: {sorted(ALLOWED - dead)}"
+    dead -= ALLOWED
     assert not dead, f"no production caller (move to tests/reference.py): {sorted(dead)}"
 
 
@@ -101,13 +110,15 @@ def test_a_helper_used_only_by_another_unused_helper_is_caught(tmp_path):
         "LIMIT = 3\n"
         "def helper():\n    return math.pi\n"
         "def dead():\n    return helper() + dead()\n"
-        "def live():\n    return LIMIT\n"
+        "def live():\n    return LIMIT, 'named'\n"
+        "def named():\n    pass\n"
         "def patched():\n    pass\n"
         "class Used:\n    pass\n"
         "if __name__ == '__main__':\n    Used()\n"
     )
     caller.write_text("import pkg.mod\nfrom pkg.mod import helper\npkg.mod.live()\nx = 'patched'\n")
-    assert unreferenced(package, [caller]) == {"mod.dead", "mod.helper"}
+    # A caller's string keeps 'patched' alive; the package's own string, 'named', does not.
+    assert unreferenced(package, [caller]) == {"mod.dead", "mod.helper", "mod.named"}
 
 
 def test_an_unused_method_or_property_is_caught(tmp_path):

@@ -23,6 +23,7 @@ from specgrad.problems import InstrumentedOracle, Problem, problem
 from specgrad.solver import default_config, minimize
 
 from reference import (
+    gradient,
     m2_coefficient,
     next_direction_dk,
     next_direction_jian,
@@ -162,7 +163,7 @@ class TestDotCounts:
     @pytest.mark.parametrize("modified", [True, False])
     def test_search_takes_one_dot_per_trial_plus_dd(self, dot_calls, name, modified):
         p = problem(name, 10)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         gd = dot(g, d)
         coef = DirectionParams(m=3).coefficient
@@ -201,7 +202,7 @@ class TestDotCounts:
         # The solver always has g^T d; a search called without it is an error,
         # not a second dot product.
         p = problem("ext_rosenbrock", 10)
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         with pytest.raises(TypeError):
             search(InstrumentedOracle(p), p.start, f, g, -g, WolfeParams(), 3.0, 1.0)
         assert dot_calls["linesearch"] == 0
@@ -218,11 +219,11 @@ class TestDotCounts:
     @pytest.mark.parametrize("method", METHODS)
     def test_minimize_takes_g_d_only_at_the_start(self, dot_calls, method):
         # Per accepted step the audit re-derives 2 dot products from the raw
-        # vectors, 4 after a modified search, and check_direction 2 more for
-        # the spectral methods.  The direction update hands over the slope of
-        # every direction it makes, restarts included, so minimize takes
-        # g^T d only for d = -g0.
-        audit = 2 + 2 * (method == "scgmmwls") + 2 * (method != "dk")
+        # vectors, 4 after a modified search, and check_direction 2 more under
+        # every method.  The direction update hands over the slope of every
+        # direction it makes, restarts included, so minimize takes g^T d only
+        # for d = -g0.
+        audit = 4 + 2 * (method == "scgmmwls")
         for name in ("ext_rosenbrock", "arwhead", "diagonal1"):
             dot_calls["solver"] = 0
             res = minimize(problem(name, 10), default_config(method, max_iter=40))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specgrad.solver
-from specgrad.directions import ETA, TAU
+from specgrad.directions import ETA, METHODS, TAU, next_direction
 from specgrad.linesearch import ACCEPTED, ALPHA_MAX, WolfeParams, modified_wolfe, standard_wolfe
 from specgrad.numkit import dot
 from specgrad.problems import InstrumentedOracle, Problem, problem
@@ -23,7 +23,7 @@ from specgrad.solver import (
     minimize,
 )
 
-from reference import violations
+from reference import gradient, violations
 
 
 @pytest.fixture
@@ -218,7 +218,7 @@ class TestMinimize:
         res = minimize(p, default_config("scgmmwls", max_iter=20))
         assert len(searches) == res.ni == 20
         (first, _), later = searches[0], searches[1:]
-        assert first[7] == 1.0 / np.max(np.abs(p.gradient(p.start))) and first[9] is None
+        assert first[7] == 1.0 / np.max(np.abs(gradient(p, p.start))) and first[9] is None
         assert all(args[9] is prev_out for (args, _), (_, prev_out) in zip(later, searches))
         # alpha0 is worked out once; the later searches do not read it.
         assert all(args[7] == first[7] for args, _ in later)
@@ -265,7 +265,7 @@ class TestMinimize:
         cfg = default_config("scgmmwls", max_iter=1, trace_level="full")
         res = minimize(p, cfg)
         rec = res.trace[0]
-        g0 = p.gradient(p.start)
+        g0 = gradient(p, p.start)
         d0 = -g0.copy()
         x1 = p.start + rec.alpha * d0
         assert p.objective(x1) == rec.f
@@ -360,12 +360,12 @@ class TestMuTrace:
         cfg = default_config("scgmmwls:m=3", max_iter=1, trace_level="full")
         res = minimize(p, cfg)
         rec = res.trace[0]
-        g0 = p.gradient(p.start)
+        g0 = gradient(p, p.start)
         s = rec.alpha * (-g0.copy())
         x1 = p.start + s
         mu_ind = math.fsum(
             [2.0 * (p.objective(p.start) - p.objective(x1))]
-            + [(g0[i] + p.gradient(x1)[i]) * s[i] for i in range(n)]
+            + [(g0[i] + gradient(p, x1)[i]) * s[i] for i in range(n)]
         )
         assert math.copysign(1.0, rec.mu) == math.copysign(1.0, mu_ind)
 
@@ -382,7 +382,7 @@ class TestAudit:
     def test_runs_on_every_step_without_a_trace(self, method):
         res = minimize(problem("qf1", 20), default_config(method))
         assert res.status == CONVERGED and res.trace is None
-        assert res.audit.steps == res.ni > 0
+        assert res.audit.steps == res.audit.descent_checks == res.ni > 0
         assert violations(res.audit) == 0
 
     COUNTERS = ("armijo_violations", "curvature_violations", "dz_curvature_violations",
@@ -393,7 +393,7 @@ class TestAudit:
         """One accepted step on qf1 (n = 30, exact Lipschitz constant 30)."""
         p = problem("qf1", 30)
         cfg = default_config("scgmmwls:m=3")
-        f, g = p.objective(p.start), p.gradient(p.start)
+        f, g = p.objective(p.start), gradient(p, p.start)
         d = -g
         out = search(InstrumentedOracle(p), p.start, f, g, d, cfg.wolfe, cfg.direction.coefficient,
                      1.0 / np.max(np.abs(g)), dot(g, d))
@@ -466,6 +466,19 @@ class TestAudit:
         expected = {name: int(name == counter) for name in self.DIRECTION_COUNTERS}
         assert {name: getattr(audit, name) for name in self.DIRECTION_COUNTERS} == expected
         assert audit.descent_checks == 1
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_an_uphill_next_direction_is_counted_under_every_method(self, monkeypatch, method):
+        # The update restarts rather than hand back a direction that fails the
+        # descent test, so flip the one minimize receives: dk's is checked too.
+        def uphill(d, outcome, params):
+            d_new, rec = next_direction(d, outcome, params)
+            return -d_new, rec
+
+        monkeypatch.setattr(specgrad.solver, "next_direction", uphill)
+        res = minimize(problem("qf1", 20), default_config(method, max_iter=1))
+        assert (res.ni, res.audit.descent_checks, res.audit.descent_violations) == (1, 1, 1)
 
 
 class TestFloatingPointState:
