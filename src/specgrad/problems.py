@@ -50,11 +50,6 @@ from .numkit import Vector
 class EvaluationError(RuntimeError):
     """Objective or gradient produced a non-finite value."""
 
-    def __init__(self, problem_name: str, x: Vector, what: str):
-        super().__init__(f"{what} of '{problem_name}' is non-finite")
-        self.problem_name = problem_name
-        self.x = x
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -295,8 +290,8 @@ class InstrumentedOracle:
         self.nf += 1
         val, grad = self.problem.fg(x)
         if not math.isfinite(val):
-            raise EvaluationError(self.problem.name, x, "objective")
+            raise EvaluationError(f"objective of '{self.problem.name}' is non-finite")
         if not math.isfinite(grad.dot(grad)) and not np.logical_and.reduce(np.isfinite(grad)):
-            raise EvaluationError(self.problem.name, x, "gradient")
+            raise EvaluationError(f"gradient of '{self.problem.name}' is non-finite")
         return val, grad
 

@@ -5,8 +5,8 @@ accepted steps; the run stops when the gradient infinity-norm drops to the
 tolerance, the step budget is exhausted, or the line search fails.  Every
 accepted step is re-audited in place (Armijo, curvature, the d^T z lower
 bound, t bounds on problems with an exact Lipschitz constant, and, under
-every method, the next direction's sufficient descent and theta range); the
-tallies ride along on the result so benchmark-wide audits need no second pass.
+every method, the next direction's sufficient descent and theta range); only
+the violation tallies ride on the result, as every step runs every check.
 """
 
 from __future__ import annotations
@@ -68,13 +68,10 @@ def default_config(solver: str = "scgmmwls", **options) -> SolverConfig:
 class AuditReport:
     """Violation tallies from re-checking every accepted step in place."""
 
-    steps: int = 0
     armijo_violations: int = 0
     curvature_violations: int = 0
     dz_curvature_violations: int = 0
-    t_bound_checks: int = 0
     t_bound_violations: int = 0
-    descent_checks: int = 0
     descent_violations: int = 0
     theta_violations: int = 0
 
@@ -92,7 +89,6 @@ class AuditReport:
         predicates; a modified step also gets d^T z >= (1 - sigma)|g^T d|, the
         curvature test read through z, and, given an exact gradient-Lipschitz
         constant L, the bounds -C L <= t <= c_m L."""
-        self.steps += 1
         params = config.wolfe
         gd0 = dot(g0, d)
         self.armijo_violations += not armijo_holds(f0, gd0, outcome.alpha, outcome.f_new, params.rho)
@@ -105,13 +101,11 @@ class AuditReport:
         self.dz_curvature_violations += not curvature_holds(dot(d, outcome.z) + gd0, gd0, params.sigma)
         if lipschitz is not None:
             t_max = config.direction.coefficient * lipschitz + EPS
-            self.t_bound_checks += 1
             self.t_bound_violations += not -params.C * lipschitz - EPS <= outcome.t <= t_max
 
     def check_direction(self, g_new: Vector, d_new: Vector, theta: float) -> None:
         """Re-check the next direction of any method from the raw vectors:
         g_new^T d_new <= -ETA |g_new|^2, and theta in [1/4 + ETA, TAU] or 1."""
-        self.descent_checks += 1
         if not dot(g_new, d_new) <= -ETA * dot(g_new, g_new):
             self.descent_violations += 1
         if theta_bar(theta) != theta:

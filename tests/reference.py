@@ -27,7 +27,9 @@ the line search instead, and report beta, theta and the flags in their own
 search outcome of s = alpha d that ``next_direction`` reads.
 
 ``nonconvex_quartic`` is a one-dimensional problem on which the standard
-Wolfe search accepts a step that the modified one rejects.
+Wolfe search accepts a step that the modified one rejects.  ``log_cosh`` is
+a smooth nonquadratic problem with an exact gradient-Lipschitz constant, on
+which mu > 0, so the audit's t bounds are tested on a t other than 0.
 
 ``violations`` sums every ``*_violations`` tally of an audit report, so a
 tally added to :class:`specgrad.solver.AuditReport` is counted without a
@@ -350,3 +352,16 @@ def hessian_error(prob, x_new: Vector, s: Vector, m: float, fd_step: float = 0.1
     z = g_new - g_old + (_order_factor(m) * mu_value / s_norm_sq) * s
     curvature = fd_hessian_action(prob.objective, x_new, s, FiniteDifferenceSpec(h=fd_step))
     return curvature - dot(s, z)
+
+
+def log_cosh(n: int = 50) -> Problem:
+    """f = sum log cosh(x_i - c_i), c = linspace(-3, 3, n), from 0.  f'' = sech^2
+    peaks at 1 where x = c, so L = 1 is the gradient's exact Lipschitz constant;
+    f is not quadratic, so mu > 0 on most steps and t is not 0."""
+    c = np.linspace(-3.0, 3.0, n)
+
+    def fg(x):
+        u = np.abs(x - c)  # log cosh u = |u| + log(1 + e^{-2|u|}) - log 2, overflow-free
+        return float(np.sum(u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0))), np.tanh(x - c)
+
+    return Problem("log_cosh", fg, np.zeros(n), lipschitz_hint=1.0)

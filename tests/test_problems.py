@@ -104,10 +104,8 @@ class TestInstrumented:
         oracle = InstrumentedOracle(p)
         x = np.full(4, 1000.0)  # exp overflow; numpy warns outside minimize
         with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(EvaluationError, match="objective") as err:
+            with pytest.raises(EvaluationError, match="^objective of 'diagonal1' is non-finite$"):
                 oracle.eval_fg(x)
-        assert err.value.problem_name == "diagonal1"
-        np.testing.assert_array_equal(err.value.x, x)
         assert oracle.nf == 1  # failed trials still count
 
     @pytest.mark.parametrize(
@@ -122,9 +120,8 @@ class TestInstrumented:
     )
     def test_eval_fg_rejects_non_finite_values_after_charging(self, fg, what):
         oracle = InstrumentedOracle(Problem("bad", fg, np.zeros(3)))
-        with pytest.raises(EvaluationError, match=what) as err:
+        with pytest.raises(EvaluationError, match=f"^{what} of 'bad' is non-finite$"):
             oracle.eval_fg(np.zeros(3))
-        assert err.value.problem_name == "bad"
         assert oracle.nf == 1
 
     @pytest.mark.parametrize("n", [1, 100, 10000])

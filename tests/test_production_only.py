@@ -13,6 +13,14 @@ count only while that definition is itself referenced, so the check iterates
 to a fixpoint: a helper used only by another unused helper is caught too.
 Code that only the tests use belongs in ``tests/reference.py``.
 
+Stored values need a production reader too: every field a class of
+``src/specgrad`` declares (a dataclass's fields) or sets on ``self`` must
+be read, as an attribute, by ``src/`` or ``perfbench/*.py``.  Reads are
+keyed by class (``module.Class.field``), as far as annotations tell a
+receiver's class, so one class's read of ``alpha`` does not keep another
+class's ``alpha`` alive; a value only the tests read is dropped, since a
+test can recompute it.
+
 The other way round, no test may use a private (underscore) name of
 ``specgrad``: tests, and the reference forms in ``tests/reference.py`` above
 all, reach production code only through its public names, so a reference
@@ -86,6 +94,120 @@ def unreferenced(package: Path, callers: list[Path]) -> set[str]:
         live = still
 
 
+def annotated(node: ast.AST | None, classes) -> set[str]:
+    """The names of ``classes`` an annotation mentions at any depth: ``C``,
+    ``C | None``, ``list[C]`` and ``tuple[Vector, C]`` all give ``{"C"}``."""
+    if node is None:
+        return set()
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id in classes}
+
+
+def scopes(node: ast.AST, owner: str | None = None) -> list[tuple]:
+    """``(scope, owner, nodes)`` for ``node`` and each function under it: the
+    nodes that belong to that scope and to no function nested in it, and the
+    class a method belongs to (``None`` for any other scope)."""
+    own, inner = [], []
+    todo = [(child, None) for child in ast.iter_child_nodes(node)]
+    while todo:
+        sub, cls = todo.pop()
+        if isinstance(sub, FUNCTIONS):
+            inner += scopes(sub, cls)
+            continue
+        own.append(sub)
+        name = sub.name if isinstance(sub, ast.ClassDef) else None
+        todo += [(child, name) for child in ast.iter_child_nodes(sub)]
+    return [(node, owner, own), *inner]
+
+
+def receiver_classes(scope, owner, nodes, attrs, returns):
+    """A function ``expr -> set of class names`` for the expressions of one
+    scope: the classes a parameter's annotation names (``self`` is the
+    method's own class), a constructor call's class, the classes a called
+    function's return annotation names, those a field of a known class
+    names in its annotation, an element or slice of a known container,
+    and, through assignments and ``for`` targets, names bound to any of these."""
+    env: dict[str, set[str]] = {}
+    if isinstance(scope, FUNCTIONS):
+        params = [*scope.args.posonlyargs, *scope.args.args, *scope.args.kwonlyargs]
+        env = {p.arg: annotated(p.annotation, attrs) for p in params}
+        if owner in attrs and params:
+            env[params[0].arg] = {owner}
+
+    def kind(expr) -> set[str]:
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id, set())
+        if isinstance(expr, ast.Attribute):
+            return set().union(*(attrs[c].get(expr.attr, set()) for c in kind(expr.value)))
+        if isinstance(expr, ast.Call):
+            func = expr.func
+            if isinstance(func, ast.Name) and (func.id in attrs or func.id in returns):
+                return {func.id} & attrs.keys() or returns[func.id]
+            return set().union(*map(kind, expr.args))  # enumerate, sorted, zip, ...
+        if isinstance(expr, ast.Subscript):
+            return kind(expr.value)
+        return set()
+
+    bindings = [(t, node.value) for node in nodes if isinstance(node, ast.Assign) for t in node.targets]
+    bindings += [(n.target, n.iter) for n in nodes if isinstance(n, (ast.For, ast.comprehension))]
+    changed = True
+    while changed:  # a binding may read a name bound later in the walk
+        changed = False
+        for target, value in bindings:
+            found = kind(value)
+            for name in (n.id for n in ast.walk(target) if isinstance(n, ast.Name)):
+                if not found <= env.get(name, set()):
+                    env[name] = env.get(name, set()) | found
+                    changed = True
+    return kind
+
+
+def unread_fields(package: Path, callers: list[Path]) -> set[str]:
+    """``module.Class.field`` of every field a class of ``package`` declares
+    (an annotated name in its body: a dataclass's fields) or sets on ``self``
+    in a method, that no attribute load in ``package`` or in a caller file
+    reads.  Setting a field, ``+=`` included, reads nothing.  A read counts
+    for the classes its receiver can be (:func:`receiver_classes`); when none
+    of those declares the field, it counts for every class that does, as an
+    unannotated receiver could be any of them."""
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text()) for path in [*modules, *callers]}
+    home = {
+        stmt.name: path.stem
+        for path in modules
+        for stmt in trees[path].body
+        if isinstance(stmt, ast.ClassDef)
+    }
+    attrs: dict[str, dict[str, set[str]]] = {cls: {} for cls in home}  # field -> classes it holds
+    returns: dict[str, set[str]] = {}
+    fields = set()
+    for path, tree in trees.items():
+        for scope, owner, nodes in scopes(tree):
+            if isinstance(scope, FUNCTIONS) and owner is None:
+                kinds = annotated(scope.returns, home)
+                returns[scope.name] = returns.get(scope.name, set()) | kinds
+            if path not in modules:
+                continue
+            me = scope.args.args[0].arg if owner in attrs and scope.args.args else None
+            for node in nodes:
+                if isinstance(node, ast.ClassDef) and node.name in attrs:
+                    for stmt in node.body:
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                            attrs[node.name][stmt.target.id] = annotated(stmt.annotation, home)
+                            fields.add((node.name, stmt.target.id))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    if isinstance(node.value, ast.Name) and node.value.id == me:
+                        fields.add((owner, node.attr))
+    read = set()
+    for tree in trees.values():
+        for scope, owner, nodes in scopes(tree):
+            kind = receiver_classes(scope, owner, nodes, attrs, returns)
+            for node in nodes:
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    holders = {cls for cls, name in fields if name == node.attr}
+                    read |= {(cls, node.attr) for cls in (kind(node.value) & holders or holders)}
+    return {f"{home[cls]}.{cls}.{name}" for cls, name in fields - read}
+
+
 # Problem.objective's one reader outside the tests is
 # perfbench/tests/test_perfbench.py:212, a test of the benchmark, which changes
 # only together with the benchmark itself (ROADMAP item 8).
@@ -139,6 +261,36 @@ def test_an_unused_method_or_property_is_caught(tmp_path):
     )
     caller.write_text("from pkg.mod import Box\nBox().used()\nBox().shown\nx = 'patched'\n")
     assert unreferenced(package, [caller]) == {"mod.Box.dead", "mod.Box.chained", "mod.Box.hidden"}
+
+
+def test_every_field_in_src_has_a_production_reader():
+    callers = sorted((ROOT / "perfbench").glob("*.py"))
+    assert callers, "perfbench/*.py not found"
+    unread = unread_fields(ROOT / "src" / "specgrad", callers)
+    assert not unread, f"stored but never read in production (drop it): {sorted(unread)}"
+
+
+def test_an_unread_field_is_caught_per_class(tmp_path):
+    package, caller = tmp_path / "pkg", tmp_path / "caller.py"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import Box, Row, Step\n")
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass Step:\n    alpha: float\n    n: int\n    unread: int = 0\n"
+        "@dataclass\nclass Row:\n    alpha: float\n    n: int\n"
+        "class Box:\n"
+        "    def __init__(self, size):\n"
+        "        self.size, self.cache, self.shown, self.hits = size, {}, 1, 0\n"
+        "    def area(self):\n        self.hits += 1\n        return self.size * self.size\n"
+        "def half(step: Step) -> float:\n    return step.alpha / 2\n"
+        "def count(item):\n    return item.n\n"
+    )
+    caller.write_text("from pkg.mod import Box\nbox = Box(2)\nprint(box.area(), box.shown)\n")
+    # Row.alpha shares its name with a read of a Step; count's receiver has no
+    # known class, so it reads both n fields; an update (+=) reads nothing.
+    assert unread_fields(package, [caller]) == {
+        "mod.Step.unread", "mod.Row.alpha", "mod.Box.cache", "mod.Box.hits"
+    }
 
 
 def strings(node: ast.AST) -> set[str]:
