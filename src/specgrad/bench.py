@@ -158,8 +158,8 @@ def _result_record(row: ResultRow) -> dict:
     return dict(zip(RESULT_FIELDS, values))
 
 
-def emit(table: ResultTable, profiles, fmt: str, prefix, *, excluded=None) -> list[Path]:
-    """Write the files of one format under ``prefix``.
+def emit(table: ResultTable, profiles, fmt: str, prefix, *, excluded=None) -> None:
+    """Write the files of one format under ``prefix``, and return nothing.
 
     ``fmt="csv"`` writes ``results.csv``; ``profiles``, one :class:`Profile`
     per metric, adds one ``profile_<METRIC>.csv`` each, and ``excluded``, a
@@ -184,15 +184,12 @@ def emit(table: ResultTable, profiles, fmt: str, prefix, *, excluded=None) -> li
     try:
         prefix.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
-            path = prefix / "results.json"
-            path.write_text(json.dumps({"results": records, "profiles": docs}, indent=1) + "\n")
-            return [path]
-        written = []
-        for name, (header, rows) in tables.items():
-            path = prefix / f"{name}.csv"
-            path.write_text("\n".join([",".join(header)] + [_csv_line(r) for r in rows]) + "\n")
-            written.append(path)
-        return written
+            doc = {"results": records, "profiles": docs}
+            (prefix / "results.json").write_text(json.dumps(doc, indent=1) + "\n")
+        else:
+            for name, (header, rows) in tables.items():
+                lines = [",".join(header)] + [_csv_line(r) for r in rows]
+                (prefix / f"{name}.csv").write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"while writing benchmark output under '{prefix}': {exc}") from exc
 

@@ -35,7 +35,7 @@ from .bench import (
     run_suite,
     suite_cells,
 )
-from .problems import family_names, problem
+from .problems import problem
 from .solver import EVAL_ERROR, SolverConfig, default_config, minimize
 
 TRACE_ROWS = 24  # rows of the table ``bench trace`` prints
@@ -58,7 +58,7 @@ def _cmd_run(args, parser) -> int:
     options = _solver_options(args)
     try:
         solvers = _parse_list(args.solvers)
-        names = family_names() if args.problems.strip() == "all" else _parse_list(args.problems)
+        names = "all" if args.problems.strip() == "all" else _parse_list(args.problems)
         dims = [int(d) for d in _parse_list(args.dims)]
         suite_cells(solvers, names, dims, **options)
         Path(args.out).mkdir(parents=True, exist_ok=True)

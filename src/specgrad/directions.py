@@ -60,7 +60,7 @@ _DEGENERATE_REL = 1e-300
 @dataclass(frozen=True)
 class DirectionParams:
     """One solver: the direction method and the secant order m (>= 3 or
-    infinity; only scgmmwls and m2 read it)."""
+    infinity; only scgmmwls and m2 take one, so dk and jian keep the default)."""
 
     method: str = "scgmmwls"
     m: float = 3
@@ -70,6 +70,8 @@ class DirectionParams:
             raise ValueError(f"order m must be an integer >= 3 or infinity, got {self.m}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'; known: {', '.join(METHODS)}")
+        if self.method not in ORDER_METHODS and self.m != DirectionParams.m:
+            raise ValueError(f"{self.method} takes no order m, got {self.m}")
 
     @property
     def coefficient(self) -> float:

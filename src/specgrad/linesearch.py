@@ -141,8 +141,9 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     ``evaluate(alpha)`` returns ``(f, dphi, armijo_ok, curv_ok)`` of the trial
     x + alpha d, with dphi = g(x + alpha d)^T d, or ``None`` when the step
     underflowed to zero length; ``f0`` and ``slope0`` describe the ray at
-    alpha = 0 with ``slope0 < 0``.  Returns ``(alpha, trials_used, status)``,
-    with alpha ``None`` unless the status is ``ACCEPTED``.
+    alpha = 0.  It needs ``slope0 < 0`` and ``alpha0 > 0``, which ``_search``
+    establishes and this loop does not re-check.  Returns ``(alpha,
+    trials_used, status)``, with alpha ``None`` unless the status is ``ACCEPTED``.
 
     One trial loop keeps the bracket ``lo = (alpha, f, dphi)``, from alpha = 0,
     and ``hi = (alpha, f)``.  Until ``hi`` is set, an Armijo trial whose slope
@@ -153,11 +154,6 @@ def bracket_zoom(evaluate, f0: float, slope0: float, alpha0: float):
     the zoom rule, and the next step is the safeguarded interpolant of ``lo``
     and ``hi``; the search fails when that interpolant lands on either end.
     """
-    if not slope0 < 0.0:
-        return None, 0, DEGENERATE_DIRECTION
-    if not alpha0 > 0.0:
-        raise ValueError(f"initial trial step must be positive, got {alpha0}")
-
     # f-value comparisons share the Armijo slack: once per-step decreases sink
     # below the ulp of f, value ordering is noise and only the (noise-robust)
     # directional derivative can steer the bracket.

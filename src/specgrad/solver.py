@@ -46,8 +46,8 @@ class SolverConfig:
     trace_level: str = "none"  # none | full
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
         if self.trace_level not in ("none", "full"):

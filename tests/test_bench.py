@@ -228,8 +228,7 @@ class TestEmit:
 
     def test_no_profiles_write_results_only(self, tmp_path):
         for fmt in ("csv", "json"):
-            written = emit(example_2x2(), None, fmt, tmp_path / fmt)
-            assert [p.name for p in written] == [f"results.{fmt}"]
+            emit(example_2x2(), None, fmt, tmp_path / fmt)
             assert sorted(p.name for p in (tmp_path / fmt).iterdir()) == [f"results.{fmt}"]
 
     @pytest.mark.parametrize("excluded", [[], [("NI", "q:1"), ("NF", "q:1")]])
@@ -238,13 +237,13 @@ class TestEmit:
         profiles = [
             performance_profile(performance_ratios(table, metric)) for metric in ("ni", "nf")
         ]
-        written = emit(table, profiles, "csv", tmp_path, excluded=excluded)
+        emit(table, profiles, "csv", tmp_path, excluded=excluded)
         names = ["results.csv", "profile_NF.csv", "profile_NI.csv", "excluded.csv"]
-        assert [p.name for p in written] == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
         assert (tmp_path / "excluded.csv").read_text() == "".join(
             f"{m},{p}\n" for m, p in [("metric", "problem"), *excluded]
         )
-        assert [p.name for p in emit(table, profiles, "json", tmp_path)] == ["results.json"]
+        emit(table, profiles, "json", tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["results.json"])
         doc = json.loads((tmp_path / "results.json").read_text())
         assert sorted(doc["profiles"]) == ["NF", "NI"]

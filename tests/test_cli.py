@@ -213,6 +213,8 @@ class TestBadArguments:
             (["run", "--solvers", "scgmmwls:m=-inf"], "order m must be"),
             (["run", "--solvers", "dk:m=5,dk"], "order suffix is only valid on scgmmwls and m2"),
             (["run", "--max-iter", "-1"], "max_iter must be nonnegative"),
+            (["run", "--solvers", "dk", "--problems", "qf1,ext_rosenbrock", "--dims", "10",
+              "--eps", "inf"], "epsilon must be positive and finite"),
             (["run", "--solvers", "dk", "--problems", "qf1,QF1", "--dims", "10"],
              "duplicate (solver, problem, dim) cells"),
             (["trace", "--problem", "nosuch"], "unknown problem 'nosuch'"),

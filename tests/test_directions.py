@@ -51,6 +51,13 @@ class TestParams:
         with pytest.raises(ValueError):
             DirectionParams(method="bfgs")
 
+    @pytest.mark.parametrize("m", [4, 7, math.inf])
+    @pytest.mark.parametrize("method", ["dk", "jian"])
+    def test_dk_and_jian_take_no_order(self, method, m):
+        # m would move the t column of the trace, while the label still reads dk or jian.
+        with pytest.raises(ValueError, match=f"{method} takes no order m"):
+            DirectionParams(method, m=m)
+
 
 class TestSolverId:
     """``DirectionParams.parse`` reads a solver id; ``label`` writes it back."""

@@ -21,6 +21,12 @@ receiver's class, so one class's read of ``alpha`` does not keep another
 class's ``alpha`` alive; a value only the tests read is dropped, since a
 test can recompute it.
 
+A returned value needs a production use too: a function or method of
+``src/specgrad`` that returns a value, and that production code (``src/``
+or ``perfbench/*.py``) calls by name, must have at least one such call that
+is not a bare expression statement; a value every production call drops is
+only there for the tests.
+
 The other way round, no test may use a private (underscore) name of
 ``specgrad``: tests, and the reference forms in ``tests/reference.py`` above
 all, reach production code only through its public names, so a reference
@@ -291,6 +297,73 @@ def test_an_unread_field_is_caught_per_class(tmp_path):
     assert unread_fields(package, [caller]) == {
         "mod.Step.unread", "mod.Row.alpha", "mod.Box.cache", "mod.Box.hits"
     }
+
+
+def returns_value(func: ast.AST) -> bool:
+    """Whether ``func`` itself, not a function nested in it, has a ``return``
+    with a value other than a literal ``None``."""
+    own = scopes(func)[0][2]
+    return any(
+        isinstance(node, ast.Return) and node.value is not None
+        and not (isinstance(node.value, ast.Constant) and node.value.value is None)
+        for node in own
+    )
+
+
+def dropped_returns(package: Path, callers: list[Path]) -> set[str]:
+    """``module.name`` of every top-level function, and ``module.Class.name``
+    of every method, of ``package`` that returns a value and that ``package``
+    or a caller file calls by name (``f(...)`` or ``obj.f(...)``), where
+    every such call is a bare expression statement that drops the value."""
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    trees = {path: ast.parse(path.read_text()) for path in [*modules, *callers]}
+    used, dropped = set(), set()
+    for tree in trees.values():
+        bare = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                (dropped if id(node) in bare else used).add(name)
+    found = set()
+    for path in modules:
+        for stmt in trees[path].body:
+            funcs = [(stmt.name, stmt)] if isinstance(stmt, FUNCTIONS) else []
+            funcs += [(f"{stmt.name}.{m.name}", m) for m in members(stmt)]
+            for key, func in funcs:
+                if func.name in dropped - used and returns_value(func):
+                    found.add(f"{path.stem}.{key}")
+    return found
+
+
+def test_every_returned_value_in_src_has_a_production_use():
+    callers = sorted((ROOT / "perfbench").glob("*.py"))
+    assert callers, "perfbench/*.py not found"
+    dropped = dropped_returns(ROOT / "src" / "specgrad", callers)
+    assert not dropped, f"every production call drops the value (return nothing): {sorted(dropped)}"
+
+
+def test_a_value_every_production_call_drops_is_caught(tmp_path):
+    package, caller = tmp_path / "pkg", tmp_path / "caller.py"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import Box, dropped, kept, unnamed\n")
+    (package / "mod.py").write_text(
+        "def dropped():\n    return 1\n"
+        "def kept():\n    return 2\n"
+        "def unnamed():\n    return 3\n"
+        "def nothing():\n    return None\n"
+        "def nested():\n    def inner():\n        return 4\n    inner()\n"
+        "class Box:\n"
+        "    def push(self):\n        return self\n"
+        "    def size(self):\n        return 0\n"
+        "def run(box):\n    box.push()\n    nothing()\n    nested()\n    return kept() + box.size()\n"
+    )
+    caller.write_text(
+        "from pkg.mod import Box, dropped, kept, run, unnamed\n"
+        "dropped()\nkept()\nprint(run(Box()))\nfn = unnamed\n"
+    )
+    # kept's value is used by one call of two; unnamed is never called by name;
+    # nothing and nested return no value, and inner is not a top-level name.
+    assert dropped_returns(package, [caller]) == {"mod.dropped", "mod.Box.push"}
 
 
 def strings(node: ast.AST) -> set[str]:

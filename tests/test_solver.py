@@ -120,8 +120,9 @@ class TestConfig:
 
     def test_validation(self):
         cfg = default_config("scgmmwls")
-        with pytest.raises(ValueError):
-            SolverConfig(cfg.wolfe, cfg.direction, epsilon=0.0)
+        for epsilon in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                SolverConfig(cfg.wolfe, cfg.direction, epsilon=epsilon)
         with pytest.raises(ValueError):
             SolverConfig(cfg.wolfe, cfg.direction, trace_level="everything")
         with pytest.raises(ValueError):
