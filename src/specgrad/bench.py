@@ -158,7 +158,7 @@ def _result_record(row: ResultRow) -> dict:
     return dict(zip(RESULT_FIELDS, values))
 
 
-def emit(table: ResultTable, profiles, fmt: str, prefix, *, excluded=None) -> None:
+def emit(table: ResultTable, profiles: list[Profile] | None, fmt: str, prefix, *, excluded=None) -> None:
     """Write the files of one format under ``prefix``, and return nothing.
 
     ``fmt="csv"`` writes ``results.csv``; ``profiles``, one :class:`Profile`

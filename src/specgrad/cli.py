@@ -58,7 +58,7 @@ def _cmd_run(args, parser) -> int:
     options = _solver_options(args)
     try:
         solvers = _parse_list(args.solvers)
-        names = "all" if args.problems.strip() == "all" else _parse_list(args.problems)
+        names = "all" if args.problems.strip().lower() == "all" else _parse_list(args.problems)
         dims = [int(d) for d in _parse_list(args.dims)]
         suite_cells(solvers, names, dims, **options)
         Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -97,7 +97,7 @@ class DirectionParams:
             if name in METHODS and name not in ORDER_METHODS:
                 valid = " and ".join(ORDER_METHODS)
                 raise ValueError(f"an order suffix is only valid on {valid}, got '{text}'")
-            m = math.inf if value.strip() in ("inf", "infinity") else float(value)
+            m = float(value)
             if math.isfinite(m) and m == int(m):
                 m = int(m)
         return cls(method=name, m=m)

@@ -9,13 +9,14 @@ holds together with a curvature condition: the standard form
     g(x + a d)^T d >= sigma g^T d
 
 or the modified form that adds min(t, 0) s to the trial gradient, where t is
-the safeguarded secant scaling evaluated at the trial point.  Acceptance is
-evaluated to the documented tolerances (1e-12 relative on each side); without
-that slack the Armijo test turns into comparing evaluation noise once the
-per-step decrease drops below the roundoff floor of f, and searches stall
-just short of tight gradient tolerances.  The solver's audit re-checks each
-accepted step from the raw vectors with the same :func:`armijo_holds` and
-:func:`curvature_holds`, so accepted steps re-verify exactly.
+the safeguarded secant scaling evaluated at the trial point.  Acceptance has a
+slack on each side, 1e-12 (1 + |f|) on Armijo (absolute below |f| = 1) and
+1e-12 |g^T d| on curvature; without it the Armijo test turns into comparing
+evaluation noise once the per-step decrease drops below the roundoff floor of
+f, and searches stall just short of tight gradient tolerances.  The solver's
+audit re-checks each accepted step from the raw vectors with the same
+:func:`armijo_holds` and :func:`curvature_holds`, so accepted steps re-verify
+exactly.
 
 A trial point with non-finite objective or gradient is treated as a rejected
 (Armijo-fail) trial so the bracket can recover; it still charges the
@@ -62,8 +63,8 @@ ACCEPTED = "accepted"
 MAX_TRIALS_EXCEEDED = "max_trials_exceeded"
 DEGENERATE_DIRECTION = "degenerate_direction"
 
-# Relative tolerances of acceptance; the search and the solver's audit share
-# armijo_holds/curvature_holds bit for bit.
+# Acceptance tolerances, scaled by 1 + |f| and by |g^T d|; the search and
+# the solver's audit share armijo_holds/curvature_holds bit for bit.
 ARMIJO_TOL_REL = 1e-12
 CURVATURE_TOL_REL = 1e-12
 

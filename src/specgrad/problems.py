@@ -80,51 +80,51 @@ def _arwhead(n: int) -> Problem:
     return Problem("arwhead", fg, np.ones(n))
 
 
-def _ext_rosenbrock(n: int) -> Problem:
-    def fg(x):
-        u, v = x[0::2], x[1::2]
-        r, w = v - u * u, 1.0 - u
-        g = np.empty(n)
-        g[0::2] = -400.0 * u * r - 2.0 * w
-        g[1::2] = 200.0 * r
-        return float(np.add.reduce(100.0 * r**2 + w**2)), g
+def _extended(name: str, pair, start_u: float, start_v: float) -> Callable[[int], Problem]:
+    """Builder of an extended family F(x) = sum_i phi(x_{2i-1}, x_{2i}), which needs
+    an even n: ``pair(u, v)`` gives phi's terms and its partials in u and in v."""
 
-    start = np.ones(n)
-    start[0::2] = -1.2
-    return Problem("ext_rosenbrock", fg, start)
+    def build(n: int) -> Problem:
+        if n % 2 != 0:
+            raise ValueError(f"problem '{name}' needs an even dimension, got {n}")
 
+        def fg(x):
+            terms, du, dv = pair(x[0::2], x[1::2])
+            g = np.empty(n)
+            g[0::2] = du
+            g[1::2] = dv
+            return float(np.add.reduce(terms)), g
 
-def _ext_white_holst(n: int) -> Problem:
-    def fg(x):
-        u, v = x[0::2], x[1::2]
-        uu = u * u
-        r, w = v - uu * u, 1.0 - u
-        g = np.empty(n)
-        g[0::2] = -600.0 * uu * r - 2.0 * w
-        g[1::2] = 200.0 * r
-        return float(np.add.reduce(100.0 * r**2 + w**2)), g
+        start = np.empty(n)
+        start[0::2] = start_u
+        start[1::2] = start_v
+        return Problem(name, fg, start)
 
-    start = np.ones(n)
-    start[0::2] = -1.2
-    return Problem("ext_white_holst", fg, start)
+    return build
 
 
-def _ext_beale(n: int) -> Problem:
-    def fg(x):
-        u, v = x[0::2], x[1::2]
-        vv = v * v
-        w1, w2, w3 = 1.0 - v, 1.0 - vv, 1.0 - vv * v
-        a = 1.5 - u * w1
-        b = 2.25 - u * w2
-        c = 2.625 - u * w3
-        g = np.empty(n)
-        g[0::2] = -2.0 * a * w1 - 2.0 * b * w2 - 2.0 * c * w3
-        g[1::2] = 2.0 * a * u + 4.0 * b * u * v + 6.0 * c * u * vv
-        return float(np.add.reduce(a * a + b * b + c * c)), g
+def _rosenbrock(u, v):
+    r, w = v - u * u, 1.0 - u
+    return 100.0 * r**2 + w**2, -400.0 * u * r - 2.0 * w, 200.0 * r
 
-    start = np.ones(n)
-    start[1::2] = 0.8
-    return Problem("ext_beale", fg, start)
+
+def _white_holst(u, v):
+    uu = u * u
+    r, w = v - uu * u, 1.0 - u
+    return 100.0 * r**2 + w**2, -600.0 * uu * r - 2.0 * w, 200.0 * r
+
+
+def _beale(u, v):
+    vv = v * v
+    w1, w2, w3 = 1.0 - v, 1.0 - vv, 1.0 - vv * v
+    a, b, c = 1.5 - u * w1, 2.25 - u * w2, 2.625 - u * w3
+    du = -2.0 * a * w1 - 2.0 * b * w2 - 2.0 * c * w3
+    return a * a + b * b + c * c, du, 2.0 * a * u + 4.0 * b * u * v + 6.0 * c * u * vv
+
+
+def _himmelblau(u, v):
+    a, b = u * u + v - 11.0, u + v * v - 7.0
+    return a * a + b * b, 4.0 * u * a + 2.0 * b, 2.0 * a + 4.0 * v * b
 
 
 def _diagonal1(n: int) -> Problem:
@@ -209,19 +209,6 @@ def _nondquar(n: int) -> Problem:
     return Problem("nondquar", fg, start)
 
 
-def _ext_himmelblau(n: int) -> Problem:
-    def fg(x):
-        u, v = x[0::2], x[1::2]
-        a = u * u + v - 11.0
-        b = u + v * v - 7.0
-        g = np.empty(n)
-        g[0::2] = 4.0 * u * a + 2.0 * b
-        g[1::2] = 2.0 * a + 4.0 * v * b
-        return float(np.add.reduce(a * a + b * b)), g
-
-    return Problem("ext_himmelblau", fg, np.ones(n))
-
-
 def _qf1(n: int) -> Problem:
     idx = np.arange(1.0, n + 1.0)
 
@@ -235,20 +222,18 @@ def _qf1(n: int) -> Problem:
 
 _BUILDERS: dict[str, Callable[[int], Problem]] = {
     "arwhead": _arwhead,
-    "ext_rosenbrock": _ext_rosenbrock,
-    "ext_white_holst": _ext_white_holst,
-    "ext_beale": _ext_beale,
+    "ext_rosenbrock": _extended("ext_rosenbrock", _rosenbrock, -1.2, 1.0),
+    "ext_white_holst": _extended("ext_white_holst", _white_holst, -1.2, 1.0),
+    "ext_beale": _extended("ext_beale", _beale, 1.0, 0.8),
     "diagonal1": _diagonal1,
     "raydan1": _raydan1,
     "eg2": _eg2,
     "engval1": _engval1,
     "fletchcr": _fletchcr,
     "nondquar": _nondquar,
-    "ext_himmelblau": _ext_himmelblau,
+    "ext_himmelblau": _extended("ext_himmelblau", _himmelblau, 1.0, 1.0),
     "qf1": _qf1,
 }
-
-_EVEN_DIM = {"ext_rosenbrock", "ext_white_holst", "ext_beale", "ext_himmelblau"}
 
 
 def family_names() -> list[str]:
@@ -266,8 +251,6 @@ def problem(name: str, dim: int) -> Problem:
         raise KeyError(f"unknown problem '{name}'; known: {', '.join(_BUILDERS)}")
     if dim < 2:
         raise ValueError(f"problem '{key}' needs dimension >= 2, got {dim}")
-    if key in _EVEN_DIM and dim % 2 != 0:
-        raise ValueError(f"problem '{key}' needs an even dimension, got {dim}")
     return _BUILDERS[key](dim)
 
 

@@ -105,7 +105,8 @@ class AuditReport:
 
     def check_direction(self, g_new: Vector, d_new: Vector, theta: float) -> None:
         """Re-check the next direction of any method from the raw vectors:
-        g_new^T d_new <= -ETA |g_new|^2, and theta in [1/4 + ETA, TAU] or 1."""
+        g_new^T d_new <= -ETA |g_new|^2, and theta in [1/4 + ETA, TAU] or 1 (the update's
+        theta came from the idempotent ``theta_bar``: only a test's bad theta trips it)."""
         if not dot(g_new, d_new) <= -ETA * dot(g_new, g_new):
             self.descent_violations += 1
         if theta_bar(theta) != theta:
@@ -148,7 +149,7 @@ def minimize(problem: Problem, config: SolverConfig) -> RunResult:
     gnorm = norm_inf(g)
     alpha0 = 1.0 / max(gnorm, config.epsilon)  # 1/|g0|_inf, read only if gnorm > epsilon
     k = 0
-    outcome = None  # the last accepted step, which sets the next search's first trial
+    outcome: LineSearchOutcome | None = None  # the last accepted step; it sets the next first trial
     while True:
         if gnorm <= config.epsilon:
             status = CONVERGED

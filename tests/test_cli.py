@@ -62,6 +62,12 @@ class TestRun:
         rows = (tmp_path / "results.csv").read_text().splitlines()[1:]
         assert [r.split(",")[:3] for r in rows] == [["dk", "qf1", "10"]]
 
+    def test_the_all_keyword_is_case_insensitive(self, tmp_path):
+        code = main(["run", "--solvers", "dk", "--problems", "ALL", "--dims", "10",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert len((tmp_path / "results.csv").read_text().splitlines()[1:]) == 12
+
     def test_large_orders_run_as_two_cells_with_their_exact_ids(self, tmp_path):
         code = main(["run", "--solvers", "scgmmwls:m=1234567,scgmmwls:m=1234568", "--problems",
                      "qf1", "--dims", "10", "--out", str(tmp_path)])

@@ -67,9 +67,10 @@ class TestSolverId:
         assert (params.method, params.m) == ("scgmmwls", 3)
         assert params.label == "scgmmwls:m=3"
 
-    def test_parse_infinity(self):
-        params = DirectionParams.parse("m2:m=inf")
-        assert math.isinf(params.m)
+    @pytest.mark.parametrize("value", ["inf", "Infinity", "INF", " inf "])
+    def test_parse_infinity(self, value):
+        params = DirectionParams.parse(f"m2:m={value}")
+        assert params.m == math.inf
         assert params.label == "m2:m=inf"
 
     def test_plain_methods_have_no_order_suffix(self):

@@ -53,6 +53,25 @@ class TestRegistry:
         with pytest.raises(ValueError):
             problem("arwhead", 1)
 
+    @pytest.mark.parametrize("dim", [3, 11])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_exactly_the_extended_families_need_an_even_dimension(self, name, dim):
+        if name.startswith("ext_"):
+            message = f"problem '{name}' needs an even dimension, got {dim}"
+            with pytest.raises(ValueError, match=message):
+                problem(name, dim)
+        else:
+            assert problem(name, dim).dim == dim
+
+    @pytest.mark.parametrize(
+        "name, pair",
+        [("ext_rosenbrock", (-1.2, 1.0)), ("ext_white_holst", (-1.2, 1.0)),
+         ("ext_beale", (1.0, 0.8)), ("ext_himmelblau", (1.0, 1.0))],
+    )
+    def test_extended_starts_alternate_their_pair(self, name, pair):
+        start = problem(name, 12).start
+        assert start.tobytes() == np.array(pair * 6).tobytes()
+
     def test_arwhead_at_ones(self):
         p = problem("arwhead", 4)
         assert p.objective(p.start) == pytest.approx(9.0)

@@ -130,14 +130,18 @@ def receiver_classes(scope, owner, nodes, attrs, returns):
     scope: the classes a parameter's annotation names (``self`` is the
     method's own class), a constructor call's class, the classes a called
     function's return annotation names, those a field of a known class
-    names in its annotation, an element or slice of a known container,
-    and, through assignments and ``for`` targets, names bound to any of these."""
+    names in its annotation, an element or slice of a known container, the
+    classes an annotated local's annotation names (``x: C = ...``), and,
+    through assignments and ``for`` targets, names bound to any of these."""
     env: dict[str, set[str]] = {}
     if isinstance(scope, FUNCTIONS):
         params = [*scope.args.posonlyargs, *scope.args.args, *scope.args.kwonlyargs]
         env = {p.arg: annotated(p.annotation, attrs) for p in params}
         if owner in attrs and params:
             env[params[0].arg] = {owner}
+        for node in nodes:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                env[node.target.id] = annotated(node.annotation, attrs)
 
     def kind(expr) -> set[str]:
         if isinstance(expr, ast.Name):
@@ -297,6 +301,21 @@ def test_an_unread_field_is_caught_per_class(tmp_path):
     assert unread_fields(package, [caller]) == {
         "mod.Step.unread", "mod.Row.alpha", "mod.Box.cache", "mod.Box.hits"
     }
+
+
+def test_an_annotated_local_keys_its_reads_to_its_class(tmp_path):
+    package, caller = tmp_path / "pkg", tmp_path / "caller.py"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import A, B, first\n")
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    n: int\n"
+        "@dataclass\nclass B:\n    n: int\n"
+        "def first(items):\n    a: A = items[0]\n    return a.n\n"
+    )
+    caller.write_text("from pkg.mod import first\nprint(first([]))\n")
+    # Unannotated, a's class would be unknown and its read would keep both n fields.
+    assert unread_fields(package, [caller]) == {"mod.B.n"}
 
 
 def returns_value(func: ast.AST) -> bool:
